@@ -16,8 +16,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .duality import ann_cyclic, annihilator_window, flatten, module_span
-from .linalg import MonomialIndex, kernel_vectors, solve_affine, span_reduce
+from .duality import (
+    ann_cyclic,
+    annihilator_slices,
+    annihilator_window,
+    contraction_rows,
+    flatten,
+    module_span,
+)
+from .linalg import MonomialIndex, solve_affine, span_reduce, vanishing_combinations
 from .parsing import parse_polynomial, parse_ring_decl
 from .ring import (
     DPPolynomial,
@@ -25,7 +32,6 @@ from .ring import (
     PreconditionError,
     contract,
     contract_monomial,
-    drl_key,
     shift_mul,
 )
 
@@ -99,6 +105,23 @@ class AdmissibleFamily:
     def z_variable(self, i):
         return self.context.variable(self.z_indices[i])
 
+    def step_down(self, L):
+        """Pairs (z_i, entry at L - e_i): contraction by z_i must map H_L onto it.
+
+        The entry is zero where L - e_i leaves the positive indices; a
+        positive L - e_i without a stored entry raises PreconditionError.
+        """
+        pairs = []
+        for i in range(self.d):
+            down = tuple(l - (1 if j == i else 0) for j, l in enumerate(L))
+            if not all(l >= 1 for l in down):
+                pairs.append((self.z_variable(i), DPPolynomial.zero(self.context)))
+            elif down in self.entries:
+                pairs.append((self.z_variable(i), self.entries[down]))
+            else:
+                raise PreconditionError(f"missing predecessor entry at {down}")
+        return pairs
+
 
 def build_family(context, z_indices, given, t0=None):
     """Assemble a family from given entries, deriving the missing ones.
@@ -147,13 +170,8 @@ def check_condition_one(fam):
     violations = []
     for L in fam.index_box():
         H = fam.entry(L)
-        for i in range(fam.d):
-            down = tuple(l - (1 if j == i else 0) for j, l in enumerate(L))
-            actual = contract(fam.z_variable(i), H)
-            if all(l >= 1 for l in down):
-                expected = fam.entry(down)
-            else:
-                expected = DPPolynomial.zero(fam.context)
+        for i, (z, expected) in enumerate(fam.step_down(L)):
+            actual = contract(z, H)
             if actual != expected:
                 violations.append(
                     CheckViolation(L, f"condition-1 (z_{i + 1})", f"got {actual}, want {expected}")
@@ -169,20 +187,8 @@ def _annihilator_basis(H, bound):
     """Spanning set of the annihilator of H up to degree bound (no minimality)."""
     ctx = H.context
     if ctx.mode == "graded" and H.is_homogeneous():
-        from .duality import annihilator_slices
-
-        slices = annihilator_slices(H, bound)
-        out = []
-        for j in sorted(slices):
-            if j == 0:
-                continue
-            out.extend(slices[j])
-        return out
+        return [v for basis in annihilator_slices([H], bound).values() for v in basis]
     return [v for v in annihilator_window([H], bound).vectors if v.order() >= 1]
-
-
-def _span_of(vectors):
-    return span_reduce(vectors)
 
 
 def check_condition_two(fam, mode="annihilator"):
@@ -207,13 +213,13 @@ def check_condition_two(fam, mode="annihilator"):
                     continue
                 back = tuple(1 if j == i else l for j, l in enumerate(L))
                 H_up, H_back = fam.entry(up), fam.entry(back)
-                rhs = _span_of(flatten(module_span([H_back])))
+                rhs = span_reduce(flatten(module_span([H_back])))
                 if H_L.is_zero():
-                    lhs = _span_of(flatten(module_span([H_up])))
+                    lhs = span_reduce(flatten(module_span([H_up])))
                 else:
                     bound = int(max(H_up.degree(), H_L.degree()))
                     ann = _annihilator_basis(H_L, bound)
-                    lhs = _span_of([contract(h, H_up) for h in ann])
+                    lhs = span_reduce([contract(h, H_up) for h in ann])
                 if lhs.vectors != rhs.vectors:
                     violations.append(
                         CheckViolation(
@@ -232,7 +238,7 @@ def check_condition_two(fam, mode="annihilator"):
             H_L, H_back = fam.entry(L), fam.entry(back)
             span_L = flatten(module_span([H_L]))
             cut = _coordinate_subspace_part(span_L, fam.z_indices[i])
-            target = _span_of(flatten(module_span([H_back])))
+            target = span_reduce(flatten(module_span([H_back])))
             for v in cut:
                 if not target.contains(v):
                     violations.append(
@@ -247,29 +253,10 @@ def check_condition_two(fam, mode="annihilator"):
 
 def _coordinate_subspace_part(vectors, var_pos):
     """Basis of the part of a span supported away from one dual variable."""
-    vectors = [v for v in vectors]
-    if not vectors:
-        return []
-    support = sorted({m for v in vectors for m in v.terms if m[var_pos] > 0})
-    if not support:
+    if not any(m[var_pos] for v in vectors for m in v.terms):
         return list(vectors)
-    pos = {m: r for r, m in enumerate(support)}
-    rows = [{} for _ in support]
-    for j, v in enumerate(vectors):
-        for m, c in v.terms.items():
-            r = pos.get(m)
-            if r is not None:
-                rows[r][j] = c
-    combos = kernel_vectors([r for r in rows if r], len(vectors))
-    out = []
-    for combo in combos:
-        acc = None
-        for j, c in combo.items():
-            piece = vectors[j].scale(c)
-            acc = piece if acc is None else acc + piece
-        if acc is not None and not acc.is_zero():
-            out.append(acc)
-    return span_reduce(out).vectors
+    part = vanishing_combinations(vectors, lambda m: m[var_pos] > 0, len(vectors))
+    return span_reduce(part).vectors
 
 
 def check_family(fam, mode="annihilator"):
@@ -349,38 +336,14 @@ def lift_space(fam, L_target, deg_bound=None):
     L_target = tuple(L_target)
     if len(L_target) != fam.d or any(l < 1 for l in L_target):
         raise PreconditionError("target must be a positive multi-index")
-    preds = {}
-    for j in range(fam.d):
-        down = tuple(l - (1 if k == j else 0) for k, l in enumerate(L_target))
-        if all(l >= 1 for l in down):
-            if down not in fam.entries:
-                raise PreconditionError(f"missing predecessor entry at {down}")
-            preds[j] = fam.entry(down)
-        else:
-            preds[j] = DPPolynomial.zero(ctx)
+    constraints = fam.step_down(L_target)
     graded = ctx.mode == "graded" and all(H.is_homogeneous() for H in fam.entries.values())
-    max_pred = max((int(H.degree()) for H in preds.values() if not H.is_zero()), default=0)
+    max_pred = max((int(T.degree()) for _, T in constraints if not T.is_zero()), default=0)
     bound = deg_bound if deg_bound is not None else max_pred + 1
     if graded:
         index = MonomialIndex.of_degree(ctx.n, bound)
     else:
         index = MonomialIndex.window(ctx.n, bound)
-    rows, rhs = [], []
-    # contraction constraints against the predecessors
-    for j in range(fam.d):
-        zpos = fam.z_indices[j]
-        targets = {}
-        for col, lam in enumerate(index.monomials):
-            if lam[zpos] >= 1:
-                down = tuple(e - (1 if k == zpos else 0) for k, e in enumerate(lam))
-                targets.setdefault(down, {})[col] = ctx.scalar(1)
-        for m in preds[j].terms:
-            targets.setdefault(m, {})
-        for m, row in sorted(targets.items(), key=lambda kv: drl_key(kv[0]), reverse=True):
-            rows.append(row)
-            rhs.append(preds[j].coeff(m))
-    # orthogonality to the annihilator products
-    products = []
     ann_cache = {}
 
     def ann_gens(idx):
@@ -389,6 +352,7 @@ def lift_space(fam, L_target, deg_bound=None):
             ann_cache[idx] = [] if H.is_zero() else ann_cyclic(H).gens
         return ann_cache[idx]
 
+    zero = DPPolynomial.zero(ctx)
     for i in range(fam.d):
         L = tuple(l - (1 if k == i else 0) for k, l in enumerate(L_target))
         if not all(l >= 1 for l in L):
@@ -396,32 +360,34 @@ def lift_space(fam, L_target, deg_bound=None):
         back = tuple(1 if k == i else l for k, l in enumerate(L))
         for p in ann_gens(back):
             for q in ann_gens(L):
-                products.append(p * q)
-    for pq in products:
-        targets = {}
-        for col, lam in enumerate(index.monomials):
-            for m, a in pq.terms.items():
-                dm = tuple(e - f for e, f in zip(lam, m))
-                if any(x < 0 for x in dm):
-                    continue
-                row = targets.setdefault(dm, {})
-                s = row.get(col)
-                s = a if s is None else s + a
-                if s:
-                    row[col] = s
-                else:
-                    row.pop(col, None)
-        for _, row in sorted(targets.items(), key=lambda kv: drl_key(kv[0]), reverse=True):
-            if row:
-                rows.append(row)
-                rhs.append(ctx.scalar(0))
-    solved = solve_affine(rows, rhs, len(index))
+                constraints.append((p * q, zero))
+    solved = solve_lift(index, constraints)
     if solved is None:
         return None
     particular, kernel = solved
-    part_poly = index.poly(particular, ctx, "dual")
-    kernel_polys = [index.poly(v, ctx, "dual") for v in kernel]
-    return part_poly, span_reduce(kernel_polys)
+    return particular, span_reduce(kernel)
+
+
+def solve_lift(index, constraints):
+    """Dual elements G over the index with g o G = T for every pair (g, T).
+
+    Returns (particular solution, kernel vectors) with the particular
+    solution taken at kernel coordinates zero, or None when the system is
+    infeasible.  The result does not depend on the order of the pairs, but
+    the cost does: contraction by a variable gives unit rows on distinct
+    columns, and listing those pairs first keeps the elimination sparse.
+    """
+    ctx = constraints[0][0].context
+    rows = contraction_rows([g for g, _ in constraints], index)
+    for k, (_, T) in enumerate(constraints):
+        for m in T.terms:
+            rows.setdefault((k, m), {})  # a target term no column reaches
+    rhs = [constraints[k][1].coeff(d) for k, d in rows]
+    solved = solve_affine(list(rows.values()), rhs, len(index), ctx.scalar(1))
+    if solved is None:
+        return None
+    particular, kernel = solved
+    return index.poly(particular, ctx, "dual"), [index.poly(v, ctx, "dual") for v in kernel]
 
 
 # ---------------------------------------------------------------------------

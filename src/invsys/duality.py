@@ -19,6 +19,7 @@ from .linalg import (
     span_reduce,
 )
 from .ring import (
+    DPPolynomial,
     Polynomial,
     PreconditionError,
     contract_monomial,
@@ -131,46 +132,71 @@ def hilbert_function(slices):
 
 
 # ---------------------------------------------------------------------------
-# annihilators
+# contraction matrices
 
 
-def _kernel_of_contraction(F_list, cols, context):
-    """Kernel of h -> (h o F for each F), h running over the given R-monomials."""
-    index = MonomialIndex(cols)
+def contraction_rows(fixed, index):
+    """Sparse rows of contraction against each fixed element, columns over index.
+
+    With dual elements F the columns are ring monomials and a column h maps
+    to the contractions h o F; with ring elements g the columns are dual
+    monomials and G maps to g o G.  Rows are keyed by (position of the fixed
+    element, exponent of the contraction result); a key is present whenever
+    some column reaches it, even when its entries cancel.
+    """
     rows = {}
-    for fi, F in enumerate(F_list):
-        for j, m in enumerate(index.monomials):
-            for l, b in F.terms.items():
-                d = exp_sub(l, m)
+    for k, f in enumerate(fixed):
+        dual_fixed = isinstance(f, DPPolynomial)
+        for j, col in enumerate(index.monomials):
+            for m, a in f.terms.items():
+                d = exp_sub(m, col) if dual_fixed else exp_sub(col, m)
                 if d is None:
                     continue
-                row = rows.setdefault((fi, d), {})
+                row = rows.setdefault((k, d), {})
                 s = row.get(j)
-                s = b if s is None else s + b
+                s = a if s is None else s + a
                 if s:
                     row[j] = s
                 else:
                     row.pop(j, None)
-    vecs = kernel_vectors(list(rows.values()), len(index))
-    return [index.poly(v, context, "r") for v in vecs]
+    return rows
 
 
-def annihilator_slices(F, bound):
-    """Graded annihilator slices: basis of Ann(F)_j for each j in 0..bound."""
-    ctx = F.context
-    out = {}
-    for j in range(bound + 1):
-        cols = tuple(monomials_of_degree(ctx.n, j))
-        out[j] = span_reduce(_kernel_of_contraction([F], cols, ctx)).vectors
-    return out
+def contraction_kernel(fixed, index, context, side):
+    """Canonical kernel basis of contraction against the fixed elements.
+
+    ``side`` names the side of the columns: "r" when the fixed elements are
+    dual, "dual" when they are ring elements.
+    """
+    one = context.scalar(1)
+    polys = [
+        index.poly(v, context, side)
+        for v in kernel_vectors(list(contraction_rows(fixed, index).values()), len(index), one)
+    ]
+    del index  # callers pass a fresh index: free its position map before the peak
+    return span_reduce(polys)
+
+
+# ---------------------------------------------------------------------------
+# annihilators
+
+
+def annihilator_slices(gens, bound):
+    """Graded annihilator slices: basis of Ann(gens)_j for each j in 1..bound.
+
+    Ann_0 is zero because the generators are nonzero.
+    """
+    ctx = gens[0].context
+    return {
+        j: contraction_kernel(gens, MonomialIndex.of_degree(ctx.n, j), ctx, "r").vectors
+        for j in range(1, bound + 1)
+    }
 
 
 def annihilator_window(gens, bound):
     """Basis of the joint annihilator of the given dual elements within R_{<=bound}."""
     ctx = gens[0].context
-    cols = tuple(monomials_up_to_degree(ctx.n, bound))
-    vecs = _kernel_of_contraction(gens, cols, ctx)
-    return span_reduce(vecs, (0, bound))
+    return contraction_kernel(gens, MonomialIndex.window(ctx.n, bound), ctx, "r")
 
 
 def _minimalize_graded(kernels_by_degree, context):
@@ -235,17 +261,7 @@ def ann_cyclic(F, gen_bound=None):
     """
     if F.is_zero():
         raise PreconditionError("annihilator of 0 is the unit ideal")
-    ctx = F.context
-    s = int(F.degree())
-    bound = gen_bound if gen_bound is not None else s + 1
-    if ctx.mode == "graded" and F.is_homogeneous():
-        kernels = annihilator_slices(F, bound)
-        kernels.pop(0, None)
-        gens = _minimalize_graded(kernels, ctx)
-    else:
-        window = annihilator_window([F], bound)
-        gens = _minimalize_local(window, bound, ctx)
-    return Ideal(gens, ctx)
+    return ann_module([F], gen_bound)
 
 
 def ann_module(gens, degree_bound=None):
@@ -265,11 +281,7 @@ def ann_module(gens, degree_bound=None):
         else max(int(g.degree()) for g in gens) + 1
     )
     if ctx.mode == "graded" and all(g.is_homogeneous() for g in gens):
-        kernels = {}
-        for j in range(1, bound + 1):
-            cols = tuple(monomials_of_degree(ctx.n, j))
-            kernels[j] = span_reduce(_kernel_of_contraction(gens, cols, ctx)).vectors
-        out = _minimalize_graded(kernels, ctx)
+        out = _minimalize_graded(annihilator_slices(gens, bound), ctx)
     else:
         window = annihilator_window(gens, bound)
         out = _minimalize_local(window, bound, ctx)
@@ -283,10 +295,10 @@ def ann_module(gens, degree_bound=None):
 def perp_ideal(I, degree_bound=None):
     """Per-degree inverse system of an ideal.
 
-    Graded mode: for each degree j the slice is the kernel of the pairing
-    against the degree-j multiples of the generators.  Local mode: the kernel
-    of contraction by every generator over the dual window of degree <=
-    bound, organized by filtration slices.
+    The kernel of contraction by every generator: graded mode takes it on
+    each dual degree j (by <m*g, G> = <m, g o G> this is the orthogonal of
+    the degree-j part of the ideal), local mode over the dual window of
+    degree <= bound, organized by filtration slices.
     """
     ctx = I.context
     bound = degree_bound if degree_bound is not None else I.max_degree() + 2
@@ -296,37 +308,10 @@ def perp_ideal(I, degree_bound=None):
         slices = []
         for j in range(bound + 1):
             index = MonomialIndex.of_degree(ctx.n, j)
-            rows = []
-            for g in I.gens:
-                dg = int(g.degree())
-                if dg > j:
-                    continue
-                for m in monomials_of_degree(ctx.n, j - dg):
-                    prod = Polynomial.monomial(ctx, m) * g
-                    rows.append(index.vector(prod))
-            vecs = kernel_vectors(rows, len(index))
-            polys = [index.poly(v, ctx, "dual") for v in vecs]
-            slices.append(GradedSlice(j, span_reduce(polys)))
+            slices.append(GradedSlice(j, contraction_kernel(I.gens, index, ctx, "dual")))
         return slices
     index = MonomialIndex.window(ctx.n, bound)
-    rows = {}
-    for gi, g in enumerate(I.gens):
-        for j, l in enumerate(index.monomials):
-            for m, a in g.terms.items():
-                d = exp_sub(l, m)
-                if d is None:
-                    continue
-                row = rows.setdefault((gi, d), {})
-                s = row.get(j)
-                s = a if s is None else s + a
-                if s:
-                    row[j] = s
-                else:
-                    row.pop(j, None)
-    vecs = kernel_vectors(list(rows.values()), len(index))
-    polys = [index.poly(v, ctx, "dual") for v in vecs]
-    basis = span_reduce(polys).vectors
-    return _slices_from_vectors(basis, bound)
+    return _slices_from_vectors(contraction_kernel(I.gens, index, ctx, "dual").vectors, bound)
 
 
 def ideal_window_span(gens, bound, context):

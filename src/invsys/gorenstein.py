@@ -19,6 +19,7 @@ from .admissible import (
     CheckReport,
     CheckViolation,
     check_family,
+    solve_lift,
 )
 from .duality import (
     Ideal,
@@ -30,13 +31,12 @@ from .duality import (
     span_dim,
 )
 from .groebner import hilbert_data, is_regular_sequence, socle_dim
-from .linalg import MonomialIndex, SpanBuilder, solve_affine
+from .linalg import MonomialIndex, SpanBuilder
 from .ring import (
     DPPolynomial,
     Polynomial,
     PreconditionError,
     contract,
-    drl_key,
 )
 
 
@@ -118,45 +118,6 @@ def finite_lift(fam, max_gen_degree=None):
 # forward direction: family from an ideal
 
 
-def _solve_lift(ctx, index, contraction_constraints, annihilating):
-    """Particular solution of {z_pos o G = target} + {g o G = 0} over the index."""
-    rows, rhs = [], []
-    for zpos, target in contraction_constraints:
-        targets = {}
-        for col, lam in enumerate(index.monomials):
-            if lam[zpos] >= 1:
-                down = tuple(e - (1 if k == zpos else 0) for k, e in enumerate(lam))
-                targets.setdefault(down, {})[col] = ctx.scalar(1)
-        for m in target.terms:
-            targets.setdefault(m, {})
-        for m, row in sorted(targets.items(), key=lambda kv: drl_key(kv[0]), reverse=True):
-            rows.append(row)
-            rhs.append(target.coeff(m))
-    for g in annihilating:
-        targets = {}
-        for col, lam in enumerate(index.monomials):
-            for m, a in g.terms.items():
-                dm = tuple(e - f for e, f in zip(lam, m))
-                if any(x < 0 for x in dm):
-                    continue
-                row = targets.setdefault(dm, {})
-                s = row.get(col)
-                s = a if s is None else s + a
-                if s:
-                    row[col] = s
-                else:
-                    row.pop(col, None)
-        for _, row in sorted(targets.items(), key=lambda kv: drl_key(kv[0]), reverse=True):
-            if row:
-                rows.append(row)
-                rhs.append(ctx.scalar(0))
-    solved = solve_affine(rows, rhs, len(index))
-    if solved is None:
-        return None
-    particular, _ = solved
-    return index.poly(particular, ctx, "dual")
-
-
 def _reduction_generator(I, z_polys, window):
     """Generator of the dual of the Artinian reduction; errors when not cyclic."""
     ctx = I.context
@@ -211,27 +172,22 @@ def family_from_ideal(I, z_indices, t0, trunc=None):
         key=lambda L: (sum(L), L),
     )
     shell = AdmissibleFamily(ctx, d, z_indices, entries, t0)
+    zero = DPPolynomial.zero(ctx)
     for L in order:
         if L in entries:
             continue
-        constraints = []
-        for j in range(d):
-            down = tuple(l - (1 if k == j else 0) for k, l in enumerate(L))
-            if all(l >= 1 for l in down):
-                constraints.append((z_indices[j], entries[down]))
-            else:
-                constraints.append((z_indices[j], DPPolynomial.zero(ctx)))
+        constraints = shell.step_down(L) + [(g, zero) for g in I.gens]
         if graded:
             index = MonomialIndex.of_degree(ctx.n, r + sum(L) - d)
         else:
             index = MonomialIndex.window(ctx.n, trunc)
-        lifted = _solve_lift(ctx, index, constraints, I.gens)
+        lifted = solve_lift(index, constraints)
         if lifted is None:
             raise PreconditionError(
                 f"lift at index {L} is infeasible: the sequence is not regular "
                 "or the quotient is not Gorenstein"
             )
-        entries[L] = lifted
+        entries[L] = lifted[0]
     return shell
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .duality import Ideal
-from .linalg import SpanBuilder, rank_of
+from .duality import Ideal, _minimalize_graded
+from .linalg import rank_of, span_reduce
 from .ring import (
     Polynomial,
     PreconditionError,
@@ -332,26 +332,10 @@ def minimal_generators(ideal):
     At each degree the span of multiples of lower-degree chosen generators is
     removed from the span of the given generators' degree slice.
     """
-    ctx = ideal.context
     if not ideal.is_homogeneous():
         raise PreconditionError("minimal_generators expects homogeneous generators")
     by_degree = {}
     for g in ideal.gens:
         by_degree.setdefault(int(g.degree()), []).append(g)
-    chosen = []
-    for j in sorted(by_degree):
-        span = SpanBuilder()
-        for g in chosen:
-            dg = int(g.degree())
-            for m in monomials_of_degree(ctx.n, j - dg):
-                span.insert(Polynomial.monomial(ctx, m) * g)
-        slice_span = SpanBuilder()
-        for g in by_degree[j]:
-            slice_span.insert(g)
-        for v in slice_span.basis():
-            r = span.reduce(v)
-            if not r.is_zero():
-                r = r.monic()
-                chosen.append(r)
-                span.insert(r)
-    return chosen
+    slices = {j: span_reduce(gens).vectors for j, gens in by_degree.items()}
+    return _minimalize_graded(slices, ideal.context)

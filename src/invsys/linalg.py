@@ -1,13 +1,15 @@
 """Exact linear algebra over the coefficient field.
 
-Two layers live here.  The engine works on sparse rows (dicts mapping column
-index to scalar) and provides reduced row echelon form, kernels and affine
-solving; everything is exact, so there are no pivot thresholds of any kind.
+One echelon engine maintains a reduced row echelon form of sparse rows
+(dicts mapping a key to a scalar); everything is exact, so there are no pivot
+thresholds of any kind.  Keys are either int columns, leftmost pivot first,
+which gives reduced echelon forms, kernels and affine solving, or monomials,
+degrevlex-largest pivot first.
 
-On top of that, coordinate vectors indexed by monomials are just polynomials,
-so subspaces of a degree window are kept as lists of polynomials in reduced
-echelon form with respect to the canonical (degrevlex descending) monomial
-order: monic vectors, pairwise distinct leading monomials, mutually reduced.
+Coordinate vectors indexed by monomials are just polynomials, so subspaces
+of a degree window are kept as lists of polynomials in reduced echelon form
+with respect to the canonical (degrevlex descending) monomial order: monic
+vectors, pairwise distinct leading monomials, mutually reduced.
 """
 
 from __future__ import annotations
@@ -23,44 +25,50 @@ from .ring import (
 )
 
 # ---------------------------------------------------------------------------
-# sparse row echelon engine; columns are 0-based ints, leftmost pivot wins
-
-
-def _reduce_row(row, pivots):
-    """Fully reduce a sparse row against the pivot table (in place copy)."""
-    row = {c: v for c, v in row.items() if v}
-    while row:
-        hit = [c for c in row if c in pivots]
-        if not hit:
-            break
-        c = min(hit)
-        factor = row[c]
-        for pc, pv in pivots[c].items():
-            s = row.get(pc)
-            s = -factor * pv if s is None else s - factor * pv
-            if s:
-                row[pc] = s
-            else:
-                row.pop(pc, None)
-    return row
+# the echelon engine: sparse rows keyed by int columns or by monomials
 
 
 class _Echelon:
-    """Incrementally maintained RREF: pivots[col] is a monic row led by col."""
+    """Incrementally maintained RREF: pivots[key] is a monic row led by key.
 
-    def __init__(self):
+    ``lead`` picks the pivot key among a row's keys: ``min`` for int columns
+    (leftmost pivot), the degrevlex maximum for monomial keys.  Rows carry no
+    zero entries.
+    """
+
+    def __init__(self, lead):
+        self.lead = lead
         self.pivots = {}
 
-    def insert(self, row):
-        """Reduce and insert; returns the new pivot column or None."""
-        row = _reduce_row(row, self.pivots)
+    def reduce_row(self, row):
+        """Remainder of a row after eliminating every pivot key (a new dict)."""
+        row = dict(row)
+        pivots, lead = self.pivots, self.lead
+        while row:
+            hit = [c for c in row if c in pivots]
+            if not hit:
+                break
+            c = lead(hit)
+            factor = row[c]
+            for pc, pv in pivots[c].items():
+                s = row.get(pc)
+                s = -factor * pv if s is None else s - factor * pv
+                if s:
+                    row[pc] = s
+                else:
+                    row.pop(pc, None)
+        return row
+
+    def insert_row(self, row):
+        """Reduce and insert; returns the new pivot key or None."""
+        row = self.reduce_row(row)
         if not row:
             return None
-        lead = min(row)
-        lc = row[lead]
+        key = self.lead(row)
+        lc = row[key]
         row = {c: v / lc for c, v in row.items()}
         for other in self.pivots.values():
-            f = other.get(lead)
+            f = other.get(key)
             if f is not None:
                 for c, v in row.items():
                     s = other.get(c)
@@ -69,59 +77,46 @@ class _Echelon:
                         other[c] = s
                     else:
                         other.pop(c, None)
-        self.pivots[lead] = row
-        return lead
-
-    def rows(self):
-        return [self.pivots[c] for c in sorted(self.pivots)]
+        self.pivots[key] = row
+        return key
 
 
 def rref_rows(rows):
     """Reduced row echelon form of sparse rows; returns (rows, pivot columns)."""
-    ech = _Echelon()
+    ech = _Echelon(min)
     for row in rows:
-        ech.insert(row)
+        ech.insert_row({c: v for c, v in row.items() if v})
     pivots = sorted(ech.pivots)
-    return ech.rows(), pivots
+    return [ech.pivots[c] for c in pivots], pivots
 
 
 def rank_of(rows):
     return len(rref_rows(rows)[1])
 
 
-def kernel_vectors(rows, ncols):
-    """Basis of the null space of the sparse row system, one vector per free column."""
-    reduced, pivots = rref_rows(rows)
+def _free_column_kernel(reduced, pivots, ncols, one):
+    """Null-space basis of an RREF system, one vector per free column below ncols."""
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: _one_like(reduced)}
-        for prow in reduced:
-            lead = min(prow)
-            coef = prow.get(free)
-            if coef:
-                vec[lead] = -coef
-        basis.append(vec)
-    return basis
+    kernel = {c: {c: one} for c in range(ncols) if c not in pivot_set}
+    for lead, prow in zip(pivots, reduced):
+        for c, v in prow.items():
+            if c in kernel:
+                kernel[c][lead] = -v
+    return list(kernel.values())
 
 
-def _one_like(reduced_rows):
-    for row in reduced_rows:
-        for v in row.values():
-            return v / v
-    from fractions import Fraction
-
-    return Fraction(1)
+def kernel_vectors(rows, ncols, one):
+    """Basis of the null space of the sparse row system; ``one`` is the field's unit."""
+    reduced, pivots = rref_rows(rows)
+    return _free_column_kernel(reduced, pivots, ncols, one)
 
 
-def solve_affine(rows, rhs, ncols):
+def solve_affine(rows, rhs, ncols, one):
     """Solve the sparse linear system rows * x = rhs.
 
     Returns (particular solution, kernel basis) with all free coordinates of
     the particular solution set to zero, or None when inconsistent.  Vectors
-    are sparse dicts over 0..ncols-1.
+    are sparse dicts over 0..ncols-1; ``one`` is the field's unit.
     """
     aug = []
     for row, b in zip(rows, rhs):
@@ -133,23 +128,11 @@ def solve_affine(rows, rhs, ncols):
     if ncols in pivots:
         return None
     particular = {}
-    for prow in reduced:
-        lead = min(prow)
+    for lead, prow in zip(pivots, reduced):
         b = prow.get(ncols)
         if b:
             particular[lead] = b
-    kernel = []
-    pivot_set = set(pivots)
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: _one_like(reduced) if reduced else 1}
-        for prow in reduced:
-            coef = prow.get(free)
-            if coef:
-                vec[min(prow)] = -coef
-        kernel.append(vec)
-    return particular, kernel
+    return particular, _free_column_kernel(reduced, pivots, ncols, one)
 
 
 # ---------------------------------------------------------------------------
@@ -178,59 +161,26 @@ class MonomialIndex:
         return cls(tuple(monomials_of_degree(n, degree)))
 
     @classmethod
-    def window(cls, n, bound, min_degree=0):
-        return cls(tuple(monomials_up_to_degree(n, bound, min_degree)))
+    def window(cls, n, bound):
+        return cls(tuple(monomials_up_to_degree(n, bound)))
 
     def __len__(self):
         return len(self.monomials)
-
-    def vector(self, poly):
-        """Coefficient vector of a polynomial whose support lies in the index."""
-        vec = {}
-        for m, c in poly.terms.items():
-            pos = self.position.get(m)
-            if pos is None:
-                raise KeyError(f"monomial {m} outside the column index")
-            vec[pos] = c
-        return vec
 
     def poly(self, vec, context, side):
         cls = Polynomial if side == "r" else DPPolynomial
         return cls(context, {self.monomials[i]: c for i, c in vec.items() if c})
 
 
-@dataclass
-class CoeffMatrix:
-    """Sparse scalar grid with monomial-labelled columns.
-
-    ``rows`` are sparse dicts over the column index; ``side`` records whether
-    reconstructed vectors live in the ring ("r") or the dual module ("dual").
-    """
-
-    context: object
-    side: str
-    col_index: MonomialIndex
-    rows: list
-
-    def rref(self):
-        reduced, pivots = rref_rows(self.rows)
-        return CoeffMatrix(self.context, self.side, self.col_index, reduced), pivots
-
-    def rank(self):
-        return len(self.rref()[1])
-
-    def kernel_basis(self):
-        """Null-space basis as a SubspaceBasis of polynomials."""
-        vecs = kernel_vectors(self.rows, len(self.col_index))
-        polys = [self.col_index.poly(v, self.context, self.side) for v in vecs]
-        return span_reduce(polys)
-
-
 # ---------------------------------------------------------------------------
 # subspaces of polynomial coefficient spans
 
 
-class SpanBuilder:
+def _drl_max(monomials):
+    return max(monomials, key=drl_key)
+
+
+class SpanBuilder(_Echelon):
     """Incremental reduced basis of a span of polynomials.
 
     Keeps one monic vector per leading monomial, fully inter-reduced, so the
@@ -239,45 +189,16 @@ class SpanBuilder:
     """
 
     def __init__(self):
-        self.by_lm = {}
+        super().__init__(_drl_max)
 
     def reduce(self, poly):
         """Remainder of poly after eliminating every basis leading monomial."""
-        terms = dict(poly.terms)
-        while terms:
-            hits = [m for m in terms if m in self.by_lm]
-            if not hits:
-                break
-            m = max(hits, key=drl_key)
-            factor = terms[m]
-            for bm, bc in self.by_lm[m].items():
-                s = terms.get(bm)
-                s = -factor * bc if s is None else s - factor * bc
-                if s:
-                    terms[bm] = s
-                else:
-                    terms.pop(bm, None)
-        return type(poly)(poly.context, terms)
+        return type(poly)(poly.context, self.reduce_row(poly.terms))
 
     def insert(self, poly):
         """Add a vector to the span; returns True if it enlarged the span."""
-        rem = self.reduce(poly)
-        if rem.is_zero():
+        if self.insert_row(poly.terms) is None:
             return False
-        lm = rem.leading_monomial()
-        lc = rem.terms[lm]
-        new = {m: c / lc for m, c in rem.terms.items()}
-        for other in self.by_lm.values():
-            f = other.get(lm)
-            if f is not None:
-                for m, c in new.items():
-                    s = other.get(m)
-                    s = -f * c if s is None else s - f * c
-                    if s:
-                        other[m] = s
-                    else:
-                        other.pop(m, None)
-        self.by_lm[lm] = new
         self._sample = poly
         return True
 
@@ -285,16 +206,16 @@ class SpanBuilder:
         return self.reduce(poly).is_zero()
 
     def dim(self):
-        return len(self.by_lm)
+        return len(self.pivots)
 
     def basis(self):
-        if not self.by_lm:
+        if not self.pivots:
             return []
         cls = type(self._sample)
         ctx = self._sample.context
         out = []
-        for lm in sorted(self.by_lm, key=drl_key, reverse=True):
-            out.append(cls(ctx, dict(self.by_lm[lm])))
+        for lm in sorted(self.pivots, key=drl_key, reverse=True):
+            out.append(cls(ctx, dict(self.pivots[lm])))
         return out
 
 
@@ -303,7 +224,6 @@ class SubspaceBasis:
     """A reduced echelon basis of a finite-dimensional coefficient subspace."""
 
     vectors: list
-    degree_window: tuple = None
 
     @property
     def dim(self):
@@ -321,18 +241,13 @@ class SubspaceBasis:
     def __iter__(self):
         return iter(self.vectors)
 
-    def __eq__(self, other):
-        if not isinstance(other, SubspaceBasis):
-            return NotImplemented
-        return self.vectors == other.vectors
 
-
-def span_reduce(polys, degree_window=None):
+def span_reduce(polys):
     """Canonical SubspaceBasis spanned by the given polynomials."""
     b = SpanBuilder()
     for p in polys:
         b.insert(p)
-    return SubspaceBasis(b.basis(), degree_window)
+    return SubspaceBasis(b.basis())
 
 
 def membership(poly, basis):
@@ -343,38 +258,42 @@ def membership(poly, basis):
 
 
 def span_intersect(a, b):
-    """Reduced basis of the intersection of two spans (same side, same window).
+    """Reduced basis of the intersection of two spans on the same side.
 
     Solved via the kernel of the stacked system: a combination of a-vectors
     equals a combination of b-vectors iff the joint coefficient vector lies in
     the kernel of the column matrix [A | -B].
     """
     if not a.vectors or not b.vectors:
-        return SubspaceBasis([], a.degree_window or b.degree_window)
-    if a.degree_window and b.degree_window and a.degree_window != b.degree_window:
-        raise ValueError("degree windows do not match")
+        return SubspaceBasis([])
     if type(a.vectors[0]) is not type(b.vectors[0]):
         raise ValueError("cannot intersect spans from different sides")
-    support = set()
-    for v in list(a.vectors) + list(b.vectors):
-        support.update(v.terms)
-    index = MonomialIndex(tuple(support))
-    # one row per monomial coordinate, one column per basis vector
-    cols = list(a.vectors) + [w.scale(-1) for w in b.vectors]
-    rows = [{} for _ in range(len(index))]
-    for j, v in enumerate(cols):
+    cols = list(a.vectors) + [-w for w in b.vectors]
+    meet = vanishing_combinations(cols, lambda m: True, len(a.vectors))
+    return span_reduce(meet)
+
+
+def vanishing_combinations(vectors, selected, head):
+    """Combinations of vectors[:head] from the relations among all the vectors.
+
+    A relation is a coefficient vector c with sum_j c_j vectors[j] zero on
+    every monomial m for which ``selected(m)`` holds; the result lists
+    sum_{j < head} c_j vectors[j] over a kernel basis of relations, zero
+    combinations dropped.  ``vectors`` must be non-empty.
+    """
+    rows = {}
+    for j, v in enumerate(vectors):
         for m, c in v.terms.items():
-            rows[index.position[m]][j] = c
-    combos = kernel_vectors([r for r in rows if r], len(cols))
-    na = len(a.vectors)
+            if selected(m):
+                rows.setdefault(m, {})[j] = c
+    one = vectors[0].context.scalar(1)
     out = []
-    for combo in combos:
+    for combo in kernel_vectors(list(rows.values()), len(vectors), one):
         acc = None
         for j, c in combo.items():
-            if j >= na:
-                continue
-            piece = a.vectors[j].scale(c)
-            acc = piece if acc is None else acc + piece
+            if j < head:
+                piece = vectors[j].scale(c)
+                acc = piece if acc is None else acc + piece
         if acc is not None and not acc.is_zero():
             out.append(acc)
-    return span_reduce(out, a.degree_window or b.degree_window)
+    return out

@@ -123,9 +123,13 @@ def _parse_term(sc, context, names, other, side):
         if ch.isdigit():
             if saw_coeff or saw_factor:
                 raise ParseError("coefficient must precede the variables", sc.text, sc.pos)
+            start = sc.pos
             num = sc.integer()
             den = sc.integer() if sc.take("/") else 1
-            coeff = coeff * context.scalar(num, den)
+            try:
+                coeff = coeff * context.scalar(num, den)
+            except ZeroDivisionError:
+                raise ParseError("denominator vanishes in the field", sc.text, start) from None
             saw_coeff = True
             sc.take("*")
             continue

@@ -124,11 +124,44 @@ class Rationals:
         return "Q"
 
 
+# Miller-Rabin with the first thirteen primes as bases decides primality
+# exactly below this bound, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 2017).  Twelve bases would not do:
+# 318665857834031151167461 is a strong pseudoprime to the primes up to 37.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin test, exact for p below _MR_LIMIT."""
+    if p < 2:
+        return False
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """The field with p elements; p must be prime."""
+    """The field with p elements; p must be a prime below _MR_LIMIT."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= _MR_LIMIT:
+            raise ValueError(f"{p} is too large: primality is certified only below {_MR_LIMIT}")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.char = p
 
@@ -273,8 +306,8 @@ def monomials_of_degree(n, d):
             yield (first,) + rest
 
 
-def monomials_up_to_degree(n, bound, min_degree=0):
-    for d in range(min_degree, bound + 1):
+def monomials_up_to_degree(n, bound):
+    for d in range(bound + 1):
         yield from monomials_of_degree(n, d)
 
 

@@ -86,9 +86,21 @@ def test_mode_override_flag(capsys):
 
 
 def test_parse_error_exit_code(capsys):
-    code, _, err = run(capsys, "ann", "--ring", "Q[x,y]", "--poly", "Y^[")
-    assert code == 2
-    assert "parse error" in err
+    for ring, poly in [
+        ("Q[x,y]", "Y^["),
+        ("Q[x,y]", "1/0*X^[2]"),
+        ("Fp(7)[x,y]", "1/7*X"),
+    ]:
+        code, _, err = run(capsys, "ann", "--ring", ring, "--poly", poly)
+        assert code == 2
+        assert "parse error" in err
+
+
+def test_unusable_prime_field_exit_code(capsys):
+    for field in ("Fp(561)", "Fp(618970019642690137449562111)"):
+        code, _, err = run(capsys, "ann", "--ring", f"{field}[x,y]", "--poly", "X")
+        assert code == 2
+        assert "error" in err
 
 
 def test_precondition_exit_code(capsys):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+# the module also runs as a script, without conftest.py
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from invsys.cli import main  # noqa: E402

@@ -224,3 +224,16 @@ def test_local_round_trip_plane_curve(plane_curve):
     ctx = plane_curve["ctx"]
     recovered = ann_cyclic(plane_curve["generator"])
     assert ideals_equal_mod(recovered.gens, plane_curve["ideal"].gens, 6, ctx)
+
+
+def test_prime_field_kernels_keep_field_scalars():
+    # kernels with no rows used to carry Fraction(1) into prime-field results
+    ctx = ctx_of("ring Fp(7)[x,y]")
+    unit_type = type(ctx.scalar(1))
+    ann = ann_cyclic(dual(ctx, "3"))
+    assert [str(g) for g in ann.gens] == ["y", "x"]
+    perp = perp_ideal(Ideal([], ctx), 1)
+    polys = list(ann.gens) + flatten(perp)
+    assert len(polys) == 5
+    for p in polys:
+        assert all(type(c) is unit_type for c in p.terms.values())

@@ -2,7 +2,7 @@
 
 from conftest import ctx_of, dual, frac, ring_poly, rng_for, random_poly
 
-from invsys import CoeffMatrix, MonomialIndex, membership, span_intersect, span_reduce
+from invsys import MonomialIndex, membership, span_intersect, span_reduce
 from invsys.linalg import kernel_vectors, rank_of, rref_rows, solve_affine
 
 
@@ -57,7 +57,7 @@ def test_rref_kernel_annihilation_random():
     rng = rng_for("rref-kernel")
     for _ in range(50):
         rows = _random_rows(rng, 6, 8)
-        kernel = kernel_vectors(rows, 8)
+        kernel = kernel_vectors(rows, 8, frac(1))
         for vec in kernel:
             assert all(v == 0 for v in _apply(rows, vec))
         reduced, _ = rref_rows(rows)
@@ -70,12 +70,12 @@ def test_rank_nullity_random():
     for _ in range(50):
         rows = _random_rows(rng, rng.randint(1, 7), rng.randint(1, 7))
         ncols = max((max(r) for r in rows if r), default=-1) + 1
-        assert rank_of(rows) + len(kernel_vectors(rows, ncols)) == ncols
+        assert rank_of(rows) + len(kernel_vectors(rows, ncols, frac(1))) == ncols
 
 
 def test_full_rank_square_kernel_empty():
     rows = _dense_to_rows([[2, 1], [1, 1]])
-    assert kernel_vectors(rows, 2) == []
+    assert kernel_vectors(rows, 2, frac(1)) == []
 
 
 # -- affine solving ------------------------------------------------------------
@@ -84,11 +84,11 @@ def test_full_rank_square_kernel_empty():
 def test_affine_solve_zero_target_gives_full_kernel():
     rng = rng_for("affine-zero")
     rows = _random_rows(rng, 4, 6)
-    out = solve_affine(rows, [frac(0)] * 4, 6)
+    out = solve_affine(rows, [frac(0)] * 4, 6, frac(1))
     assert out is not None
     particular, kernel = out
     assert particular == {}
-    assert len(kernel) == len(kernel_vectors(rows, 6))
+    assert len(kernel) == len(kernel_vectors(rows, 6, frac(1)))
 
 
 def test_affine_solve_consistency_random():
@@ -97,7 +97,7 @@ def test_affine_solve_consistency_random():
         rows = _random_rows(rng, 5, 6)
         secret = {j: frac(rng.randint(-3, 3)) for j in range(6)}
         rhs = _apply(rows, secret)
-        out = solve_affine(rows, rhs, 6)
+        out = solve_affine(rows, rhs, 6, frac(1))
         assert out is not None
         particular, kernel = out
         assert _apply(rows, particular) == rhs
@@ -107,7 +107,7 @@ def test_affine_solve_consistency_random():
 
 def test_affine_solve_detects_infeasible():
     rows = _dense_to_rows([[1, 0], [1, 0]])
-    assert solve_affine(rows, [frac(1), frac(2)], 2) is None
+    assert solve_affine(rows, [frac(1), frac(2)], 2, frac(1)) is None
 
 
 def test_affine_solve_contraction_system():
@@ -122,7 +122,7 @@ def test_affine_solve_contraction_system():
             continue
         rows.append({index.position[m]: frac(1)})
         rhs.append(target.coeff(down))
-    out = solve_affine(rows, rhs, len(index))
+    out = solve_affine(rows, rhs, len(index), frac(1))
     assert out is not None
     particular, kernel = out
     assert index.poly(particular, ctx, "dual") == dual(ctx, "X*Y^[2]")
@@ -149,7 +149,7 @@ def test_catalecticant_kernel_of_quadric_cubic_generator():
         rows.append(
             {j: im.terms[target] for j, im in enumerate(images) if target in im.terms}
         )
-    kernel = kernel_vectors(rows, len(cols))
+    kernel = kernel_vectors(rows, len(cols), frac(1))
     polys = [cols.poly(v, ctx, "r") for v in kernel]
     assert polys == [ring_poly(ctx, "x*y")]
 
@@ -211,22 +211,3 @@ def test_span_intersect_commutative_associative_monotone():
         # monotone: intersecting with a superspace changes nothing
         sup = span_reduce(list(a.vectors) + list(c.vectors))
         assert span_intersect(a, sup).vectors == a.vectors
-
-
-# -- CoeffMatrix wrappers ----------------------------------------------------------
-
-
-def test_coeff_matrix_rref_and_kernel():
-    ctx = ctx_of("ring Q[x,y] dual [X,Y]")
-    index = MonomialIndex.of_degree(2, 1)
-    rows = [
-        {0: frac(1), 1: frac(1)},
-        {0: frac(2), 1: frac(2)},
-    ]
-    m = CoeffMatrix(ctx, "dual", index, rows)
-    reduced, pivots = m.rref()
-    assert pivots == [0]
-    assert m.rank() == 1
-    ker = m.kernel_basis()
-    assert ker.dim == 1
-    assert ker.vectors[0] == dual(ctx, "X-Y")

@@ -17,7 +17,7 @@ from invsys import (
     ring_context,
     shift_mul,
 )
-from invsys.ring import NEG_INF, drl_key, monomials_of_degree
+from invsys.ring import NEG_INF, PrimeField, drl_key, monomials_of_degree
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +260,18 @@ def test_prime_field_division():
     a = ctx.scalar(3)
     assert a / a == 1
     assert (a * ctx.scalar(5)) == ctx.scalar(1)
+
+
+def test_prime_field_accepts_large_primes():
+    assert ring_context("x", char=2**61 - 1).scalar(3) * 2 == 6
+    assert ring_context("x", char=32003).char == 32003
+
+
+def test_prime_field_rejects_composites_and_huge_moduli():
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to the
+    # bases 2, 3, 5 and 7, 318665857834031151167461 one to every prime up to 37
+    for p in (0, 1, 4, 561, 3215031751, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(p)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2**89 - 1)
