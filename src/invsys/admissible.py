@@ -381,7 +381,7 @@ def solve_lift(index, constraints):
     rows = contraction_rows([g for g, _ in constraints], index)
     for k, (_, T) in enumerate(constraints):
         for m in T.terms:
-            rows.setdefault((k, m), {})  # a target term no column reaches
+            rows.setdefault((k, m), {})  # unreached target term: 0 = T_m, infeasible
     rhs = [constraints[k][1].coeff(d) for k, d in rows]
     solved = solve_affine(list(rows.values()), rhs, len(index), ctx.scalar(1))
     if solved is None:

@@ -173,7 +173,7 @@ def contraction_kernel(fixed, index, context, side):
         index.poly(v, context, side)
         for v in kernel_vectors(list(contraction_rows(fixed, index).values()), len(index), one)
     ]
-    del index  # callers pass a fresh index: free its position map before the peak
+    del index  # a temporary index is freed before the memory peak of span_reduce
     return span_reduce(polys)
 
 

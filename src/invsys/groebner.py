@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .duality import Ideal, _minimalize_graded
+from .duality import Ideal, _minimalize_graded, _slices_from_vectors
 from .linalg import rank_of, span_reduce
 from .ring import (
     Polynomial,
@@ -334,8 +334,6 @@ def minimal_generators(ideal):
     """
     if not ideal.is_homogeneous():
         raise PreconditionError("minimal_generators expects homogeneous generators")
-    by_degree = {}
-    for g in ideal.gens:
-        by_degree.setdefault(int(g.degree()), []).append(g)
-    slices = {j: span_reduce(gens).vectors for j, gens in by_degree.items()}
-    return _minimalize_graded(slices, ideal.context)
+    slices = _slices_from_vectors(ideal.gens)
+    canonical = {s.degree: span_reduce(s.basis.vectors).vectors for s in slices}
+    return _minimalize_graded(canonical, ideal.context)
