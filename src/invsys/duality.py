@@ -9,6 +9,7 @@ bounded statement is exact despite the truncation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .linalg import (
@@ -264,12 +265,22 @@ def ann_cyclic(F, gen_bound=None):
     return ann_module([F], gen_bound)
 
 
+# Largest number of contraction columns -- ring monomials of degree at most
+# the bound, C(n + bound, n) -- that ``ann_module`` accepts.  The tests and
+# benchmarks need at most 3003; ``ann`` of X^[250]*Y^[250] (126253 columns)
+# took 4.6 s on one core of a shared 2-core Xeon VM, and the cost grows
+# faster than linearly in the column count.
+MAX_ANN_COLUMNS = 100_000
+
+
 def ann_module(gens, degree_bound=None):
     """Bounded part of the joint annihilator of several dual elements.
 
     The joint annihilator is the intersection of the per-generator
     annihilators; it is computed here as one stacked contraction kernel,
     which produces the same canonical subspace in a single elimination.
+    Inputs needing more than ``MAX_ANN_COLUMNS`` contraction columns are
+    refused up front.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -280,6 +291,12 @@ def ann_module(gens, degree_bound=None):
         if degree_bound is not None
         else max(int(g.degree()) for g in gens) + 1
     )
+    columns = math.comb(ctx.n + max(bound, 0), ctx.n)
+    if columns > MAX_ANN_COLUMNS:
+        raise PreconditionError(
+            f"annihilator up to degree {bound} needs {columns} contraction columns, "
+            f"more than the limit {MAX_ANN_COLUMNS}"
+        )
     if ctx.mode == "graded" and all(g.is_homogeneous() for g in gens):
         out = _minimalize_graded(annihilator_slices(gens, bound), ctx)
     else:

@@ -30,7 +30,7 @@ from .duality import (
     perp_ideal,
     span_dim,
 )
-from .groebner import hilbert_data, is_regular_sequence, socle_dim
+from .groebner import _regular_chain, hilbert_data, socle_dim
 from .linalg import MonomialIndex, SpanBuilder
 from .ring import (
     DPPolynomial,
@@ -202,7 +202,6 @@ def gorenstein_check(I, d, zs):
     multiplicity, regularity and reduction Hilbert function come from the
     Hilbert data of the ideal and its Artinian reduction.
     """
-    ctx = I.context
     data = hilbert_data(I)
     certificate = []
     dim_ok = data.dimension == d
@@ -210,13 +209,12 @@ def gorenstein_check(I, d, zs):
         f"hilbert-series dimension {data.dimension} "
         + ("matches" if dim_ok else f"differs from requested {d}")
     )
-    regular = is_regular_sequence(I, zs)
+    regular, reduction = _regular_chain(I, zs)
     certificate.append(
         "regular sequence verified through Hilbert series"
         if regular
         else "sequence fails the Hilbert-series regularity test"
     )
-    reduction = Ideal(list(I.gens) + list(zs), ctx)
     red_data = hilbert_data(reduction)
     socle = None
     if red_data.dimension == 0:

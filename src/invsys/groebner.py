@@ -9,7 +9,7 @@ handled here; the duality layer treats them by degree truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .duality import Ideal, _minimalize_graded, _slices_from_vectors
 from .linalg import rank_of, span_reduce
@@ -27,34 +27,54 @@ from .ring import (
 
 @dataclass
 class GroebnerBasis:
-    """A reduced, monic degrevlex Groebner basis together with its source ideal."""
+    """A degrevlex Groebner basis, each element paired with its leading monomial.
+
+    ``buchberger`` returns it reduced, monic and sorted by ascending leading
+    monomial; while it runs, it grows an unreduced one element by element
+    with ``add``.  ``reducers`` holds the (leading monomial, element) pairs
+    that ``normal_form`` divides by, computed once per element.
+    """
 
     elements: list
     context: object
     source: Ideal = None
+    reducers: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.reducers = [(g.leading_monomial(), g) for g in self.elements]
 
     def __iter__(self):
         return iter(self.elements)
 
+    def add(self, g):
+        """Append a nonzero element; returns its leading monomial."""
+        lm = g.leading_monomial()
+        self.elements.append(g)
+        self.reducers.append((lm, g))
+        return lm
+
     def leading_monomials(self):
-        return [g.leading_monomial() for g in self.elements]
+        return [lm for lm, _ in self.reducers]
 
 
 def normal_form(f, basis):
     """Fully reduced remainder of f: no term divisible by a basis leading monomial.
 
-    f - normal_form(f) lies in the ideal; membership is the vanishing of the
-    normal form once ``basis`` is a Groebner basis.
+    ``basis`` is a GroebnerBasis or a list of polynomials.  f - normal_form(f)
+    lies in the ideal; membership is the vanishing of the normal form once
+    ``basis`` is a Groebner basis.
     """
-    elements = basis.elements if isinstance(basis, GroebnerBasis) else list(basis)
-    lms = [(g.leading_monomial(), g) for g in elements if not g.is_zero()]
+    if isinstance(basis, GroebnerBasis):
+        reducers = basis.reducers
+    else:
+        reducers = [(g.leading_monomial(), g) for g in basis if not g.is_zero()]
     ctx = f.context
     remainder = {}
     work = dict(f.terms)
     while work:
         m = max(work, key=drl_key)
         c = work.pop(m)
-        for lm, g in lms:
+        for lm, g in reducers:
             quot = exp_sub(m, lm)
             if quot is not None:
                 factor = c / g.terms[lm]
@@ -103,39 +123,75 @@ def _interreduce(polys):
     return polys
 
 
-def buchberger(ideal):
-    """Reduced Groebner basis of a homogeneous ideal under degrevlex.
+def _update(work, h, active, pairs):
+    """Add h to the working basis and its pairs to the queue, pruned by Gebauer-Moeller.
 
-    Pair selection is the normal strategy (smallest lcm degree first); pairs
-    with coprime leading terms are discarded by the product criterion.  The
-    final basis is auto-reduced and monic, sorted by ascending leading
-    monomial.
+    ``active`` lists the indices of the elements that still make pairs;
+    ``pairs`` lists the untreated pairs ``(deg lcm, i, j, lcm)``, j < i,
+    sorted in descending order so that the next pair to treat is the last.
+    The new pairs (h, g) pass criteria M and F: a pair is dropped when the
+    lcm of another new pair, still untreated or already kept, divides its
+    lcm; pairs with coprime leading monomials are kept through that step and
+    dropped afterwards by the product criterion.  An old pair (g1, g2) is
+    dropped by criterion B_k when lm(h) divides its lcm while lcm(g1, h) and
+    lcm(g2, h) both differ from it.  Finally the elements whose leading
+    monomial lm(h) divides stop making pairs.
+    """
+    t = len(work.elements)
+    lm = work.add(h)
+    reducers = work.reducers
+    new = [(exp_lcm(lm, reducers[k][0]), k) for k in active]
+    kept = []
+    for a, (l, k) in enumerate(new):
+        if l == exp_add(lm, reducers[k][0]):
+            kept.append((l, k, True))
+        elif not any(exp_divides(m, l) for m, _ in new[a + 1 :]) and not any(
+            exp_divides(m, l) for m, _, _ in kept
+        ):
+            kept.append((l, k, False))
+    pairs[:] = [
+        p
+        for p in pairs
+        if not (
+            exp_divides(lm, p[3])
+            and exp_lcm(reducers[p[1]][0], lm) != p[3]
+            and exp_lcm(reducers[p[2]][0], lm) != p[3]
+        )
+    ]
+    pairs.extend((sum(l), t, k, l) for l, k, coprime in kept if not coprime)
+    pairs.sort(reverse=True)
+    active[:] = [k for k in active if not exp_divides(lm, reducers[k][0])] + [t]
+
+
+def buchberger(ideal):
+    """Reduced Groebner basis of an ideal under degrevlex.
+
+    Untreated pairs wait in one list sorted by (lcm degree, i, j), and the
+    smallest is treated first: the normal strategy.  On homogeneous input
+    the sugar of a pair is its lcm degree, so this is also the sugar
+    strategy.  Each element that joins the basis updates the pairs by the
+    Gebauer-Moeller criteria (B_k, M and F) and the product criterion, see
+    ``_update``; only the surviving S-polynomials are reduced.  Criterion
+    B_k rebuilds the list at every new element anyway, so keeping it sorted
+    costs what a heap would.  The final basis is auto-reduced and monic,
+    sorted by ascending leading monomial, and cached on the ideal.  Graded
+    mode requires homogeneous generators.
     """
     if ideal.cached_gb is not None:
         return ideal.cached_gb
     ctx = ideal.context
     if ctx.mode == "graded" and not ideal.is_homogeneous():
         raise PreconditionError("graded mode requires homogeneous generators")
-    basis = _interreduce(list(ideal.gens))
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-
-    def lcm_deg(pair):
-        i, j = pair
-        return sum(exp_lcm(basis[i].leading_monomial(), basis[j].leading_monomial()))
-
+    work = GroebnerBasis([], ctx, ideal)
+    active, pairs = [], []
+    for g in _interreduce(list(ideal.gens)):
+        _update(work, g, active, pairs)
     while pairs:
-        i, j = min(pairs, key=lambda p: (lcm_deg(p), p))
-        pairs.discard((i, j))
-        li, lj = basis[i].leading_monomial(), basis[j].leading_monomial()
-        if exp_lcm(li, lj) == exp_add(li, lj):  # product criterion
-            continue
-        r = normal_form(_s_polynomial(basis[i], basis[j]), basis)
-        if r.is_zero():
-            continue
-        basis.append(r.monic())
-        t = len(basis) - 1
-        pairs.update((t, k) for k in range(t))
-    gb = GroebnerBasis(_interreduce(basis), ctx, ideal)
+        _, i, j, _ = pairs.pop()
+        r = normal_form(_s_polynomial(work.elements[i], work.elements[j]), work)
+        if not r.is_zero():
+            _update(work, r.monic(), active, pairs)
+    gb = GroebnerBasis(_interreduce([work.elements[k] for k in active]), ctx, ideal)
     ideal.cached_gb = gb
     return gb
 
@@ -264,19 +320,30 @@ def is_regular_sequence(ideal, zs):
     multiplies the series by (1-t), i.e. keeps the numerator and drops the
     dimension by one.
     """
+    return _regular_chain(ideal, zs)[0]
+
+
+def _regular_chain(ideal, zs):
+    """The regular-sequence verdict and the ideal I + (zs).
+
+    The chain starts from ``ideal`` itself and adjoins one form at a time, so
+    every Groebner basis and Hilbert series it computes stays cached on the
+    ideals returned and passed in.  When the test fails early, the remaining
+    forms are adjoined at once without computing anything.
+    """
     ctx = ideal.context
     for z in zs:
         if z.is_zero() or int(z.degree()) != 1:
             raise PreconditionError("regular sequence test expects linear forms")
-    current = Ideal(list(ideal.gens), ctx)
+    current = ideal
     data = hilbert_data(current)
-    for z in zs:
-        extended = Ideal(list(current.gens) + [z], ctx)
-        ext_data = hilbert_data(extended)
+    for k, z in enumerate(zs):
+        current = Ideal(list(current.gens) + [z], ctx)
+        ext_data = hilbert_data(current)
         if ext_data.numerator != data.numerator or ext_data.dimension != data.dimension - 1:
-            return False
-        current, data = extended, ext_data
-    return True
+            return False, Ideal(list(current.gens) + list(zs[k + 1 :]), ctx)
+        data = ext_data
+    return True, current
 
 
 def standard_monomials(gb):

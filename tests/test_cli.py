@@ -1,6 +1,7 @@
 """The command-line adapters: canonical output, exit codes, determinism."""
 
 import json
+import time
 
 from conftest import dual
 
@@ -107,6 +108,14 @@ def test_precondition_exit_code(capsys):
     code, _, err = run(capsys, "ann", "--ring", "Q[x,y]", "--poly", "0X")
     assert code == 3
     assert "precondition" in err
+
+
+def test_oversized_annihilator_is_refused_up_front(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "ann", "--ring", "Q[x,y]", "--poly", "X^[3000]*Y^[3000]")
+    assert code == 3
+    assert "contraction columns" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_check_admissible_pass_and_fail(tmp_path, capsys, curve_codim2):

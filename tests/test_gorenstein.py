@@ -19,9 +19,10 @@ from invsys import (
     perp_ideal,
     span_dim,
 )
+from invsys import groebner
 from invsys.duality import flatten, ideals_equal_mod
 from invsys.gorenstein import second_difference
-from invsys.groebner import hilbert_data
+from invsys.groebner import hilbert_data, is_regular_sequence
 from invsys.linalg import span_reduce
 from invsys.ring import contract, monomials_of_degree
 
@@ -110,6 +111,38 @@ def test_gorenstein_check_negative_socle():
     report = gorenstein_check(ideal_of(ctx, "x^2, x*y, y^3"), 1, [ctx.variable(2)])
     assert not report.is_gorenstein
     assert any("socle dimension of the reduction is 2" in c for c in report.certificate)
+
+
+def _count_computed_bases(monkeypatch):
+    computed = []
+    original = groebner.buchberger
+
+    def counting(ideal):
+        if ideal.cached_gb is None:
+            computed.append(ideal)
+        return original(ideal)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    return computed
+
+
+def test_one_groebner_basis_per_generator_set(monkeypatch, codim4_curve, elliptic_curve):
+    computed = _count_computed_bases(monkeypatch)
+    ctx = ctx_of("ring Q[x,y,z] dual [X,Y,Z]")
+    report = gorenstein_check(ann_cyclic(dual(ctx, "X^[3]+X*Y*Z+Z^[3]")), 0, [])
+    assert report.is_gorenstein
+    assert len(computed) == 1
+    for example, z_indices in ((codim4_curve, [4]), (elliptic_curve, [3, 4])):
+        ctx = example["ctx"]
+        zs = [ctx.variable(i) for i in z_indices]
+        computed.clear()
+        # fresh copies: the session fixtures carry bases cached by other tests
+        report = gorenstein_check(Ideal(list(example["ideal"].gens), ctx), len(zs), zs)
+        assert report.is_gorenstein
+        assert len(computed) == len(zs) + 1
+        ideal = Ideal(list(example["ideal"].gens), ctx)
+        assert is_regular_sequence(ideal, zs)
+        assert ideal.cached_gb is not None
 
 
 def test_report_serialization_is_deterministic(curve_codim2):

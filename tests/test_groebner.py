@@ -6,6 +6,7 @@ from conftest import ctx_of, dual, ideal_of, ring_poly, rng_for, random_poly
 from invsys import (
     Ideal,
     PreconditionError,
+    ann_cyclic,
     buchberger,
     hilbert_data,
     hilbert_series,
@@ -16,8 +17,9 @@ from invsys import (
     socle_dim,
     span_reduce,
 )
+from invsys import groebner
 from invsys.groebner import _s_polynomial, standard_monomials
-from invsys.ring import Polynomial, monomials_of_degree
+from invsys.ring import Polynomial, drl_key, exp_divides, monomials_of_degree
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,73 @@ def test_certificate_on_worked_ideals(ctx3, elliptic_curve, codim4_curve):
         for i, f in enumerate(gb.elements):
             for g in gb.elements[:i]:
                 assert normal_form(_s_polynomial(f, g), gb).is_zero()
+
+
+def _all_pairs_basis(gens):
+    """Textbook Buchberger: all pairs, first made first reduced, no criteria, no heap.
+
+    The result is then made reduced on its own terms: the elements with
+    minimal leading monomials, each with its tail reduced by the others,
+    monic and sorted by ascending leading monomial.
+    """
+    basis = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    while pairs:
+        i, j = pairs.pop(0)
+        r = normal_form(_s_polynomial(basis[i], basis[j]), basis)
+        if not r.is_zero():
+            pairs.extend((len(basis), k) for k in range(len(basis)))
+            basis.append(r)
+    minimal = []
+    for g in sorted(basis, key=lambda g: drl_key(g.leading_monomial())):
+        if not any(exp_divides(h.leading_monomial(), g.leading_monomial()) for h in minimal):
+            minimal.append(g)
+    return [normal_form(g, [h for h in minimal if h is not g]).monic() for g in minimal]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(32003)"])
+def test_pruned_buchberger_matches_all_pairs_reference(field):
+    rng = rng_for(f"all-pairs-{field}")
+    compared = 0
+    while compared < 50:
+        names = "xyztu"[: rng.randint(3, 5)]
+        ctx = ctx_of(f"ring {field}[{','.join(names)}] dual [{','.join(names.upper())}]")
+        gens = [
+            random_poly(rng, ctx, "r", 3, homogeneous=True)
+            for _ in range(rng.randint(2, 4))
+        ]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        assert buchberger(Ideal(gens, ctx)).elements == _all_pairs_basis(gens)
+        compared += 1
+
+
+def test_pruned_buchberger_matches_reference_on_worked_ideals(
+    elliptic_curve, codim4_curve, surface_codim4
+):
+    for ideal in (elliptic_curve["ideal"], codim4_curve["ideal"], surface_codim4["ideal"]):
+        fresh = Ideal(list(ideal.gens), ideal.context)
+        assert buchberger(fresh).elements == _all_pairs_basis(ideal.gens)
+
+
+def test_pair_criteria_bound_the_reduced_s_polynomials(monkeypatch):
+    # Annihilator of a fixed quartic in six variables (35 generators, a basis
+    # of 37).  With the product criterion alone Buchberger reduces 407
+    # S-polynomials; with the Gebauer-Moeller criteria it reduces 139.  A
+    # larger count means a criterion was lost.
+    ctx = ctx_of("ring Q[x,y,z,t,u,w] dual [X,Y,Z,T,U,W]")
+    ideal = ann_cyclic(dual(ctx, "X*Y*Z*T+Z*T*U*W+X^[2]*U^[2]+Y^[3]*W-2T^[4]+X*W^[3]"))
+    sent = []
+
+    def counting(f, g):
+        sent.append((f, g))
+        return _s_polynomial(f, g)
+
+    monkeypatch.setattr(groebner, "_s_polynomial", counting)
+    gb = buchberger(ideal)
+    assert len(ideal.gens) == 35 and len(gb.elements) == 37
+    assert len(sent) <= 139
 
 
 # -- normal forms -----------------------------------------------------------------
