@@ -17,14 +17,16 @@ import itertools
 from dataclasses import dataclass
 
 from .duality import (
+    _slices_from_vectors,
     ann_cyclic,
     annihilator_slices,
     annihilator_window,
     contraction_rows,
     flatten,
     module_span,
+    span_dim,
 )
-from .linalg import MonomialIndex, solve_affine, span_reduce, vanishing_combinations
+from .linalg import MonomialIndex, SubspaceBasis, solve_affine, span_reduce, vanishing_combinations
 from .parsing import parse_polynomial, parse_ring_decl
 from .ring import (
     DPPolynomial,
@@ -213,20 +215,21 @@ def check_condition_two(fam, mode="annihilator"):
                     continue
                 back = tuple(1 if j == i else l for j, l in enumerate(L))
                 H_up, H_back = fam.entry(up), fam.entry(back)
-                rhs = span_reduce(flatten(module_span([H_back])))
+                rhs = module_span([H_back])
                 if H_L.is_zero():
-                    lhs = span_reduce(flatten(module_span([H_up])))
+                    lhs = module_span([H_up])
                 else:
                     bound = int(max(H_up.degree(), H_L.degree()))
                     ann = _annihilator_basis(H_L, bound)
-                    lhs = span_reduce([contract(h, H_up) for h in ann])
-                if lhs.vectors != rhs.vectors:
+                    span = span_reduce([contract(h, H_up) for h in ann])
+                    lhs = _slices_from_vectors(span.vectors)
+                if lhs != rhs:
                     violations.append(
                         CheckViolation(
                             L,
                             f"condition-2 (z_{i + 1})",
-                            f"annihilator span has dimension {lhs.dim}, "
-                            f"cyclic span has dimension {rhs.dim}",
+                            f"annihilator span has dimension {span_dim(lhs)}, "
+                            f"cyclic span has dimension {span_dim(rhs)}",
                         )
                     )
         return CheckReport.from_violations(violations)
@@ -238,7 +241,7 @@ def check_condition_two(fam, mode="annihilator"):
             H_L, H_back = fam.entry(L), fam.entry(back)
             span_L = flatten(module_span([H_L]))
             cut = _coordinate_subspace_part(span_L, fam.z_indices[i])
-            target = span_reduce(flatten(module_span([H_back])))
+            target = SubspaceBasis(flatten(module_span([H_back]))).builder()
             for v in cut:
                 if not target.contains(v):
                     violations.append(

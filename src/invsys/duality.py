@@ -12,13 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .linalg import (
-    MonomialIndex,
-    SpanBuilder,
-    SubspaceBasis,
-    kernel_vectors,
-    span_reduce,
-)
+from .linalg import MonomialIndex, SpanBuilder, SubspaceBasis, kernel_vectors
 from .ring import (
     DPPolynomial,
     Polynomial,
@@ -170,12 +164,8 @@ def contraction_kernel(fixed, index, context, side):
     dual, "dual" when they are ring elements.
     """
     one = context.scalar(1)
-    polys = [
-        index.poly(v, context, side)
-        for v in kernel_vectors(list(contraction_rows(fixed, index).values()), len(index), one)
-    ]
-    del index  # a temporary index is freed before the memory peak of span_reduce
-    return span_reduce(polys)
+    kernel = kernel_vectors(list(contraction_rows(fixed, index).values()), len(index), one)
+    return SubspaceBasis([index.poly(v, context, side) for v in kernel])
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 One echelon engine maintains a reduced row echelon form of sparse rows
 (dicts mapping a key to a scalar); everything is exact, so there are no pivot
-thresholds of any kind.  Keys are either int columns, leftmost pivot first,
-which gives reduced echelon forms, kernels and affine solving, or monomials,
-degrevlex-largest pivot first.
+thresholds of any kind.  Keys are either int columns, leftmost pivot first
+for reduced echelon forms and affine solving, rightmost first for kernels,
+or monomials, degrevlex-largest pivot first.
 
 Coordinate vectors indexed by monomials are just polynomials, so subspaces
 of a degree window are kept as lists of polynomials in reduced echelon form
@@ -31,8 +31,8 @@ from .ring import (
 class _Echelon:
     """Incrementally maintained RREF: pivots[key] is a monic row led by key.
 
-    ``lead`` picks the pivot key among a row's keys: ``min`` for int columns
-    (leftmost pivot), the degrevlex maximum for monomial keys.  Rows carry no
+    ``lead`` picks the pivot key among a row's keys: ``min`` or ``max`` for
+    int columns, the degrevlex maximum for monomial keys.  Rows carry no
     zero entries.
     """
 
@@ -81,9 +81,9 @@ class _Echelon:
         return key
 
 
-def rref_rows(rows):
+def rref_rows(rows, lead=min):
     """Reduced row echelon form of sparse rows; returns (rows, pivot columns)."""
-    ech = _Echelon(min)
+    ech = _Echelon(lead)
     for row in rows:
         ech.insert_row({c: v for c, v in row.items() if v})
     pivots = sorted(ech.pivots)
@@ -106,8 +106,12 @@ def _free_column_kernel(reduced, pivots, ncols, one):
 
 
 def kernel_vectors(rows, ncols, one):
-    """Basis of the null space of the sparse row system; ``one`` is the field's unit."""
-    reduced, pivots = rref_rows(rows)
+    """Null-space basis in reduced echelon form with leftmost pivots.
+
+    Rightmost pivots make the vector of free column c, 1 at c, nonzero
+    elsewhere only at pivot columns right of c.  ``one`` is the field's unit.
+    """
+    reduced, pivots = rref_rows(rows, lead=max)
     return _free_column_kernel(reduced, pivots, ncols, one)
 
 
