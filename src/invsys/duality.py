@@ -95,8 +95,11 @@ def module_span(gens, degree_bound=None):
 
     Enumerates contractions of each generator by every monomial dividing one
     of its term exponents (all other contractions vanish), reduces them to a
-    canonical basis and organizes the result into degree slices.
+    canonical basis and organizes the result into degree slices.  Inputs
+    with more than ``MAX_ANN_COLUMNS`` such divisors are refused up front.
     """
+    divisors = sum(math.prod(e + 1 for e in l) for g in gens for l in g.terms)
+    _refuse_oversized(divisors, "module span")
     builder = SpanBuilder()
     for g in gens:
         if g.is_zero():
@@ -255,12 +258,25 @@ def ann_cyclic(F, gen_bound=None):
     return ann_module([F], gen_bound)
 
 
-# Largest number of contraction columns -- ring monomials of degree at most
-# the bound, C(n + bound, n) -- that ``ann_module`` accepts.  The tests and
-# benchmarks need at most 3003; ``ann`` of X^[250]*Y^[250] (126253 columns)
+# Largest number of contraction columns that ``ann_module`` and
+# ``perp_ideal`` accept -- monomials of degree at most the bound,
+# C(n + bound, n) -- and of contractions that ``module_span`` accepts, one per
+# divisor of a generator term.  The tests and benchmarks need at most 3003
+# columns and 9100 divisors; ``ann`` of X^[250]*Y^[250] (126253 columns)
 # took 4.6 s on one core of a shared 2-core Xeon VM, and the cost grows
 # faster than linearly in the column count.
 MAX_ANN_COLUMNS = 100_000
+
+
+def _refuse_oversized(columns, what):
+    if columns > MAX_ANN_COLUMNS:
+        raise PreconditionError(
+            f"{what} needs {columns} contraction columns, more than the limit {MAX_ANN_COLUMNS}"
+        )
+
+
+def _refuse_oversized_window(n, bound, what):
+    _refuse_oversized(math.comb(n + max(bound, 0), n), f"{what} up to degree {bound}")
 
 
 def ann_module(gens, degree_bound=None):
@@ -281,12 +297,7 @@ def ann_module(gens, degree_bound=None):
         if degree_bound is not None
         else max(int(g.degree()) for g in gens) + 1
     )
-    columns = math.comb(ctx.n + max(bound, 0), ctx.n)
-    if columns > MAX_ANN_COLUMNS:
-        raise PreconditionError(
-            f"annihilator up to degree {bound} needs {columns} contraction columns, "
-            f"more than the limit {MAX_ANN_COLUMNS}"
-        )
+    _refuse_oversized_window(ctx.n, bound, "annihilator")
     if ctx.mode == "graded" and all(g.is_homogeneous() for g in gens):
         out = _minimalize_graded(annihilator_slices(gens, bound), ctx)
     else:
@@ -305,10 +316,12 @@ def perp_ideal(I, degree_bound=None):
     The kernel of contraction by every generator: graded mode takes it on
     each dual degree j (by <m*g, G> = <m, g o G> this is the orthogonal of
     the degree-j part of the ideal), local mode over the dual window of
-    degree <= bound, organized by filtration slices.
+    degree <= bound, organized by filtration slices.  Both need C(n + bound, n)
+    contraction columns in all, refused beyond ``MAX_ANN_COLUMNS``.
     """
     ctx = I.context
     bound = degree_bound if degree_bound is not None else I.max_degree() + 2
+    _refuse_oversized_window(ctx.n, bound, "inverse system")
     if ctx.mode == "graded":
         if not I.is_homogeneous():
             raise PreconditionError("graded mode needs homogeneous generators")

@@ -106,7 +106,7 @@ class PrimeFieldElement:
         return self.val != 0
 
     def __hash__(self):
-        return hash((self.val, self.p))
+        return hash(self.val)  # like the int val, which compares equal
 
     def __repr__(self):
         return str(self.val)

@@ -118,6 +118,24 @@ def test_oversized_annihilator_is_refused_up_front(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_oversized_span_is_refused_up_front(capsys):
+    # about 9M divisors of X^[3000]*Y^[3000], each one a contraction
+    start = time.perf_counter()
+    code, _, err = run(capsys, "span", "--ring", "Q[x,y]", "--F", "X^[3000]*Y^[3000]")
+    assert code == 3
+    assert "9006001 contraction columns" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_oversized_inverse_system_is_refused_up_front(capsys):
+    # the default bound 3002 needs C(3004, 2) columns over all degrees
+    start = time.perf_counter()
+    code, _, err = run(capsys, "perp", "--ring", "Q[x,y]", "--ideal", "x^3000, y")
+    assert code == 3
+    assert "4510506 contraction columns" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_check_admissible_pass_and_fail(tmp_path, capsys, curve_codim2):
     good = tmp_path / "good.fam"
     good.write_text(dump_family(curve_codim2["family5"]), encoding="utf-8")

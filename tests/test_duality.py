@@ -16,7 +16,7 @@ from invsys import (
     span_reduce,
 )
 from invsys.duality import flatten, ideal_contains_mod, ideals_equal_mod
-from invsys.ring import contract, monomials_of_degree, Polynomial
+from invsys.ring import DPPolynomial, contract, monomials_of_degree, Polynomial
 
 
 # -- module spans --------------------------------------------------------------
@@ -237,3 +237,57 @@ def test_prime_field_kernels_keep_field_scalars():
     assert len(polys) == 5
     for p in polys:
         assert all(type(c) is unit_type for c in p.terms.values())
+
+
+# -- rational and prime-field modes agree ----------------------------------------
+
+P = 32003
+
+
+def _integer_form(rng, n, degree, homogeneous):
+    """Exponent -> small int coefficient; the first term has the full degree."""
+    terms = {}
+    for _ in range(rng.randint(2, 5)):
+        d = degree if homogeneous or not terms else rng.randint(1, degree)
+        e = [0] * n
+        for _ in range(d):
+            e[rng.randrange(n)] += 1
+        terms[tuple(e)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return terms
+
+
+def _mod_p(poly):
+    """Q coefficients reduced mod P as ints; None when a denominator vanishes mod P."""
+    out = {}
+    for m, c in poly.terms.items():
+        if c.denominator % P == 0:
+            return None
+        r = c.numerator * pow(c.denominator, -1, P) % P
+        if r:
+            out[m] = r
+    return out
+
+
+@pytest.mark.parametrize("mode", ["graded", "local"])
+def test_rational_results_reduce_to_prime_field_results(mode):
+    rng = rng_for(f"q-fp-{mode}")
+    compared = skipped = 0
+    for _ in range(20):
+        n, degree = rng.randint(3, 4), rng.randint(3, 5)
+        names = "xyzt"[:n]
+        decl = f"[{','.join(names)}] dual [{','.join(names.upper())}] mode {mode}"
+        ctx_q, ctx_p = ctx_of(f"ring Q{decl}"), ctx_of(f"ring Fp({P}){decl}")
+        terms = _integer_form(rng, n, degree, mode == "graded")
+        F_q = DPPolynomial(ctx_q, {m: ctx_q.scalar(c) for m, c in terms.items()})
+        F_p = DPPolynomial(ctx_p, {m: ctx_p.scalar(c) for m, c in terms.items()})
+        span_q, span_p = module_span([F_q]), module_span([F_p])
+        rational = [_mod_p(v) for v in flatten(span_q) + ann_cyclic(F_q).gens]
+        if None in rational or [(s.degree, s.dim) for s in span_q] != [
+            (s.degree, s.dim) for s in span_p
+        ]:
+            skipped += 1  # a denominator divisible by P, or a rank drop mod P
+            continue
+        compared += 1
+        modular = flatten(span_p) + ann_cyclic(F_p).gens
+        assert rational == [{m: c.val for m, c in v.terms.items()} for v in modular]
+    assert compared >= 16 and compared + skipped == 20

@@ -1,8 +1,10 @@
 """Exact echelon forms, kernels, affine solving and span operations."""
 
-from conftest import ctx_of, dual, frac, ring_poly, rng_for, random_poly
+import pytest
+from conftest import ctx_of, dual, frac, ideal_of, ring_poly, rng_for, random_poly
 
-from invsys import MonomialIndex, membership, span_intersect, span_reduce
+from invsys import MonomialIndex, membership, perp_ideal, span_intersect, span_reduce
+from invsys import linalg
 from invsys.linalg import kernel_vectors, rank_of, rref_rows, solve_affine
 
 
@@ -63,6 +65,50 @@ def test_rref_kernel_annihilation_random():
         reduced, _ = rref_rows(rows)
         for vec in kernel:
             assert all(v == 0 for v in _apply(reduced, vec))
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(32003)"])
+def test_kernel_vectors_come_out_in_reduced_echelon_form(field):
+    # monic at the leftmost entry, distinct leads, zero at the other leads:
+    # the basis equals its own span_reduce over degrevlex-ordered columns
+    ctx = ctx_of(f"ring {field}[x,y,z]")
+    index = MonomialIndex.of_degree(3, 4)
+    ncols = len(index)
+    rng = rng_for(f"kernel-echelon-{field}")
+    for _ in range(40):
+        rows = [
+            {j: ctx.scalar(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+             for j in range(ncols) if rng.random() < 0.3}
+            for _ in range(rng.randint(1, 12))
+        ]
+        kernel = kernel_vectors(rows, ncols, ctx.scalar(1))
+        assert rank_of(rows) + len(kernel) == ncols
+        leads = [min(vec) for vec in kernel]
+        assert len(set(leads)) == len(leads)
+        for vec, lead in zip(kernel, leads):
+            assert vec[lead] == 1
+            assert not any(other in vec for other in leads if other != lead)
+            assert all(v == 0 for v in _apply(rows, vec))
+        polys = [index.poly(vec, ctx, "r") for vec in kernel]
+        assert span_reduce(polys).vectors == polys
+
+
+def test_graded_perp_runs_one_elimination_per_degree(monkeypatch, curve_codim2):
+    eliminations = []
+    original = linalg._Echelon.__init__
+
+    def counted(self, lead):
+        eliminations.append(lead)
+        original(self, lead)
+
+    monkeypatch.setattr(linalg._Echelon, "__init__", counted)
+    bound = 6
+    perp_ideal(curve_codim2["ideal"], bound)
+    assert len(eliminations) == bound + 1
+    eliminations.clear()
+    local = ctx_of("ring Q[x,y] dual [X,Y] mode local")
+    perp_ideal(ideal_of(local, "x*y, y^2-x^3"), 5)
+    assert len(eliminations) == 1
 
 
 def test_rank_nullity_random():

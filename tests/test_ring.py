@@ -17,7 +17,7 @@ from invsys import (
     ring_context,
     shift_mul,
 )
-from invsys.ring import NEG_INF, PrimeField, drl_key, monomials_of_degree
+from invsys.ring import NEG_INF, PrimeField, PrimeFieldElement, drl_key, monomials_of_degree
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +260,13 @@ def test_prime_field_division():
     a = ctx.scalar(3)
     assert a / a == 1
     assert (a * ctx.scalar(5)) == ctx.scalar(1)
+
+
+def test_prime_field_element_hashes_like_the_int_it_equals():
+    a = PrimeFieldElement(3, 7)
+    assert a == 3 and hash(a) == hash(3)
+    assert {3: "found"}[a] == "found"
+    assert {a: "found"}[3] == "found"
 
 
 def test_prime_field_accepts_large_primes():
