@@ -3,6 +3,7 @@
 import json
 import time
 
+import pytest
 from conftest import dual
 
 from invsys import dump_family
@@ -118,21 +119,21 @@ def test_oversized_annihilator_is_refused_up_front(capsys):
     assert time.perf_counter() - start < 5
 
 
-def test_oversized_span_is_refused_up_front(capsys):
-    # about 9M divisors of X^[3000]*Y^[3000], each one a contraction
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        # one contraction per divisor of X^[3000]*Y^[3000]: 3001^2
+        (["span", "--ring", "Q[x,y]", "--F", "X^[3000]*Y^[3000]"], 9006001),
+        # the default bound 3002 needs C(3004, 2) columns over all degrees
+        (["perp", "--ring", "Q[x,y]", "--ideal", "x^3000, y"], 4510506),
+    ],
+    ids=["span", "perp"],
+)
+def test_oversized_span_and_inverse_system_are_refused_up_front(capsys, argv, columns):
     start = time.perf_counter()
-    code, _, err = run(capsys, "span", "--ring", "Q[x,y]", "--F", "X^[3000]*Y^[3000]")
+    code, _, err = run(capsys, *argv)
     assert code == 3
-    assert "9006001 contraction columns" in err
-    assert time.perf_counter() - start < 5
-
-
-def test_oversized_inverse_system_is_refused_up_front(capsys):
-    # the default bound 3002 needs C(3004, 2) columns over all degrees
-    start = time.perf_counter()
-    code, _, err = run(capsys, "perp", "--ring", "Q[x,y]", "--ideal", "x^3000, y")
-    assert code == 3
-    assert "4510506 contraction columns" in err
+    assert f"{columns} contraction columns" in err
     assert time.perf_counter() - start < 5
 
 
