@@ -100,10 +100,6 @@ class AdmissibleFamily:
             e[pos] = v
         return tuple(e)
 
-    def z_power(self, L):
-        """The pure-power monomial z1^l1 ... zd^ld as a ring element."""
-        return Polynomial.monomial(self.context, self.embed(L))
-
     def z_variable(self, i):
         return self.context.variable(self.z_indices[i])
 
@@ -206,6 +202,13 @@ def check_condition_two(fam, mode="annihilator"):
     if mode not in ("annihilator", "intersection"):
         raise ValueError("mode must be 'annihilator' or 'intersection'")
     violations = []
+    spans = {}
+
+    def span_at(K):
+        if K not in spans:
+            spans[K] = module_span([fam.entry(K)])
+        return spans[K]
+
     if mode == "annihilator":
         for L in fam.index_box():
             H_L = fam.entry(L)
@@ -214,10 +217,10 @@ def check_condition_two(fam, mode="annihilator"):
                 if max(up) > fam.t0:
                     continue
                 back = tuple(1 if j == i else l for j, l in enumerate(L))
-                H_up, H_back = fam.entry(up), fam.entry(back)
-                rhs = module_span([H_back])
+                H_up = fam.entry(up)
+                rhs = span_at(back)
                 if H_L.is_zero():
-                    lhs = module_span([H_up])
+                    lhs = span_at(up)
                 else:
                     bound = int(max(H_up.degree(), H_L.degree()))
                     ann = _annihilator_basis(H_L, bound)
@@ -238,10 +241,8 @@ def check_condition_two(fam, mode="annihilator"):
             if L[i] < 2:
                 continue
             back = tuple(1 if j == i else l for j, l in enumerate(L))
-            H_L, H_back = fam.entry(L), fam.entry(back)
-            span_L = flatten(module_span([H_L]))
-            cut = _coordinate_subspace_part(span_L, fam.z_indices[i])
-            target = SubspaceBasis(flatten(module_span([H_back]))).builder()
+            cut = _coordinate_subspace_part(flatten(span_at(L)), fam.z_indices[i])
+            target = SubspaceBasis(flatten(span_at(back))).builder()
             for v in cut:
                 if not target.contains(v):
                     violations.append(
@@ -386,7 +387,7 @@ def solve_lift(index, constraints):
         for m in T.terms:
             rows.setdefault((k, m), {})  # unreached target term: 0 = T_m, infeasible
     rhs = [constraints[k][1].coeff(d) for k, d in rows]
-    solved = solve_affine(list(rows.values()), rhs, len(index), ctx.scalar(1))
+    solved = solve_affine(list(rows.values()), rhs, len(index), ctx.one)
     if solved is None:
         return None
     particular, kernel = solved

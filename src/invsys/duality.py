@@ -166,8 +166,7 @@ def contraction_kernel(fixed, index, context, side):
     ``side`` names the side of the columns: "r" when the fixed elements are
     dual, "dual" when they are ring elements.
     """
-    one = context.scalar(1)
-    kernel = kernel_vectors(list(contraction_rows(fixed, index).values()), len(index), one)
+    kernel = kernel_vectors(list(contraction_rows(fixed, index).values()), len(index), context.one)
     return SubspaceBasis([index.poly(v, context, side) for v in kernel])
 
 

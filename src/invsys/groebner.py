@@ -65,10 +65,12 @@ def normal_form(f, basis):
     ``basis`` is a Groebner basis.
     """
     if isinstance(basis, GroebnerBasis):
-        reducers = basis.reducers
-    else:
-        reducers = [(g.leading_monomial(), g) for g in basis if not g.is_zero()]
-    ctx = f.context
+        return _reduce(f, basis.reducers)
+    return _reduce(f, [(g.leading_monomial(), g) for g in basis if not g.is_zero()])
+
+
+def _reduce(f, reducers):
+    """normal_form against (leading monomial, element) pairs, tried in order."""
     remainder = {}
     work = dict(f.terms)
     while work:
@@ -91,36 +93,37 @@ def normal_form(f, basis):
                 break
         else:
             remainder[m] = c
-    return Polynomial(ctx, remainder)
+    return Polynomial(f.context, remainder)
 
 
 def _s_polynomial(f, g):
     lf, lg = f.leading_monomial(), g.leading_monomial()
     l = exp_lcm(lf, lg)
-    mf = Polynomial.monomial(f.context, exp_sub(l, lf), 1)
-    mg = Polynomial.monomial(f.context, exp_sub(l, lg), 1)
-    return (mf * f).scale(1 / f.leading_coeff()) - (mg * g).scale(1 / g.leading_coeff())
+    ctx = f.context
+    mf = Polynomial.monomial(ctx, exp_sub(l, lf))
+    mg = Polynomial.monomial(ctx, exp_sub(l, lg))
+    return (mf * f).scale(ctx.one / f.leading_coeff()) - (mg * g).scale(ctx.one / g.leading_coeff())
 
 
 def _interreduce(polys):
-    polys = [p.monic() for p in polys if not p.is_zero()]
+    pairs = [(p.leading_monomial(), p) for p in (q.monic() for q in polys if not q.is_zero())]
     changed = True
     while changed:
         changed = False
         out = []
-        for i, p in enumerate(polys):
-            rest = out + polys[i + 1 :]
-            r = normal_form(p, rest)
+        for i, (lm, p) in enumerate(pairs):
+            r = _reduce(p, out + pairs[i + 1 :])
             if r.is_zero():
                 changed = True
                 continue
             r = r.monic()
             if r != p:
                 changed = True
-            out.append(r)
-        polys = out
-    polys.sort(key=lambda p: drl_key(p.leading_monomial()))
-    return polys
+                lm = r.leading_monomial()
+            out.append((lm, r))
+        pairs = out
+    pairs.sort(key=lambda pair: drl_key(pair[0]))
+    return [p for _, p in pairs]
 
 
 def _update(work, h, active, pairs):
@@ -389,7 +392,7 @@ def socle_dim(ideal):
             image = normal_form(Polynomial.monomial(ctx, exp_add(m, ctx.unit_exp(i))), gb)
             for tm, tc in image.terms.items():
                 row = rows.setdefault((i, pos[tm]), {})
-                row[j] = row.get(j, ctx.scalar(0)) + tc
+                row[j] = row.get(j, ctx.zero) + tc
     return len(std) - rank_of(list(rows.values()))
 
 

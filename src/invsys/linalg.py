@@ -290,9 +290,8 @@ def vanishing_combinations(vectors, selected, head):
         for m, c in v.terms.items():
             if selected(m):
                 rows.setdefault(m, {})[j] = c
-    one = vectors[0].context.scalar(1)
     out = []
-    for combo in kernel_vectors(list(rows.values()), len(vectors), one):
+    for combo in kernel_vectors(list(rows.values()), len(vectors), vectors[0].context.one):
         acc = None
         for j, c in combo.items():
             if j < head:

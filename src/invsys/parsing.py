@@ -92,16 +92,14 @@ def parse_polynomial(text, context, side):
     terms = {}
     first = True
     while not sc.done():
-        sign = 1
-        if sc.take("+"):
-            pass
-        elif sc.take("-"):
-            sign = -1
-        elif not first:
+        plus = sc.take("+")
+        minus = not plus and sc.take("-")
+        if not (plus or minus or first):
             raise ParseError("expected '+' or '-' between terms", text, sc.pos)
         first = False
         coeff, exps = _parse_term(sc, context, names, other, side)
-        coeff = coeff * sign
+        if minus:
+            coeff = -coeff
         prev = terms.get(exps)
         total = coeff if prev is None else prev + coeff
         if total:
@@ -114,7 +112,7 @@ def parse_polynomial(text, context, side):
 
 
 def _parse_term(sc, context, names, other, side):
-    coeff = context.scalar(1)
+    coeff = context.one
     exps = [0] * context.n
     saw_factor = False
     saw_coeff = False
@@ -186,6 +184,8 @@ def parse_ring_decl(text):
     if m is None:
         raise ParseError("malformed ring declaration", text, 0)
     char = int(m.group("p")) if m.group("p") else 0
+    if m.group("p") and not char:
+        raise ValueError("0 is not prime")  # char 0 would silently mean Q
     variables = [v.strip() for v in m.group("vars").split(",") if v.strip()]
     duals = m.group("duals")
     if duals is not None:

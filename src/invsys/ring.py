@@ -67,12 +67,6 @@ class PrimeFieldElement:
             return NotImplemented
         return PrimeFieldElement(self.val - v, self.p)
 
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(v - self.val, self.p)
-
     def __mul__(self, other):
         v = self._coerce(other)
         if v is None:
@@ -86,12 +80,6 @@ class PrimeFieldElement:
         if v is None:
             return NotImplemented
         return PrimeFieldElement(self.val * pow(v, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return PrimeFieldElement(v * pow(self.val, -1, self.p), self.p)
 
     def __neg__(self):
         return PrimeFieldElement(-self.val, self.p)
@@ -110,18 +98,6 @@ class PrimeFieldElement:
 
     def __repr__(self):
         return str(self.val)
-
-
-class Rationals:
-    """Exact rational coefficients (the default field)."""
-
-    char = 0
-
-    def __call__(self, num, den=1):
-        return Fraction(num, den)
-
-    def __repr__(self):
-        return "Q"
 
 
 # Miller-Rabin with the first thirteen primes as bases decides primality
@@ -155,25 +131,6 @@ def _is_prime(p):
     return True
 
 
-class PrimeField:
-    """The field with p elements; p must be a prime below _MR_LIMIT."""
-
-    def __init__(self, p):
-        if p >= _MR_LIMIT:
-            raise ValueError(f"{p} is too large: primality is certified only below {_MR_LIMIT}")
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.char = p
-
-    def __call__(self, num, den=1):
-        if den % self.char == 0:
-            raise ZeroDivisionError("denominator vanishes in the prime field")
-        return PrimeFieldElement(num * pow(den, -1, self.char), self.char)
-
-    def __repr__(self):
-        return f"Fp({self.char})"
-
-
 # ---------------------------------------------------------------------------
 # ring contexts
 
@@ -185,7 +142,10 @@ class RingContext:
     ``var_names[i]`` and ``dual_names[i]`` are dual to each other: contraction
     of variable i against the dual exponent e_i yields the unit.  ``mode`` is
     "graded" (polynomial ring, homogeneous computations) or "local"
-    (power-series ring, degree-truncated computations).
+    (power-series ring, degree-truncated computations).  ``char`` picks the
+    field: 0 for Q, whose scalars are Fractions, or a prime p certified below
+    ``_MR_LIMIT``, whose scalars are PrimeFieldElements.  ``scalar`` makes
+    them; ``one`` and ``zero`` are made once per context.
     """
 
     var_names: tuple
@@ -203,19 +163,28 @@ class RingContext:
             raise ValueError("variable and dual names must be pairwise distinct")
         if self.mode not in ("graded", "local"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        field = Rationals() if self.char == 0 else PrimeField(self.char)
-        object.__setattr__(self, "_field", field)
+        if self.char:
+            if self.char >= _MR_LIMIT:
+                raise ValueError(
+                    f"{self.char} is too large: primality is certified only below {_MR_LIMIT}"
+                )
+            if not _is_prime(self.char):
+                raise ValueError(f"{self.char} is not prime")
+        for name, value in (("zero", 0), ("one", 1)):
+            object.__setattr__(self, name, self.scalar(value))
 
     @property
     def n(self):
         return len(self.var_names)
 
-    @property
-    def field(self):
-        return self._field
-
     def scalar(self, num, den=1):
-        return self._field(num, den)
+        """num/den as a field scalar: a Fraction over Q, a PrimeFieldElement over Fp."""
+        p = self.char
+        if p == 0:
+            return Fraction(num, den)
+        if den % p == 0:
+            raise ZeroDivisionError("denominator vanishes in the prime field")
+        return PrimeFieldElement(num * pow(den, -1, p), p)
 
     @property
     def zero_exp(self):
@@ -233,7 +202,7 @@ class RingContext:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def variable(self, i):
-        return Polynomial(self, {self.unit_exp(i): self.scalar(1)})
+        return Polynomial(self, {self.unit_exp(i): self.one})
 
     def decl(self):
         """Canonical ring declaration string."""
@@ -272,10 +241,6 @@ def exp_sub(a, b):
             return None
         out.append(d)
     return tuple(out)
-
-
-def exp_degree(a):
-    return sum(a)
 
 
 def exp_divides(a, b):
@@ -336,9 +301,9 @@ class _SparsePoly:
         return cls(context, {context.zero_exp: c})
 
     @classmethod
-    def monomial(cls, context, exps, coeff=1):
-        c = coeff if not isinstance(coeff, int) else context.scalar(coeff)
-        return cls(context, {tuple(exps): c})
+    def monomial(cls, context, exps, coeff=None):
+        c = context.one if coeff is None else coeff
+        return cls(context, {tuple(exps): context.scalar(c) if isinstance(c, int) else c})
 
     # -- basic queries -----------------------------------------------------
 
@@ -367,17 +332,14 @@ class _SparsePoly:
 
     def leading_coeff(self):
         lm = self.leading_monomial()
-        return self.context.scalar(0) if lm is None else self.terms[lm]
+        return self.context.zero if lm is None else self.terms[lm]
 
     def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.context.scalar(0))
+        return self.terms.get(tuple(exps), self.context.zero)
 
     def sorted_terms(self):
         """Terms in canonical (degrevlex descending) order."""
         return [(m, self.terms[m]) for m in sorted(self.terms, key=drl_key, reverse=True)]
-
-    def homogeneous_part(self, d):
-        return type(self)(self.context, {m: c for m, c in self.terms.items() if sum(m) == d})
 
     def truncate(self, bound):
         """Drop all terms of total degree > bound."""
@@ -427,7 +389,7 @@ class _SparsePoly:
 
     def monic(self):
         lc = self.leading_coeff()
-        if not lc or lc == 1:
+        if not lc or lc == self.context.one:
             return self
         return type(self)(self.context, {m: c / lc for m, c in self.terms.items()})
 
@@ -512,7 +474,7 @@ class Polynomial(_SparsePoly):
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = Polynomial.constant(self.context, 1)
+        out = Polynomial.constant(self.context, self.context.one)
         for _ in range(k):
             out = out * self
         return out
@@ -584,7 +546,7 @@ def pairing(f, F):
         raise ContextMismatchError("pairing() takes a ring element and a dual element")
     if f.context != F.context:
         raise ContextMismatchError("operands live in different ring contexts")
-    s = f.context.scalar(0)
+    s = f.context.zero
     for m, a in f.terms.items():
         b = F.terms.get(m)
         if b is not None:

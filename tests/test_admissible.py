@@ -23,6 +23,7 @@ from invsys import (
     span_reduce,
     shift_mul,
 )
+from invsys import admissible
 from invsys.duality import flatten, ideals_equal_mod
 
 
@@ -95,6 +96,24 @@ def test_condition_two_passes_on_worked_families(curve_codim2, semigroup_curve):
     for fam in (curve_codim2["family5"], semigroup_curve["family"]):
         assert check_condition_two(fam, "annihilator").passed
         assert check_condition_two(fam, "intersection").passed
+
+
+def test_condition_two_spans_each_entry_once(monkeypatch, semigroup_curve):
+    # every step of the one-parameter family resets back to H_1: annihilator
+    # mode needs only its span, intersection mode the spans of H_1, ..., H_5
+    spanned = []
+
+    def counting(gens, *args):
+        spanned.append(gens[0])
+        return module_span(gens, *args)
+
+    monkeypatch.setattr(admissible, "module_span", counting)
+    fam = semigroup_curve["family"]
+    for mode, calls in (("annihilator", 1), ("intersection", 5)):
+        spanned.clear()
+        assert check_condition_two(fam, mode).passed
+        assert len(spanned) == calls
+        assert len({str(H) for H in spanned}) == calls
 
 
 def test_condition_two_detects_perturbation():

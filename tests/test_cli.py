@@ -99,7 +99,7 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_unusable_prime_field_exit_code(capsys):
-    for field in ("Fp(561)", "Fp(618970019642690137449562111)"):
+    for field in ("Fp(0)", "Fp(1)", "Fp(561)", "Fp(618970019642690137449562111)"):
         code, _, err = run(capsys, "ann", "--ring", f"{field}[x,y]", "--poly", "X")
         assert code == 2
         assert "error" in err

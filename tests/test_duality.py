@@ -8,6 +8,7 @@ from invsys import (
     PreconditionError,
     ann_cyclic,
     ann_module,
+    family_from_ideal,
     hilbert_function,
     membership,
     module_span,
@@ -291,3 +292,44 @@ def test_rational_results_reduce_to_prime_field_results(mode):
         modular = flatten(span_p) + ann_cyclic(F_p).gens
         assert rational == [{m: c.val for m, c in v.terms.items()} for v in modular]
     assert compared >= 16 and compared + skipped == 20
+
+
+def _over_prime_field(ideal):
+    """The same integer generators, read over Fp(P)."""
+    ctx_p = ctx_of(ideal.context.decl().replace("ring Q", f"ring Fp({P})", 1))
+    return Ideal([ring_poly(ctx_p, str(g)) for g in ideal.gens], ctx_p)
+
+
+def _dims(slices):
+    return [(s.degree, s.dim) for s in slices]
+
+
+def test_rational_inverse_systems_and_lifts_reduce_to_prime_field_results(
+    curve_codim2, codim4_curve, elliptic_curve
+):
+    # perp_ideal slices and family_from_ideal entries (the lift systems) of
+    # the worked graded ideals, under the skip rules of the random forms above
+    cases = []
+    for ideal, z_indices in [
+        (curve_codim2["ideal"], (0,)),
+        (codim4_curve["ideal"], (4,)),
+        (elliptic_curve["ideal"], (3, 4)),
+    ]:
+        ideal_p = _over_prime_field(ideal)
+        perp_q, perp_p = perp_ideal(ideal, 6), perp_ideal(ideal_p, 6)
+        cases.append((flatten(perp_q), flatten(perp_p), _dims(perp_q) == _dims(perp_p)))
+        fam_q, fam_p = (family_from_ideal(I, z_indices, 3) for I in (ideal, ideal_p))
+        H_q = [fam_q.entry(L) for L in sorted(fam_q.entries)]
+        H_p = [fam_p.entry(L) for L in sorted(fam_p.entries)]
+        same_dims = [_dims(module_span([H])) for H in H_q] == [
+            _dims(module_span([H])) for H in H_p
+        ]
+        cases.append((H_q, H_p, same_dims))
+    compared = 0
+    for rational, modular, same_dims in cases:
+        reduced = [_mod_p(v) for v in rational]
+        if None in reduced or not same_dims:
+            continue  # a denominator divisible by P, or a rank drop mod P
+        compared += 1
+        assert reduced == [{m: c.val for m, c in v.terms.items()} for v in modular]
+    assert compared * 5 >= len(cases) * 4

@@ -154,6 +154,25 @@ def test_pruned_buchberger_matches_reference_on_worked_ideals(
         assert buchberger(fresh).elements == _all_pairs_basis(ideal.gens)
 
 
+def test_buchberger_never_rebuilds_reducers(monkeypatch, elliptic_curve):
+    # a plain list handed to normal_form has its (leading monomial, element)
+    # pairs rebuilt on every call; the reduction steps and the final
+    # interreduction keep theirs
+    plain = []
+
+    def counting(f, basis):
+        if not isinstance(basis, groebner.GroebnerBasis):
+            plain.append(basis)
+        return normal_form(f, basis)
+
+    monkeypatch.setattr(groebner, "normal_form", counting)
+    ideal = elliptic_curve["ideal"]
+    gb = buchberger(Ideal(list(ideal.gens), ideal.context))
+    assert plain == []
+    monkeypatch.undo()
+    assert gb.elements == _all_pairs_basis(ideal.gens)
+
+
 def test_pair_criteria_bound_the_reduced_s_polynomials(monkeypatch):
     # Annihilator of a fixed quartic in six variables (35 generators, a basis
     # of 37).  With the product criterion alone Buchberger reduces 407
