@@ -13,7 +13,6 @@ by contraction from any stored entry above them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .duality import (
@@ -81,7 +80,10 @@ class AdmissibleFamily:
     t0: int
 
     def index_box(self):
-        return itertools.product(*(range(1, self.t0 + 1) for _ in range(self.d)))
+        box = [()]
+        for _ in range(self.d):
+            box = [L + (l,) for L in box for l in range(1, self.t0 + 1)]
+        return box
 
     def entry(self, L):
         return self.entries[tuple(L)]
@@ -289,7 +291,7 @@ def cone_family(H, d, t0, context=None, z_indices=None):
                 "cone generator must avoid the distinguished dual variables"
             )
     given = {}
-    for L in itertools.product(*(range(1, t0 + 1) for _ in range(d))):
+    for L in AdmissibleFamily(ctx, d, z_indices, given, t0).index_box():
         shift = [0] * ctx.n
         for pos, l in zip(z_indices, L):
             shift[pos] = l - 1

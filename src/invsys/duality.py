@@ -19,7 +19,6 @@ from .ring import (
     PreconditionError,
     contract_monomial,
     drl_key,
-    exp_divisors,
     exp_sub,
     monomials_of_degree,
     monomials_up_to_degree,
@@ -93,24 +92,19 @@ def flatten(slices):
 def module_span(gens, degree_bound=None):
     """Coefficient span of the R-module generated by dual elements.
 
-    Enumerates contractions of each generator by every monomial dividing one
-    of its term exponents (all other contractions vanish), reduces them to a
-    canonical basis and organizes the result into degree slices.  Inputs
-    with more than ``MAX_ANN_COLUMNS`` such divisors are refused up front.
+    R o F is the smallest space holding the generators and closed under
+    contraction by x_1..x_n: every vector that enlarges the span queues its
+    contractions by the variables.  The canonical basis comes out in degree
+    slices.  Inputs whose terms have more than ``MAX_ANN_COLUMNS`` divisors
+    (a bound on the dimension) are refused up front.
     """
     divisors = sum(math.prod(e + 1 for e in l) for g in gens for l in g.terms)
     _refuse_oversized(divisors, "module span")
     builder = SpanBuilder()
-    for g in gens:
-        if g.is_zero():
-            continue
-        seen = set()
-        for l in g.terms:
-            for m in exp_divisors(l):
-                if m in seen:
-                    continue
-                seen.add(m)
-                builder.insert(contract_monomial(m, g))
+    queue = list(gens)
+    for v in queue:
+        if builder.insert(v):
+            queue.extend(contract_monomial(v.context.unit_exp(i), v) for i in range(v.context.n))
     return _slices_from_vectors(builder.basis(), degree_bound)
 
 
@@ -193,25 +187,30 @@ def annihilator_window(gens, bound):
 
 
 def _minimalize_graded(kernels_by_degree, context):
-    """Extract minimal homogeneous generators from per-degree annihilator slices."""
-    gens = []
+    """Extract minimal homogeneous generators from per-degree ideal slices.
+
+    The degree-j part of the ideal is R_{j-k} times its part in the previous
+    nonempty degree k plus new generators, so each degree's span starts from
+    the monomials of degree j - k times the previous span's basis; the slice
+    vectors it misses are the new generators.
+    """
+    gens, prev = [], None
     for j in sorted(kernels_by_degree):
-        slice_basis = kernels_by_degree[j]
-        if not slice_basis:
+        if not kernels_by_degree[j]:
             continue
         span = SpanBuilder()
-        for g in gens:
-            dg = int(g.degree())
-            if dg >= j:
-                continue
-            for m in monomials_of_degree(context.n, j - dg):
-                span.insert(Polynomial.monomial(context, m) * g)
-        for v in slice_basis:
+        if prev is not None:
+            below = prev[1].basis()
+            for m in monomials_of_degree(context.n, j - prev[0]):
+                for v in below:
+                    span.insert(Polynomial.monomial(context, m) * v)
+        for v in kernels_by_degree[j]:
             r = span.reduce(v)
             if not r.is_zero():
                 r = r.monic()
                 gens.append(r)
                 span.insert(r)
+        prev = (j, span)
     return gens
 
 

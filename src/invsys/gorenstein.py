@@ -10,7 +10,6 @@ checks in graded mode, truncated ideal comparison in local mode.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -167,11 +166,8 @@ def family_from_ideal(I, z_indices, t0, trunc=None):
     base = _reduction_generator(I, z_polys, window)
     r = int(base.degree())
     entries = {(1,) * d: base}
-    order = sorted(
-        itertools.product(*(range(1, t0 + 1) for _ in range(d))),
-        key=lambda L: (sum(L), L),
-    )
     shell = AdmissibleFamily(ctx, d, z_indices, entries, t0)
+    order = sorted(shell.index_box(), key=lambda L: (sum(L), L))
     zero = DPPolynomial.zero(ctx)
     for L in order:
         if L in entries:

@@ -14,7 +14,6 @@ over a prime field as well as over the rationals.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -254,11 +253,6 @@ def exp_lcm(a, b):
 def drl_key(a):
     """Sort key realizing degrevlex: higher key = larger monomial."""
     return (sum(a), tuple(-e for e in reversed(a)))
-
-
-def exp_divisors(a):
-    """All exponent vectors componentwise <= a (including 0 and a)."""
-    return itertools.product(*(range(e + 1) for e in a))
 
 
 def monomials_of_degree(n, d):
