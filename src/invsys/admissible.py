@@ -13,6 +13,7 @@ by contraction from any stored entry above them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .duality import (
@@ -204,12 +205,18 @@ def check_condition_two(fam, mode="annihilator"):
     if mode not in ("annihilator", "intersection"):
         raise ValueError("mode must be 'annihilator' or 'intersection'")
     violations = []
-    spans = {}
 
+    @functools.cache
     def span_at(K):
-        if K not in spans:
-            spans[K] = module_span([fam.entry(K)])
-        return spans[K]
+        return module_span([fam.entry(K)])
+
+    @functools.cache
+    def annihilator_at(L, bound):
+        return _annihilator_basis(fam.entry(L), bound)
+
+    @functools.cache
+    def target_at(K):
+        return SubspaceBasis(flatten(span_at(K))).builder()
 
     if mode == "annihilator":
         for L in fam.index_box():
@@ -225,8 +232,7 @@ def check_condition_two(fam, mode="annihilator"):
                     lhs = span_at(up)
                 else:
                     bound = int(max(H_up.degree(), H_L.degree()))
-                    ann = _annihilator_basis(H_L, bound)
-                    span = span_reduce([contract(h, H_up) for h in ann])
+                    span = span_reduce([contract(h, H_up) for h in annihilator_at(L, bound)])
                     lhs = _slices_from_vectors(span.vectors)
                 if lhs != rhs:
                     violations.append(
@@ -244,9 +250,8 @@ def check_condition_two(fam, mode="annihilator"):
                 continue
             back = tuple(1 if j == i else l for j, l in enumerate(L))
             cut = _coordinate_subspace_part(flatten(span_at(L)), fam.z_indices[i])
-            target = SubspaceBasis(flatten(span_at(back))).builder()
             for v in cut:
-                if not target.contains(v):
+                if not target_at(back).contains(v):
                     violations.append(
                         CheckViolation(
                             L,

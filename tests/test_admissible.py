@@ -116,6 +116,34 @@ def test_condition_two_spans_each_entry_once(monkeypatch, semigroup_curve):
         assert len({str(H) for H in spanned}) == calls
 
 
+def test_condition_two_builds_each_target_and_annihilator_once(
+    monkeypatch, semigroup_curve, elliptic_curve
+):
+    # intersection mode needs one target builder per distinct reset entry
+    # (semigroup: all four steps reset to H_1; elliptic: five distinct), and
+    # annihilator mode one basis per distinct (entry, degree bound) pair
+    # (elliptic: 12 steps, 8 pairs)
+    builders, annihilators = [], []
+    build, annihilate = admissible.SubspaceBasis.builder, admissible._annihilator_basis
+
+    def counting_build(basis):
+        builders.append(basis)
+        return build(basis)
+
+    def counting_annihilate(H, bound):
+        annihilators.append((str(H), bound))
+        return annihilate(H, bound)
+
+    monkeypatch.setattr(admissible.SubspaceBasis, "builder", counting_build)
+    monkeypatch.setattr(admissible, "_annihilator_basis", counting_annihilate)
+    for fam, targets in ((semigroup_curve["family"], 1), (elliptic_curve["family"], 5)):
+        builders.clear()
+        assert check_condition_two(fam, "intersection").passed
+        assert len(builders) == targets
+    assert check_condition_two(elliptic_curve["family"], "annihilator").passed
+    assert len(annihilators) == len(set(annihilators)) == 8
+
+
 def test_condition_two_detects_perturbation():
     # x contracts X*Y^[2]+Z^[3] onto Y^[2], so the step-down condition holds,
     # but z now reaches Z^[2], which escapes the cyclic span of Y^[2]
