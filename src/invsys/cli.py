@@ -35,7 +35,7 @@ from .gorenstein import (
 )
 from .groebner import hilbert_data
 from .parsing import ParseError, parse_ideal_gens, parse_polynomial, parse_ring_decl
-from .ring import ContextMismatchError, PreconditionError
+from .ring import ContextMismatchError, PreconditionError, RingContext, contract, pairing
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -47,8 +47,6 @@ def _ring(args):
         raise ParseError("a --ring declaration is required", "", 0)
     ctx = parse_ring_decl(args.ring)
     if getattr(args, "mode", None):
-        from .ring import RingContext
-
         ctx = RingContext(ctx.var_names, ctx.dual_names, ctx.char, args.mode)
     return ctx
 
@@ -80,8 +78,6 @@ def _slices_text(slices):
 
 def cmd_contract(args):
     ctx = _ring(args)
-    from .ring import contract
-
     h = parse_polynomial(args.h, ctx, "r")
     F = parse_polynomial(args.F, ctx, "dual")
     out = contract(h, F)
@@ -90,8 +86,6 @@ def cmd_contract(args):
 
 def cmd_pair(args):
     ctx = _ring(args)
-    from .ring import pairing
-
     f = parse_polynomial(args.f, ctx, "r")
     F = parse_polynomial(args.F, ctx, "dual")
     out = pairing(f, F)
@@ -147,25 +141,19 @@ def cmd_hilbert(args):
     )
 
 
+def _emit_report(args, report, verdict):
+    """Print a check report under its verdict word; a failed report exits 4."""
+    violations = [
+        {"index": list(v.index), "condition": v.condition, "detail": v.detail}
+        for v in report.violations
+    ]
+    text = verdict if report.passed else str(report)
+    _emit(args, text, {verdict: report.passed, "violations": violations})
+    return 0 if report.passed else EXIT_ADMISSIBILITY
+
+
 def cmd_check_admissible(args):
-    fam = _load_family(args)
-    report = check_family(fam, args.check_mode)
-    if report.passed:
-        _emit(args, "admissible", {"admissible": True, "violations": []})
-        return 0
-    text = str(report)
-    _emit(
-        args,
-        text,
-        {
-            "admissible": False,
-            "violations": [
-                {"index": list(v.index), "condition": v.condition, "detail": v.detail}
-                for v in report.violations
-            ],
-        },
-    )
-    return EXIT_ADMISSIBILITY
+    return _emit_report(args, check_family(_load_family(args), args.check_mode), "admissible")
 
 
 def cmd_lift(args):
@@ -225,22 +213,7 @@ def cmd_gorenstein_check(args):
 def cmd_local_verify(args):
     fam = _load_family(args)
     ideal = Ideal(parse_ideal_gens(args.ideal, fam.context), fam.context)
-    report = local_verify(fam, ideal, args.trunc)
-    if report.passed:
-        _emit(args, "verified", {"verified": True, "violations": []})
-        return 0
-    _emit(
-        args,
-        str(report),
-        {
-            "verified": False,
-            "violations": [
-                {"index": list(v.index), "condition": v.condition, "detail": v.detail}
-                for v in report.violations
-            ],
-        },
-    )
-    return EXIT_ADMISSIBILITY
+    return _emit_report(args, local_verify(fam, ideal, args.trunc), "verified")
 
 
 def cmd_decompose(args):
