@@ -1,5 +1,7 @@
 """Module spans, annihilators, inverse systems and Hilbert functions."""
 
+import itertools
+
 import pytest
 from conftest import ctx_of, dual, ideal_of, ring_poly, rng_for, random_poly
 
@@ -11,13 +13,21 @@ from invsys import (
     family_from_ideal,
     hilbert_function,
     membership,
+    minimal_generators,
     module_span,
     perp_ideal,
     span_dim,
     span_reduce,
 )
-from invsys.duality import flatten, ideal_contains_mod, ideals_equal_mod
-from invsys.ring import DPPolynomial, contract, monomials_of_degree, Polynomial
+from invsys.duality import (
+    _slices_from_vectors,
+    annihilator_slices,
+    flatten,
+    ideal_contains_mod,
+    ideals_equal_mod,
+)
+from invsys.linalg import SpanBuilder
+from invsys.ring import DPPolynomial, Polynomial, contract, contract_monomial, monomials_of_degree
 
 
 # -- module spans --------------------------------------------------------------
@@ -333,3 +343,85 @@ def test_rational_inverse_systems_and_lifts_reduce_to_prime_field_results(
         compared += 1
         assert reduced == [{m: c.val for m, c in v.terms.items()} for v in modular]
     assert compared * 5 >= len(cases) * 4
+
+
+# -- spans stepped by the variables agree with full enumerations ---------------
+
+
+def _divisor_span(gens, degree_bound=None):
+    """Reference span: every generator contracted by every divisor of every term."""
+    builder = SpanBuilder()
+    for g in gens:
+        for l in g.terms:
+            for m in itertools.product(*(range(e + 1) for e in l)):
+                builder.insert(contract_monomial(m, g))
+    return _slices_from_vectors(builder.basis(), degree_bound)
+
+
+def _slice_terms(slices):
+    return [(s.degree, [v.terms for v in s.basis]) for s in slices]
+
+
+def _random_dual(rng, ctx, homogeneous):
+    terms = _integer_form(rng, ctx.n, rng.randint(2, 5), homogeneous)
+    return DPPolynomial(ctx, {m: ctx.scalar(c) for m, c in terms.items()})
+
+
+@pytest.mark.parametrize("field", ["Q", f"Fp({P})"])
+@pytest.mark.parametrize("mode", ["graded", "local"])
+def test_module_span_matches_divisor_enumeration(field, mode):
+    rng = rng_for(f"span-reference-{field}-{mode}")
+    for k in range(16):
+        names = "xyzt"[: rng.randint(2, 4)]
+        ctx = ctx_of(f"ring {field}[{','.join(names)}] dual [{','.join(names.upper())}] mode {mode}")
+        gens = [_random_dual(rng, ctx, mode == "graded") for _ in range(rng.randint(1, 3))]
+        bound = None if k % 2 else rng.randint(1, 3)
+        span = module_span(gens, bound)
+        assert span and _slice_terms(span) == _slice_terms(_divisor_span(gens, bound))
+
+
+def _minimalize_by_multiples(slices, ctx):
+    """Reference graded minimalization: each degree spans every monomial
+    multiple of every generator found in a lower degree."""
+    gens = []
+    for j in sorted(slices):
+        span = SpanBuilder()
+        for g in gens:
+            for m in monomials_of_degree(ctx.n, j - int(g.degree())):
+                span.insert(Polynomial.monomial(ctx, m) * g)
+        for v in slices[j]:
+            r = span.reduce(v)
+            if not r.is_zero():
+                gens.append(r.monic())
+                span.insert(gens[-1])
+    return gens
+
+
+@pytest.mark.parametrize("field", ["Q", f"Fp({P})"])
+def test_graded_annihilator_generators_match_multiples_reference(field):
+    rng = rng_for(f"minimalize-reference-{field}")
+    for _ in range(8):
+        names = "xyzt"[: rng.randint(3, 4)]
+        ctx = ctx_of(f"ring {field}[{','.join(names)}] dual [{','.join(names.upper())}]")
+        F = _random_dual(rng, ctx, homogeneous=True)
+        slices = annihilator_slices([F], int(F.degree()) + 1)
+        reference = Ideal(_minimalize_by_multiples(slices, ctx), ctx)
+        assert [g.terms for g in ann_cyclic(F).gens] == [g.terms for g in reference.gens]
+
+
+@pytest.mark.parametrize(
+    "decl, gens, minimal",
+    [
+        ("Q[x,y,z,t]", "x^2, y^7+x^2*z^5, z^7+x*t^6, x^2*y^3", "x^2, y^7, z^7+x*t^6"),
+        ("Q[x,y,z,t,u,v]", "x, y^8", "x, y^8"),
+        ("Q[x,y,z,t]", "x^2, x*y, y^6+z^6, x^2*t^4, t^9", "x^2, x*y, y^6+z^6, t^9"),
+    ],
+)
+def test_minimal_generators_across_degree_gaps(decl, gens, minimal):
+    ideal = ideal_of(ctx_of(f"ring {decl}"), gens)
+    out = minimal_generators(ideal)
+    assert ", ".join(str(g) for g in out) == minimal
+    slices = {
+        s.degree: span_reduce(s.basis.vectors).vectors for s in _slices_from_vectors(ideal.gens)
+    }
+    assert out == _minimalize_by_multiples(slices, ideal.context)
