@@ -102,7 +102,8 @@ def module_span(gens, degree_bound=None):
     _refuse_oversized(divisors, "module span")
     builder = SpanBuilder()
     queue = list(gens)
-    for v in queue:
+    while queue:
+        v = queue.pop()
         if builder.insert(v):
             queue.extend(contract_monomial(v.context.unit_exp(i), v) for i in range(v.context.n))
     return _slices_from_vectors(builder.basis(), degree_bound)
