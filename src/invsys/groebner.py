@@ -399,8 +399,8 @@ def socle_dim(ideal):
 def minimal_generators(ideal):
     """Minimal homogeneous generating set, degree-by-degree completion.
 
-    At each degree the span of multiples of lower-degree chosen generators is
-    removed from the span of the given generators' degree slice.
+    At each degree the given generators' slice is reduced modulo the ideal's
+    part in that degree, grown from the previous degree's part.
     """
     if not ideal.is_homogeneous():
         raise PreconditionError("minimal_generators expects homogeneous generators")
