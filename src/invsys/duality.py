@@ -19,6 +19,7 @@ from .ring import (
     PreconditionError,
     contract_monomial,
     drl_key,
+    exp_add,
     exp_sub,
     monomials_of_degree,
     monomials_up_to_degree,
@@ -187,13 +188,21 @@ def annihilator_window(gens, bound):
     return contraction_kernel(gens, MonomialIndex.window(ctx.n, bound), ctx, "r")
 
 
+def _monomial_multiple(m, terms, context, bound=None):
+    """The polynomial m * sum(terms), terms of degree above ``bound`` dropped."""
+    if bound is None:
+        return Polynomial(context, {exp_add(m, e): c for e, c in terms.items()})
+    top = bound - sum(m)
+    return Polynomial(context, {exp_add(m, e): c for e, c in terms.items() if sum(e) <= top})
+
+
 def _minimalize_graded(kernels_by_degree, context):
     """Extract minimal homogeneous generators from per-degree ideal slices.
 
     The degree-j part of the ideal is R_{j-k} times its part in the previous
     nonempty degree k plus new generators, so each degree's span starts from
-    the monomials of degree j - k times the previous span's basis; the slice
-    vectors it misses are the new generators.
+    the monomials of degree j - k times the previous span's pivot rows; the
+    slice vectors it misses are the new generators.
     """
     gens, prev = [], None
     for j in sorted(kernels_by_degree):
@@ -201,10 +210,10 @@ def _minimalize_graded(kernels_by_degree, context):
             continue
         span = SpanBuilder()
         if prev is not None:
-            below = prev[1].basis()
-            for m in monomials_of_degree(context.n, j - prev[0]):
-                for v in below:
-                    span.insert(Polynomial.monomial(context, m) * v)
+            k, below = prev
+            for m in monomials_of_degree(context.n, j - k):
+                for row in below.pivots.values():
+                    span.insert(_monomial_multiple(m, row, context))
         for v in kernels_by_degree[j]:
             r = span.reduce(v)
             if not r.is_zero():
@@ -215,31 +224,45 @@ def _minimalize_graded(kernels_by_degree, context):
     return gens
 
 
-def _minimalize_local(space, bound, context):
+def _minimalize_local(space, bound, context, truncated):
     """Extract generators for the ideal spanned by a window subspace of R_{<=bound}.
 
     Candidates are taken in increasing order (valuation), degrevlex breaking
-    ties; a candidate is redundant when it lies in the span of the multiples
-    of already-chosen generators that still fit in the window.  Only honest
-    (untruncated) multiples are used, so every emitted generator lies exactly
-    in the window subspace; the list is minimal with respect to window-degree
-    multiples.
+    ties, and kept when they are independent of the span built so far.
+
+    ``truncated`` says the bound exceeds the degree of every dual generator,
+    so the window is the ideal I modulo m^{bound+1}, and m^{bound+1} lies in
+    m*I.  The span then starts as m*I modulo m^{bound+1}, the window vectors
+    times each variable cut at the bound, and by Nakayama the kept
+    candidates are a minimal generating set.  Otherwise a kept candidate
+    brings its honest multiples that fit in the window, so every emitted
+    generator lies exactly in the window subspace; the list is minimal with
+    respect to window-degree multiples.
     """
     candidates = sorted(
         space.vectors, key=lambda v: drl_key(v.leading_monomial()), reverse=True
     )
     candidates.sort(key=lambda v: v.order())
-    gens = []
     span = SpanBuilder()
+    if truncated:
+        for i in range(context.n):
+            x = context.unit_exp(i)
+            for w in space.vectors:
+                prod = _monomial_multiple(x, w.terms, context, bound)
+                if not prod.is_zero():
+                    span.insert(prod)
+    gens = []
     for v in candidates:
         r = span.reduce(v)
         if r.is_zero():
             continue
         g = r.monic()
         gens.append(g)
-        limit = bound - int(g.degree())
-        for m in monomials_up_to_degree(context.n, max(limit, 0)):
-            span.insert(Polynomial.monomial(context, m) * g)
+        if truncated:
+            span.insert(g)
+            continue
+        for m in monomials_up_to_degree(context.n, bound - int(g.degree())):
+            span.insert(_monomial_multiple(m, g.terms, context))
     return gens
 
 
@@ -301,7 +324,8 @@ def ann_module(gens, degree_bound=None):
         out = _minimalize_graded(annihilator_slices(gens, bound), ctx)
     else:
         window = annihilator_window(gens, bound)
-        out = _minimalize_local(window, bound, ctx)
+        truncated = bound > max(int(g.degree()) for g in gens)
+        out = _minimalize_local(window, bound, ctx, truncated)
     return Ideal(out, ctx)
 
 
@@ -343,9 +367,8 @@ def ideal_window_span(gens, bound, context):
     for g in gens:
         if g.is_zero():
             continue
-        limit = bound - g.order()
-        for m in monomials_up_to_degree(context.n, max(limit, 0)):
-            prod = (Polynomial.monomial(context, m) * g).truncate(bound)
+        for m in monomials_up_to_degree(context.n, max(bound - g.order(), 0)):
+            prod = _monomial_multiple(m, g.terms, context, bound)
             if not prod.is_zero():
                 span.insert(prod)
     return span

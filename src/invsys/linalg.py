@@ -33,31 +33,38 @@ class _Echelon:
 
     ``lead`` picks the pivot key among a row's keys: ``min`` or ``max`` for
     int columns, the degrevlex maximum for monomial keys.  Rows carry no
-    zero entries.
+    zero entries.  ``holders`` maps each non-pivot column to the set of
+    pivot keys whose row is nonzero there, so back substitution visits only
+    those rows; a pivot column needs no entry, since RREF leaves it in its
+    own row only.
     """
 
     def __init__(self, lead):
         self.lead = lead
         self.pivots = {}
+        self.holders = {}
 
     def reduce_row(self, row):
-        """Remainder of a row after eliminating every pivot key (a new dict)."""
-        row = dict(row)
-        pivots, lead = self.pivots, self.lead
-        while row:
-            hit = [c for c in row if c in pivots]
-            if not hit:
-                break
-            c = lead(hit)
-            factor = row[c]
-            for pc, pv in pivots[c].items():
-                s = row.get(pc)
+        """Remainder of a row after eliminating every pivot key (a new dict).
+
+        One pass suffices: each pivot row vanishes at every other pivot key,
+        so subtracting row[c] times pivot row c for each pivot key c of the
+        input clears exactly those keys and creates no new ones.
+        """
+        out = dict(row)
+        pivots = self.pivots
+        for c, factor in row.items():
+            prow = pivots.get(c)
+            if prow is None:
+                continue
+            for pc, pv in prow.items():
+                s = out.get(pc)
                 s = -factor * pv if s is None else s - factor * pv
                 if s:
-                    row[pc] = s
+                    out[pc] = s
                 else:
-                    row.pop(pc, None)
-        return row
+                    out.pop(pc, None)
+        return out
 
     def insert_row(self, row):
         """Reduce and insert; returns the new pivot key or None."""
@@ -65,19 +72,29 @@ class _Echelon:
         if not row:
             return None
         key = self.lead(row)
-        lc = row[key]
+        lc = row.pop(key)
         row = {c: v / lc for c, v in row.items()}
-        for other in self.pivots.values():
-            f = other.get(key)
-            if f is not None:
-                for c, v in row.items():
-                    s = other.get(c)
-                    s = -f * v if s is None else s - f * v
-                    if s:
-                        other[c] = s
-                    else:
-                        other.pop(c, None)
-        self.pivots[key] = row
+        pivots, holders = self.pivots, self.holders
+        for c in row:
+            holders.setdefault(c, set()).add(key)
+        # every set touched below also holds key, so none becomes empty
+        for pk in holders.pop(key, ()):
+            other = pivots[pk]
+            f = other.pop(key)
+            for c, v in row.items():
+                s = other.get(c)
+                if s is None:
+                    other[c] = -f * v
+                    holders[c].add(pk)
+                    continue
+                s = s - f * v
+                if s:
+                    other[c] = s
+                else:
+                    del other[c]
+                    holders[c].discard(pk)
+        row[key] = lc / lc  # the field's one
+        pivots[key] = row
         return key
 
 

@@ -22,8 +22,10 @@ from invsys import (
 from invsys.duality import (
     _slices_from_vectors,
     annihilator_slices,
+    annihilator_window,
     flatten,
     ideal_contains_mod,
+    ideal_window_span,
     ideals_equal_mod,
 )
 from invsys.linalg import SpanBuilder
@@ -425,3 +427,40 @@ def test_minimal_generators_across_degree_gaps(decl, gens, minimal):
         s.degree: span_reduce(s.basis.vectors).vectors for s in _slices_from_vectors(ideal.gens)
     }
     assert out == _minimalize_by_multiples(slices, ideal.context)
+
+
+def _assert_locally_minimal(gens, duals, bound):
+    """No generator lies in the window span of the truncated multiples of the
+    others, and together they span the window annihilator modulo m^{bound+1}."""
+    ctx = duals[0].context
+    for k, g in enumerate(gens):
+        assert g.degree() <= bound
+        assert all(contract(g, F).is_zero() for F in duals)
+        others = gens[:k] + gens[k + 1 :]
+        assert not ideal_window_span(others, bound, ctx).contains(g), str(g)
+    window = annihilator_window(duals, bound)
+    assert ideal_window_span(gens, bound, ctx).dim() == window.dim
+
+
+@pytest.mark.parametrize(
+    "poly, expected",
+    [("X^[3]+Y^[2]", "x*y, x^3-y^2"), ("X^[4]+Y^[3]+X*Y", "y^3-x*y, x^4-x*y")],
+)
+def test_local_annihilator_examples_are_minimal(poly, expected):
+    ctx = ctx_of("ring Q[x,y] dual [X,Y] mode local")
+    F = dual(ctx, poly)
+    ann = ann_cyclic(F)
+    assert ", ".join(str(g) for g in ann.gens) == expected
+    _assert_locally_minimal(ann.gens, [F], int(F.degree()) + 1)
+
+
+@pytest.mark.parametrize("field", ["Q", f"Fp({P})"])
+def test_local_annihilator_generators_are_minimal(field):
+    rng = rng_for(f"local-minimal-{field}")
+    for k in range(10):
+        names = "xyzt"[: rng.randint(2, 4)]
+        ctx = ctx_of(f"ring {field}[{','.join(names)}] dual [{','.join(names.upper())}] mode local")
+        gens = [_random_dual(rng, ctx, homogeneous=False) for _ in range(1 + k % 2)]
+        bound = max(int(g.degree()) for g in gens) + 1 + k % 3 // 2
+        ann = ann_module(gens, degree_bound=bound)
+        _assert_locally_minimal(ann.gens, gens, bound)

@@ -257,3 +257,99 @@ def test_span_intersect_commutative_associative_monotone():
         # monotone: intersecting with a superspace changes nothing
         sup = span_reduce(list(a.vectors) + list(c.vectors))
         assert span_intersect(a, sup).vectors == a.vectors
+
+
+# -- the echelon engine against a scan-all reference ----------------------------
+
+
+class _ScanAllEchelon:
+    """The engine without an index: iterated reduction by the lead pivot key,
+    back substitution scanning every pivot row."""
+
+    def __init__(self, lead):
+        self.lead = lead
+        self.pivots = {}
+
+    @staticmethod
+    def _subtract(row, factor, prow):
+        for c, v in prow.items():
+            s = row.get(c)
+            s = -factor * v if s is None else s - factor * v
+            if s:
+                row[c] = s
+            else:
+                row.pop(c, None)
+
+    def reduce_row(self, row):
+        row = dict(row)
+        while True:
+            hit = [c for c in row if c in self.pivots]
+            if not hit:
+                return row
+            c = self.lead(hit)
+            self._subtract(row, row[c], self.pivots[c])
+
+    def insert_row(self, row):
+        row = self.reduce_row(row)
+        if not row:
+            return None
+        key = self.lead(row)
+        lc = row[key]
+        row = {c: v / lc for c, v in row.items()}
+        for other in self.pivots.values():
+            if key in other:
+                self._subtract(other, other[key], row)
+        self.pivots[key] = row
+        return key
+
+
+def _holders_of(pivots):
+    """Non-pivot column -> pivot keys whose row is nonzero there."""
+    held = {}
+    for key, row in pivots.items():
+        for c in row:
+            if c not in pivots:
+                held.setdefault(c, set()).add(key)
+    return held
+
+
+def _check_engine_against_reference(engine, reference, rows, probes):
+    for row in rows:
+        assert engine.insert_row(row) == reference.insert_row(row)
+        assert engine.pivots == reference.pivots
+        assert engine.holders == _holders_of(engine.pivots)
+    for row in probes:
+        assert engine.reduce_row(row) == reference.reduce_row(row)
+
+
+def _sparse_int_rows(rng, ctx, count, ncols):
+    return [
+        {j: ctx.scalar(rng.choice([-2, -1, 1, 2])) for j in range(ncols) if rng.random() < 0.3}
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(32003)"])
+@pytest.mark.parametrize("lead", [min, max])
+def test_engine_matches_scan_all_reference_on_int_keys(field, lead):
+    ctx = ctx_of(f"ring {field}[x,y]")
+    rng = rng_for(f"engine-reference-{field}-{lead.__name__}")
+    for _ in range(30):
+        ncols = rng.randint(4, 14)
+        rows = _sparse_int_rows(rng, ctx, rng.randint(2, 16), ncols)
+        probes = _sparse_int_rows(rng, ctx, 6, ncols)
+        _check_engine_against_reference(linalg._Echelon(lead), _ScanAllEchelon(lead), rows, probes)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(32003)"])
+def test_span_builder_matches_scan_all_reference_on_monomial_keys(field):
+    ctx = ctx_of(f"ring {field}[x,y,z]")
+    rng = rng_for(f"engine-reference-monomials-{field}")
+    for _ in range(20):
+        polys = [random_poly(rng, ctx, "r", 3, max_terms=6) for _ in range(rng.randint(2, 14))]
+        probes = [random_poly(rng, ctx, "r", 3, max_terms=6).terms for _ in range(6)]
+        builder = linalg.SpanBuilder()
+        reference = _ScanAllEchelon(linalg._drl_max)
+        _check_engine_against_reference(builder, reference, [p.terms for p in polys], probes)
+        for p in polys:
+            assert builder.reduce(p).is_zero()
