@@ -154,7 +154,7 @@ def build_family(context, z_indices, given, t0=None):
                 f"family box is incomplete: no stored entry above index {L}"
             )
         diff = tuple(b - a for a, b in zip(L, src))
-        entries[L] = contract_monomial(fam.embed(diff), given[src])
+        entries[L] = contract_monomial(context.pack(fam.embed(diff)), given[src])
     return fam
 
 
@@ -249,7 +249,8 @@ def check_condition_two(fam, mode="annihilator"):
             if L[i] < 2:
                 continue
             back = tuple(1 if j == i else l for j, l in enumerate(L))
-            cut = _coordinate_subspace_part(flatten(span_at(L)), fam.z_indices[i])
+            involves = functools.partial(fam.context.divides, fam.context.var_monomials[fam.z_indices[i]])
+            cut = _coordinate_subspace_part(flatten(span_at(L)), involves)
             for v in cut:
                 if not target_at(back).contains(v):
                     violations.append(
@@ -262,11 +263,11 @@ def check_condition_two(fam, mode="annihilator"):
     return CheckReport.from_violations(violations)
 
 
-def _coordinate_subspace_part(vectors, var_pos):
-    """Basis of the part of a span supported away from one dual variable."""
-    if not any(m[var_pos] for v in vectors for m in v.terms):
+def _coordinate_subspace_part(vectors, involves):
+    """Basis of the part of a span supported away from the monomials ``involves`` selects."""
+    if not any(involves(m) for v in vectors for m in v.terms):
         return list(vectors)
-    part = vanishing_combinations(vectors, lambda m: m[var_pos] > 0, len(vectors))
+    part = vanishing_combinations(vectors, involves, len(vectors))
     return span_reduce(part).vectors
 
 
@@ -291,7 +292,7 @@ def cone_family(H, d, t0, context=None, z_indices=None):
     ctx = context or H.context
     z_indices = tuple(z_indices) if z_indices is not None else tuple(range(d))
     for m in H.terms:
-        if any(m[pos] for pos in z_indices):
+        if any(ctx.unpack(m)[pos] for pos in z_indices):
             raise PreconditionError(
                 "cone generator must avoid the distinguished dual variables"
             )
@@ -393,7 +394,7 @@ def solve_lift(index, constraints):
     for k, (_, T) in enumerate(constraints):
         for m in T.terms:
             rows.setdefault((k, m), {})  # unreached target term: 0 = T_m, infeasible
-    rhs = [constraints[k][1].coeff(d) for k, d in rows]
+    rhs = [constraints[k][1].terms.get(d, ctx.zero) for k, d in rows]
     solved = solve_affine(list(rows.values()), rhs, len(index), ctx.one)
     if solved is None:
         return None

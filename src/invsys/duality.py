@@ -17,12 +17,9 @@ from .ring import (
     DPPolynomial,
     Polynomial,
     PreconditionError,
+    _check_degree,
+    _packed_monomials,
     contract_monomial,
-    drl_key,
-    exp_add,
-    exp_sub,
-    monomials_of_degree,
-    monomials_up_to_degree,
 )
 
 
@@ -37,7 +34,7 @@ class Ideal:
 
     def __post_init__(self):
         self.gens = [g for g in self.gens if not g.is_zero()]
-        self.gens.sort(key=lambda g: drl_key(g.leading_monomial()))
+        self.gens.sort(key=lambda g: g.leading_monomial())
 
     def is_homogeneous(self):
         return all(g.is_homogeneous() for g in self.gens)
@@ -73,7 +70,7 @@ def _slices_from_vectors(vectors, degree_bound=None):
             continue
         by_degree.setdefault(d, []).append(v)
     return [
-        GradedSlice(d, SubspaceBasis(sorted(vs, key=lambda v: drl_key(v.leading_monomial()), reverse=True)))
+        GradedSlice(d, SubspaceBasis(sorted(vs, key=lambda v: v.leading_monomial(), reverse=True)))
         for d, vs in sorted(by_degree.items())
     ]
 
@@ -99,14 +96,14 @@ def module_span(gens, degree_bound=None):
     slices.  Inputs whose terms have more than ``MAX_ANN_COLUMNS`` divisors
     (a bound on the dimension) are refused up front.
     """
-    divisors = sum(math.prod(e + 1 for e in l) for g in gens for l in g.terms)
+    divisors = sum(math.prod(e + 1 for e in g.context.unpack(l)) for g in gens for l in g.terms)
     _refuse_oversized(divisors, "module span")
     builder = SpanBuilder()
     queue = list(gens)
     while queue:
         v = queue.pop()
         if builder.insert(v):
-            queue.extend(contract_monomial(v.context.unit_exp(i), v) for i in range(v.context.n))
+            queue.extend(contract_monomial(x, v) for x in v.context.var_monomials)
     return _slices_from_vectors(builder.basis(), degree_bound)
 
 
@@ -135,24 +132,21 @@ def contraction_rows(fixed, index):
     With dual elements F the columns are ring monomials and a column h maps
     to the contractions h o F; with ring elements g the columns are dual
     monomials and G maps to g o G.  Rows are keyed by (position of the fixed
-    element, exponent of the contraction result); a key is present whenever
-    some column reaches it, even when its entries cancel.
+    element, packed monomial of the contraction result); a key is present
+    whenever some column reaches it, even when its entries cancel.
     """
     rows = {}
     for k, f in enumerate(fixed):
-        dual_fixed = isinstance(f, DPPolynomial)
-        for j, col in enumerate(index.monomials):
-            for m, a in f.terms.items():
-                d = exp_sub(m, col) if dual_fixed else exp_sub(col, m)
-                if d is None:
-                    continue
-                row = rows.setdefault((k, d), {})
-                s = row.get(j)
-                s = a if s is None else s + a
-                if s:
-                    row[j] = s
-                else:
-                    row.pop(j, None)
+        base, guard = f.context.base, f.context.guard
+        if isinstance(f, DPPolynomial):  # col + t packs L - col for each term L
+            cols, terms = [-c for c in index.monomials], [(m + base, a) for m, a in f.terms.items()]
+        else:  # col + t packs col - M for each term M
+            cols, terms = index.monomials, [(base - m, a) for m, a in f.terms.items()]
+        for j, col in enumerate(cols):
+            for t, a in terms:
+                d = col + t
+                if not d & guard:  # distinct terms reach distinct rows from one column
+                    rows.setdefault((k, d), {})[j] = a
     return rows
 
 
@@ -188,12 +182,12 @@ def annihilator_window(gens, bound):
     return contraction_kernel(gens, MonomialIndex.window(ctx.n, bound), ctx, "r")
 
 
-def _monomial_multiple(m, terms, context, bound=None):
-    """The polynomial m * sum(terms), terms of degree above ``bound`` dropped."""
-    if bound is None:
-        return Polynomial(context, {exp_add(m, e): c for e, c in terms.items()})
-    top = bound - sum(m)
-    return Polynomial(context, {exp_add(m, e): c for e, c in terms.items() if sum(e) <= top})
+def _monomial_multiple(m, terms, context, bound):
+    """The polynomial m * sum(terms) for a packed monomial m, terms of degree above ``bound`` dropped."""
+    _check_degree(bound)
+    limit = (bound - (m >> context.shift) + 1) << context.shift
+    m -= context.base
+    return Polynomial._of(context, {m + e: c for e, c in terms.items() if e < limit})
 
 
 def _minimalize_graded(kernels_by_degree, context):
@@ -211,9 +205,9 @@ def _minimalize_graded(kernels_by_degree, context):
         span = SpanBuilder()
         if prev is not None:
             k, below = prev
-            for m in monomials_of_degree(context.n, j - k):
+            for m in _packed_monomials(context.n, j - k, j - k):
                 for row in below.pivots.values():
-                    span.insert(_monomial_multiple(m, row, context))
+                    span.insert(_monomial_multiple(m, row, context, j))
         for v in kernels_by_degree[j]:
             r = span.reduce(v)
             if not r.is_zero():
@@ -234,23 +228,24 @@ def _minimalize_local(space, bound, context, truncated):
     so the window is the ideal I modulo m^{bound+1}, and m^{bound+1} lies in
     m*I.  The span then starts as m*I modulo m^{bound+1}, the window vectors
     times each variable cut at the bound, and by Nakayama the kept
-    candidates are a minimal generating set.  Otherwise a kept candidate
+    candidates are a minimal generating set; a product made of monomials
+    already inserted alone is skipped.  Otherwise a kept candidate
     brings its honest multiples that fit in the window, so every emitted
     generator lies exactly in the window subspace; the list is minimal with
     respect to window-degree multiples.
     """
-    candidates = sorted(
-        space.vectors, key=lambda v: drl_key(v.leading_monomial()), reverse=True
-    )
+    candidates = sorted(space.vectors, key=lambda v: v.leading_monomial(), reverse=True)
     candidates.sort(key=lambda v: v.order())
     span = SpanBuilder()
     if truncated:
-        for i in range(context.n):
-            x = context.unit_exp(i)
+        inserted = set()  # monomials inserted as products of one term
+        for x in context.var_monomials:
             for w in space.vectors:
                 prod = _monomial_multiple(x, w.terms, context, bound)
-                if not prod.is_zero():
+                if not prod.terms.keys() <= inserted:
                     span.insert(prod)
+                    if len(prod.terms) == 1:
+                        inserted.update(prod.terms)
     gens = []
     for v in candidates:
         r = span.reduce(v)
@@ -261,8 +256,8 @@ def _minimalize_local(space, bound, context, truncated):
         if truncated:
             span.insert(g)
             continue
-        for m in monomials_up_to_degree(context.n, bound - int(g.degree())):
-            span.insert(_monomial_multiple(m, g.terms, context))
+        for m in _packed_monomials(context.n, 0, bound - int(g.degree())):
+            span.insert(_monomial_multiple(m, g.terms, context, bound))
     return gens
 
 
@@ -299,6 +294,7 @@ def _refuse_oversized(columns, what):
 
 def _refuse_oversized_window(n, bound, what):
     _refuse_oversized(math.comb(n + max(bound, 0), n), f"{what} up to degree {bound}")
+    _check_degree(bound)
 
 
 def ann_module(gens, degree_bound=None):
@@ -314,11 +310,7 @@ def ann_module(gens, degree_bound=None):
     if not gens:
         raise PreconditionError("annihilator of the zero module is the unit ideal")
     ctx = gens[0].context
-    bound = (
-        degree_bound
-        if degree_bound is not None
-        else max(int(g.degree()) for g in gens) + 1
-    )
+    bound = degree_bound if degree_bound is not None else max(int(g.degree()) for g in gens) + 1
     _refuse_oversized_window(ctx.n, bound, "annihilator")
     if ctx.mode == "graded" and all(g.is_homogeneous() for g in gens):
         out = _minimalize_graded(annihilator_slices(gens, bound), ctx)
@@ -348,11 +340,10 @@ def perp_ideal(I, degree_bound=None):
     if ctx.mode == "graded":
         if not I.is_homogeneous():
             raise PreconditionError("graded mode needs homogeneous generators")
-        slices = []
-        for j in range(bound + 1):
-            index = MonomialIndex.of_degree(ctx.n, j)
-            slices.append(GradedSlice(j, contraction_kernel(I.gens, index, ctx, "dual")))
-        return slices
+        return [
+            GradedSlice(j, contraction_kernel(I.gens, MonomialIndex.of_degree(ctx.n, j), ctx, "dual"))
+            for j in range(bound + 1)
+        ]
     index = MonomialIndex.window(ctx.n, bound)
     return _slices_from_vectors(contraction_kernel(I.gens, index, ctx, "dual").vectors, bound)
 
@@ -363,13 +354,14 @@ def ideal_window_span(gens, bound, context):
     Multiples whose honest degree exceeds the bound enter truncated, which is
     exactly the image of the ideal in R modulo degrees above the bound.
     """
+    _check_degree(bound)
     span = SpanBuilder()
     for g in gens:
         if g.is_zero():
             continue
-        for m in monomials_up_to_degree(context.n, max(bound - g.order(), 0)):
+        for m in _packed_monomials(context.n, 0, max(bound - g.order(), 0)):
             prod = _monomial_multiple(m, g.terms, context, bound)
-            if not prod.is_zero():
+            if prod.terms:
                 span.insert(prod)
     return span
 

@@ -10,19 +10,11 @@ handled here; the duality layer treats them by degree truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .duality import Ideal, _minimalize_graded, _slices_from_vectors
 from .linalg import rank_of, span_reduce
-from .ring import (
-    Polynomial,
-    PreconditionError,
-    drl_key,
-    exp_add,
-    exp_divides,
-    exp_lcm,
-    exp_sub,
-    monomials_of_degree,
-)
+from .ring import Polynomial, PreconditionError, _check_degree, _packed_monomials
 
 
 @dataclass
@@ -71,19 +63,20 @@ def normal_form(f, basis):
 
 def _reduce(f, reducers):
     """normal_form against (leading monomial, element) pairs, tried in order."""
+    base, guard = f.context.base, f.context.guard
     remainder = {}
     work = dict(f.terms)
     while work:
-        m = max(work, key=drl_key)
+        m = max(work)
         c = work.pop(m)
         for lm, g in reducers:
-            quot = exp_sub(m, lm)
-            if quot is not None:
+            quot = m - lm  # gm + quot packs gm * (m / lm)
+            if not (quot + base) & guard:
                 factor = c / g.terms[lm]
                 for gm, gc in g.terms.items():
                     if gm == lm:
                         continue
-                    tm = exp_add(gm, quot)
+                    tm = gm + quot
                     s = work.get(tm)
                     s = -factor * gc if s is None else s - factor * gc
                     if s:
@@ -93,15 +86,15 @@ def _reduce(f, reducers):
                 break
         else:
             remainder[m] = c
-    return Polynomial(f.context, remainder)
+    return Polynomial._of(f.context, remainder)
 
 
 def _s_polynomial(f, g):
     lf, lg = f.leading_monomial(), g.leading_monomial()
-    l = exp_lcm(lf, lg)
     ctx = f.context
-    mf = Polynomial.monomial(ctx, exp_sub(l, lf))
-    mg = Polynomial.monomial(ctx, exp_sub(l, lg))
+    l = ctx.lcm(lf, lg) + ctx.base
+    mf = Polynomial._of(ctx, {l - lf: ctx.one})
+    mg = Polynomial._of(ctx, {l - lg: ctx.one})
     return (mf * f).scale(ctx.one / f.leading_coeff()) - (mg * g).scale(ctx.one / g.leading_coeff())
 
 
@@ -122,7 +115,7 @@ def _interreduce(polys):
                 lm = r.leading_monomial()
             out.append((lm, r))
         pairs = out
-    pairs.sort(key=lambda pair: drl_key(pair[0]))
+    pairs.sort(key=lambda pair: pair[0])
     return [p for _, p in pairs]
 
 
@@ -142,28 +135,29 @@ def _update(work, h, active, pairs):
     """
     t = len(work.elements)
     lm = work.add(h)
-    reducers = work.reducers
-    new = [(exp_lcm(lm, reducers[k][0]), k) for k in active]
+    ctx, reducers = work.context, work.reducers
+    divides, lcm = ctx.divides, ctx.lcm
+    new = [(lcm(lm, reducers[k][0]), k) for k in active]
     kept = []
     for a, (l, k) in enumerate(new):
-        if l == exp_add(lm, reducers[k][0]):
+        if l == lm + reducers[k][0] - ctx.base:
             kept.append((l, k, True))
-        elif not any(exp_divides(m, l) for m, _ in new[a + 1 :]) and not any(
-            exp_divides(m, l) for m, _, _ in kept
+        elif not any(divides(m, l) for m, _ in new[a + 1 :]) and not any(
+            divides(m, l) for m, _, _ in kept
         ):
             kept.append((l, k, False))
     pairs[:] = [
         p
         for p in pairs
         if not (
-            exp_divides(lm, p[3])
-            and exp_lcm(reducers[p[1]][0], lm) != p[3]
-            and exp_lcm(reducers[p[2]][0], lm) != p[3]
+            divides(lm, p[3])
+            and lcm(reducers[p[1]][0], lm) != p[3]
+            and lcm(reducers[p[2]][0], lm) != p[3]
         )
     ]
-    pairs.extend((sum(l), t, k, l) for l, k, coprime in kept if not coprime)
+    pairs.extend((l >> ctx.shift, t, k, l) for l, k, coprime in kept if not coprime)
     pairs.sort(reverse=True)
-    active[:] = [k for k in active if not exp_divides(lm, reducers[k][0])] + [t]
+    active[:] = [k for k in active if not divides(lm, reducers[k][0])] + [t]
 
 
 def buchberger(ideal):
@@ -219,13 +213,9 @@ class HilbertData:
 
     def series_coeffs(self, upto):
         """Hilbert function values 0..upto from the rational form."""
-        coeffs = list(self.numerator) + [0] * max(0, upto + 1 - len(self.numerator))
-        coeffs = coeffs[: upto + 1]
+        coeffs = (list(self.numerator) + [0] * (upto + 1))[: upto + 1]
         for _ in range(self.dimension):  # multiply by 1/(1-t): prefix sums
-            total = 0
-            for i, c in enumerate(coeffs):
-                total += c
-                coeffs[i] = total
+            coeffs = list(accumulate(coeffs))
         return coeffs
 
 
@@ -238,41 +228,37 @@ def _poly_mul_int(a, b):
     return out
 
 
-def _minimalize_monomials(monos):
+def _minimalize_monomials(monos, ctx):
     out = []
-    for m in sorted(monos, key=sum):
-        if not any(exp_divides(p, m) for p in out):
+    for m in sorted(monos):  # a proper divisor has a lower degree
+        if not any(ctx.divides(p, m) for p in out):
             out.append(m)
     return out
 
 
-def _numerator(monos, n):
-    """Numerator of HS of R/(monos) over (1-t)^n, by pivot recursion."""
-    monos = _minimalize_monomials(monos)
+def _numerator(monos, ctx):
+    """Numerator of HS of R/(monos) over (1-t)^n for packed monomials, by pivot recursion."""
+    monos = _minimalize_monomials(monos, ctx)
     if not monos:
         return [1]
-    if any(sum(m) == 0 for m in monos):
+    if ctx.base in monos:
         return [0]
-    supports = [set(i for i, e in enumerate(m) if e) for m in monos]
+    supports = [set(i for i, e in enumerate(ctx.unpack(m)) if e) for m in monos]
     if all(s1.isdisjoint(s2) for a, s1 in enumerate(supports) for s2 in supports[a + 1 :]):
-        out = [1]  # pairwise coprime: complete intersection product
+        out = [1]  # pairwise coprime: complete intersection product, a factor 1 - t^deg m each
         for m in monos:
-            factor = [0] * (sum(m) + 1)
-            factor[0] = 1
-            factor[sum(m)] = -1
-            out = _poly_mul_int(out, factor)
+            out = _poly_mul_int(out, [1] + [0] * ((m >> ctx.shift) - 1) + [-1])
         return out
-    counts = [0] * n
+    counts = [0] * ctx.n
     for s in supports:
         for i in s:
             counts[i] += 1
-    pivot = max(range(n), key=lambda i: (counts[i], -i))
-    pv = tuple(1 if i == pivot else 0 for i in range(n))
-    plus = [m for m in monos if m[pivot] == 0] + [pv]
-    colon = [tuple(e - 1 if i == pivot else e for i, e in enumerate(m)) if m[pivot] else m
-             for m in monos]
-    a = _numerator(plus, n)
-    b = _numerator(colon, n)
+    pivot = max(range(ctx.n), key=lambda i: (counts[i], -i))
+    pv = ctx.var_monomials[pivot]
+    plus = [m for m, s in zip(monos, supports) if pivot not in s] + [pv]
+    colon = [m - pv + ctx.base if pivot in s else m for m, s in zip(monos, supports)]
+    a = _numerator(plus, ctx)
+    b = _numerator(colon, ctx)
     out = [0] * max(len(a), len(b) + 1)
     for i, c in enumerate(a):
         out[i] += c
@@ -285,23 +271,15 @@ def _numerator(monos, n):
 
 def hilbert_series(gb):
     """HilbertData of R/I from the leading-term ideal of a Groebner basis."""
-    n = gb.context.n
-    num = _numerator(gb.leading_monomials(), n)
+    num = _numerator(gb.leading_monomials(), gb.context)
     if num == [0]:
         return HilbertData([0], -1, 0, 0)  # unit ideal
-    strips = 0
-    while sum(num) == 0 and len(num) > 1:
-        # divide by (1-t) while the numerator vanishes at t=1
-        quot = []
-        acc = 0
-        for c in num[:-1]:
-            acc += c
-            quot.append(acc)
-        num = quot
-        strips += 1
+    dimension = gb.context.n
+    while sum(num) == 0 and len(num) > 1:  # divide by (1-t) while the numerator vanishes at t=1
+        num = list(accumulate(num[:-1]))
+        dimension -= 1
         while len(num) > 1 and num[-1] == 0:
             num.pop()
-    dimension = n - strips
     return HilbertData(num, dimension, sum(num), len(num) - 1)
 
 
@@ -352,22 +330,18 @@ def _regular_chain(ideal, zs):
 def standard_monomials(gb):
     """Monomials outside the leading-term ideal; error when R/I is not Artinian."""
     lms = gb.leading_monomials()
-    n = gb.context.n
-    caps = [None] * n
-    for m in lms:
-        for i in range(n):
-            if m[i] and all(e == 0 for j, e in enumerate(m) if j != i):
-                if caps[i] is None or m[i] < caps[i]:
-                    caps[i] = m[i]
-    if any(c is None for c in caps):
+    ctx = gb.context
+    supports = [[i for i, e in enumerate(ctx.unpack(m)) if e] for m in lms]
+    if len({s[0] for s in supports if len(s) == 1}) < ctx.n:  # a pure power of each variable
         raise PreconditionError("quotient is not Artinian")
+    base, guard = ctx.base, ctx.guard
     std = []
     degree = 0
     while True:
         layer = [
             m
-            for m in monomials_of_degree(n, degree)
-            if not any(exp_divides(lm, m) for lm in lms)
+            for m in _packed_monomials(ctx.n, degree, degree)
+            if all((m - lm + base) & guard for lm in lms)
         ]
         if not layer and degree > 0:
             break
@@ -385,11 +359,12 @@ def socle_dim(ideal):
     gb = buchberger(ideal)
     ctx = ideal.context
     std = standard_monomials(gb)
+    _check_degree((max(std, default=0) >> ctx.shift) + 1)
     pos = {m: i for i, m in enumerate(std)}
     rows = {}
     for j, m in enumerate(std):
-        for i in range(ctx.n):
-            image = normal_form(Polynomial.monomial(ctx, exp_add(m, ctx.unit_exp(i))), gb)
+        for i, x in enumerate(ctx.var_monomials):
+            image = normal_form(Polynomial._of(ctx, {m + x - ctx.base: ctx.one}), gb)
             for tm, tc in image.terms.items():
                 row = rows.setdefault((i, pos[tm]), {})
                 row[j] = row.get(j, ctx.zero) + tc

@@ -16,13 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ring import (
-    DPPolynomial,
-    Polynomial,
-    drl_key,
-    monomials_of_degree,
-    monomials_up_to_degree,
-)
+from .ring import DPPolynomial, Polynomial, _packed_monomials
 
 # ---------------------------------------------------------------------------
 # the echelon engine: sparse rows keyed by int columns or by monomials
@@ -32,11 +26,11 @@ class _Echelon:
     """Incrementally maintained RREF: pivots[key] is a monic row led by key.
 
     ``lead`` picks the pivot key among a row's keys: ``min`` or ``max`` for
-    int columns, the degrevlex maximum for monomial keys.  Rows carry no
-    zero entries.  ``holders`` maps each non-pivot column to the set of
-    pivot keys whose row is nonzero there, so back substitution visits only
-    those rows; a pivot column needs no entry, since RREF leaves it in its
-    own row only.
+    int columns, ``max`` (the degrevlex largest) for packed monomials.  Rows
+    carry no zero entries.  ``holders`` maps each non-pivot column to the
+    set of pivot keys whose row is nonzero there, so back substitution visits
+    only those rows; a pivot column needs no entry, since RREF leaves it in
+    its own row only.
     """
 
     def __init__(self, lead):
@@ -162,10 +156,11 @@ def solve_affine(rows, rhs, ncols, one):
 
 @dataclass(frozen=True)
 class MonomialIndex:
-    """A bijection between a sorted monomial list and column positions.
+    """A bijection between a sorted list of packed monomials and column positions.
 
     Monomials are stored degrevlex-descending so that column 0 is the largest
     monomial and leftmost pivots correspond to canonical leading monomials.
+    ``of_degree`` and ``window`` take the number of variables.
     """
 
     monomials: tuple
@@ -173,32 +168,28 @@ class MonomialIndex:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "monomials", tuple(sorted(self.monomials, key=drl_key, reverse=True))
+            self, "monomials", tuple(sorted(self.monomials, reverse=True))
         )
         object.__setattr__(self, "position", {m: i for i, m in enumerate(self.monomials)})
 
     @classmethod
     def of_degree(cls, n, degree):
-        return cls(tuple(monomials_of_degree(n, degree)))
+        return cls(tuple(_packed_monomials(n, degree, degree)))
 
     @classmethod
     def window(cls, n, bound):
-        return cls(tuple(monomials_up_to_degree(n, bound)))
+        return cls(tuple(_packed_monomials(n, 0, bound)))
 
     def __len__(self):
         return len(self.monomials)
 
     def poly(self, vec, context, side):
         cls = Polynomial if side == "r" else DPPolynomial
-        return cls(context, {self.monomials[i]: c for i, c in vec.items() if c})
+        return cls._of(context, {self.monomials[i]: c for i, c in vec.items() if c})
 
 
 # ---------------------------------------------------------------------------
 # subspaces of polynomial coefficient spans
-
-
-def _drl_max(monomials):
-    return max(monomials, key=drl_key)
 
 
 class SpanBuilder(_Echelon):
@@ -210,11 +201,11 @@ class SpanBuilder(_Echelon):
     """
 
     def __init__(self):
-        super().__init__(_drl_max)
+        super().__init__(max)
 
     def reduce(self, poly):
         """Remainder of poly after eliminating every basis leading monomial."""
-        return type(poly)(poly.context, self.reduce_row(poly.terms))
+        return type(poly)._of(poly.context, self.reduce_row(poly.terms))
 
     def insert(self, poly):
         """Add a vector to the span; returns True if it enlarged the span."""
@@ -232,12 +223,8 @@ class SpanBuilder(_Echelon):
     def basis(self):
         if not self.pivots:
             return []
-        cls = type(self._sample)
-        ctx = self._sample.context
-        out = []
-        for lm in sorted(self.pivots, key=drl_key, reverse=True):
-            out.append(cls(ctx, dict(self.pivots[lm])))
-        return out
+        cls, ctx = type(self._sample), self._sample.context
+        return [cls._of(ctx, dict(self.pivots[lm])) for lm in sorted(self.pivots, reverse=True)]
 
 
 @dataclass

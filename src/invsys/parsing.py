@@ -108,7 +108,7 @@ def parse_polynomial(text, context, side):
             terms.pop(exps, None)
     if first:
         raise ParseError("empty polynomial", text, 0)
-    return cls(context, terms)
+    return cls._of(context, terms)
 
 
 def _parse_term(sc, context, names, other, side):
@@ -156,7 +156,7 @@ def _parse_term(sc, context, names, other, side):
         sc.take("*")
     if not (saw_factor or saw_coeff):
         raise ParseError("expected a term", sc.text, sc.pos)
-    return coeff, tuple(exps)
+    return coeff, context.pack(exps)
 
 
 def parse_ideal_gens(text, context):

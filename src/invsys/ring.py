@@ -4,7 +4,10 @@ Two kinds of elements share one sparse representation: elements of the
 polynomial (or power-series) ring R in the lowercase variables, and elements
 of its graded dual, the divided-power module, written in the uppercase dual
 variables with bracketed exponents (``X^[3]``).  A polynomial is a map from
-exponent vectors (plain int tuples) to nonzero field scalars.
+packed monomials, one int per exponent vector (see ``RingContext``), to
+nonzero field scalars.  Exponent tuples appear only at the boundary: the
+parser, the printer, the constructor, ``monomial``, ``coeff``, ``shift_mul``
+and ``monomials_of_degree``.
 
 The dual side carries no internal product; R acts on it by contraction,
 which sends ``z^M . Z^[L]`` to ``Z^[L-M]`` (zero when any component of L-M is
@@ -131,6 +134,43 @@ def _is_prime(p):
 
 
 # ---------------------------------------------------------------------------
+# packed monomials (Monagan and Pearce, J. Symb. Comput. 46, 2011)
+#
+# Variable i owns the _BITS-wide field at bit i*_BITS and stores
+# MAX_DEGREE - e_i there; the total degree sits above all the fields.  The
+# last variable is the most significant field and a smaller exponent makes a
+# larger field, so int order is degrevlex.  The top bit of each field is a
+# guard.  With ``base`` the packed monomial 1, a product is a + b - base, and
+# l - m + base packs L - M, with some guard bit set exactly when a component
+# of L - M is negative.  Both need every exponent in 0..MAX_DEGREE, which
+# holds while total degrees stay at most MAX_DEGREE.
+
+_BITS = 16
+MAX_DEGREE = (1 << (_BITS - 1)) - 1
+_FIELD = (1 << _BITS) - 1
+
+
+def _check_degree(degree):
+    if degree > MAX_DEGREE:
+        raise PreconditionError(f"total degree {degree} exceeds the limit {MAX_DEGREE} of packed monomials")
+
+
+def _packed_monomials(n, low, high):
+    """Packed monomials of degree low..high in n variables, each once: factor indices never rise."""
+    _check_degree(high)
+    shift = n * _BITS
+    steps = [(1 << shift) - (1 << (i * _BITS)) for i in range(n)]
+    layer = [(MAX_DEGREE * (((1 << shift) - 1) // _FIELD), n - 1)]
+    out = []
+    for d in range(high + 1):
+        if d:
+            layer = [(m + steps[i], i) for m, top in layer for i in range(top + 1)]
+        if d >= low:
+            out.extend(m for m, _ in layer)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # ring contexts
 
 
@@ -145,6 +185,11 @@ class RingContext:
     field: 0 for Q, whose scalars are Fractions, or a prime p certified below
     ``_MR_LIMIT``, whose scalars are PrimeFieldElements.  ``scalar`` makes
     them; ``one`` and ``zero`` are made once per context.
+
+    Monomials are packed ints (see above).  ``pack`` and ``unpack`` convert
+    exponent tuples; ``shift`` is the bit position of the total degree,
+    ``base`` the packed monomial 1, ``guard`` the mask of the guard bits, and
+    ``var_monomials`` holds the packed variables.
     """
 
     var_names: tuple
@@ -169,8 +214,15 @@ class RingContext:
                 )
             if not _is_prime(self.char):
                 raise ValueError(f"{self.char} is not prime")
-        for name, value in (("zero", 0), ("one", 1)):
-            object.__setattr__(self, name, self.scalar(value))
+        shift = n * _BITS
+        ones = ((1 << shift) - 1) // _FIELD  # 1 in every field
+        base = MAX_DEGREE * ones
+        for name, value in (
+            ("zero", self.scalar(0)), ("one", self.scalar(1)), ("shift", shift), ("base", base),
+            ("guard", (MAX_DEGREE + 1) * ones),
+            ("var_monomials", tuple(base + (1 << shift) - (1 << (i * _BITS)) for i in range(n))),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -189,10 +241,27 @@ class RingContext:
     def zero_exp(self):
         return (0,) * self.n
 
-    def unit_exp(self, i):
-        e = [0] * self.n
-        e[i] = 1
-        return tuple(e)
+    def pack(self, exps):
+        """The packed monomial of an exponent vector; degrees above MAX_DEGREE are refused."""
+        exps = tuple(exps)
+        if len(exps) != self.n or min(exps) < 0:
+            raise ValueError(f"{exps} is not an exponent vector of length {self.n}")
+        _check_degree(sum(exps))
+        return (sum(exps) << self.shift) + self.base - sum(e << (i * _BITS) for i, e in enumerate(exps))
+
+    def unpack(self, m):
+        """The exponent vector of a packed monomial."""
+        return tuple(MAX_DEGREE - (m >> (i * _BITS) & _FIELD) for i in range(self.n))
+
+    def divides(self, a, b):
+        """Does the packed monomial a divide b?"""
+        return not (b - a + self.base) & self.guard
+
+    def lcm(self, a, b):
+        """Least common multiple of packed monomials; its degree may exceed MAX_DEGREE."""
+        fields = [min(a >> s & _FIELD, b >> s & _FIELD) for s in range(0, self.shift, _BITS)]
+        degree = self.n * MAX_DEGREE - sum(fields)
+        return (degree << self.shift) + sum(f << (i * _BITS) for i, f in enumerate(fields))
 
     def var_index(self, name):
         try:
@@ -201,7 +270,7 @@ class RingContext:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def variable(self, i):
-        return Polynomial(self, {self.unit_exp(i): self.one})
+        return Polynomial._of(self, {self.var_monomials[i]: self.one})
 
     def decl(self):
         """Canonical ring declaration string."""
@@ -224,35 +293,7 @@ def ring_context(variables, duals=None, char=0, mode="graded"):
 
 
 # ---------------------------------------------------------------------------
-# exponent vectors (plain int tuples)
-
-
-def exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def exp_sub(a, b):
-    """Componentwise a - b, or None if any component would go negative."""
-    out = []
-    for x, y in zip(a, b):
-        d = x - y
-        if d < 0:
-            return None
-        out.append(d)
-    return tuple(out)
-
-
-def exp_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def exp_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def drl_key(a):
-    """Sort key realizing degrevlex: higher key = larger monomial."""
-    return (sum(a), tuple(-e for e in reversed(a)))
+# exponent vectors
 
 
 def monomials_of_degree(n, d):
@@ -265,34 +306,38 @@ def monomials_of_degree(n, d):
             yield (first,) + rest
 
 
-def monomials_up_to_degree(n, bound):
-    for d in range(bound + 1):
-        yield from monomials_of_degree(n, d)
-
-
 # ---------------------------------------------------------------------------
 # sparse polynomials
 
 
 class _SparsePoly:
-    """Shared machinery for both sides; terms map exponent tuples to scalars."""
+    """Shared machinery for both sides; terms map packed monomials to scalars."""
 
     __slots__ = ("context", "terms")
 
     def __init__(self, context, terms):
+        """The element with ``terms``, a map from exponent tuples to scalars."""
         self.context = context
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {context.pack(m): c for m, c in terms.items() if c}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, context, terms):
+        """The element whose packed terms are ``terms``, taken as is: no zero scalars."""
+        p = object.__new__(cls)
+        p.context = context
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, context):
-        return cls(context, {})
+        return cls._of(context, {})
 
     @classmethod
     def constant(cls, context, value):
         c = value if not isinstance(value, int) else context.scalar(value)
-        return cls(context, {context.zero_exp: c})
+        return cls._of(context, {context.base: c} if c else {})
 
     @classmethod
     def monomial(cls, context, exps, coeff=None):
@@ -307,37 +352,38 @@ class _SparsePoly:
     def degree(self):
         if not self.terms:
             return NEG_INF
-        return max(sum(m) for m in self.terms)
+        return max(self.terms) >> self.context.shift
 
     def order(self):
         """Minimal total degree of a term; +inf for the zero polynomial."""
         if not self.terms:
             return float("inf")
-        return min(sum(m) for m in self.terms)
+        return min(self.terms) >> self.context.shift
 
     def is_homogeneous(self):
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
+        shift = self.context.shift
+        return len({m >> shift for m in self.terms}) <= 1
 
     def leading_monomial(self):
         if not self.terms:
             return None
-        return max(self.terms, key=drl_key)
+        return max(self.terms)
 
     def leading_coeff(self):
         lm = self.leading_monomial()
         return self.context.zero if lm is None else self.terms[lm]
 
     def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.context.zero)
+        return self.terms.get(self.context.pack(exps), self.context.zero)
 
     def sorted_terms(self):
         """Terms in canonical (degrevlex descending) order."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=drl_key, reverse=True)]
+        return [(m, self.terms[m]) for m in sorted(self.terms, reverse=True)]
 
     def truncate(self, bound):
         """Drop all terms of total degree > bound."""
-        return type(self)(self.context, {m: c for m, c in self.terms.items() if sum(m) <= bound})
+        limit = (bound + 1) << self.context.shift
+        return type(self)._of(self.context, {m: c for m, c in self.terms.items() if m < limit})
 
     # -- arithmetic (module operations, both sides) -------------------------
 
@@ -357,7 +403,7 @@ class _SparsePoly:
                 acc[m] = s
             else:
                 acc.pop(m, None)
-        return type(self)(self.context, acc)
+        return type(self)._of(self.context, acc)
 
     def __sub__(self, other):
         self._check(other)
@@ -369,23 +415,23 @@ class _SparsePoly:
                 acc[m] = s
             else:
                 acc.pop(m, None)
-        return type(self)(self.context, acc)
+        return type(self)._of(self.context, acc)
 
     def __neg__(self):
-        return type(self)(self.context, {m: -c for m, c in self.terms.items()})
+        return type(self)._of(self.context, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c):
         if isinstance(c, int):
             c = self.context.scalar(c)
         if not c:
-            return type(self)(self.context, {})
-        return type(self)(self.context, {m: c * v for m, v in self.terms.items()})
+            return type(self)._of(self.context, {})
+        return type(self)._of(self.context, {m: c * v for m, v in self.terms.items()})
 
     def monic(self):
         lc = self.leading_coeff()
         if not lc or lc == self.context.one:
             return self
-        return type(self)(self.context, {m: c / lc for m, c in self.terms.items()})
+        return type(self)._of(self.context, {m: c / lc for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if type(self) is not type(other):
@@ -411,26 +457,14 @@ class _SparsePoly:
         for m, c in self.sorted_terms():
             factors = [
                 name if e == 1 else f"{name}{self._exp_str(e)}"
-                for name, e in zip(names, m)
+                for name, e in zip(names, self.context.unpack(m))
                 if e
             ]
             body = "*".join(factors)
             cs = str(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            if not body:
-                chunk = cs
-            elif cs == "1":
-                chunk = body
-            else:
-                chunk = f"{cs}*{body}"
-            parts.append(("-" if neg else "+", chunk))
-        sign, chunk = parts[0]
-        out = (sign if sign == "-" else "") + chunk
-        for sign, chunk in parts[1:]:
-            out += sign + chunk
-        return out
+            sign, cs = ("-", cs[1:]) if cs.startswith("-") else ("+", cs)
+            parts.append(sign + (cs if not body else body if cs == "1" else f"{cs}*{body}"))
+        return "".join(parts).removeprefix("+")
 
     def __repr__(self):
         return str(self)
@@ -453,17 +487,20 @@ class Polynomial(_SparsePoly):
                 "no internal product on the dual side; use contract() or shift_mul()"
             )
         self._check(other)
+        _check_degree(self.degree() + other.degree())
+        base = self.context.base
         acc = {}
         for m1, c1 in self.terms.items():
+            m1 -= base
             for m2, c2 in other.terms.items():
-                m = exp_add(m1, m2)
+                m = m1 + m2
                 s = acc.get(m)
                 s = c1 * c2 if s is None else s + c1 * c2
                 if s:
                     acc[m] = s
                 else:
                     acc.pop(m, None)
-        return Polynomial(self.context, acc)
+        return Polynomial._of(self.context, acc)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -506,11 +543,13 @@ def contract(h, F):
         raise ContextMismatchError("contract() takes a ring element and a dual element")
     if h.context != F.context:
         raise ContextMismatchError("operands live in different ring contexts")
+    base, guard = F.context.base, F.context.guard
     acc = {}
     for m, a in h.terms.items():
+        m -= base
         for l, b in F.terms.items():
-            d = exp_sub(l, m)
-            if d is None:
+            d = l - m
+            if d & guard:
                 continue
             s = acc.get(d)
             s = a * b if s is None else s + a * b
@@ -518,17 +557,19 @@ def contract(h, F):
                 acc[d] = s
             else:
                 acc.pop(d, None)
-    return DPPolynomial(F.context, acc)
+    return DPPolynomial._of(F.context, acc)
 
 
-def contract_monomial(exps, F):
-    """Contraction of F by the single monomial z^exps (fast path)."""
+def contract_monomial(m, F):
+    """Contraction of F by the single packed monomial m (fast path)."""
+    m -= F.context.base
+    guard = F.context.guard
     acc = {}
     for l, b in F.terms.items():
-        d = exp_sub(l, exps)
-        if d is not None:
+        d = l - m
+        if not d & guard:
             acc[d] = b
-    return DPPolynomial(F.context, acc)
+    return DPPolynomial._of(F.context, acc)
 
 
 def pairing(f, F):
@@ -556,5 +597,8 @@ def shift_mul(exps, F):
     section of contraction: contract(z^exps, shift_mul(exps, F)) == F.
     Repeated shifts commute and compose additively in the exponent.
     """
-    exps = tuple(exps)
-    return DPPolynomial(F.context, {exp_add(l, exps): b for l, b in F.terms.items()})
+    ctx = F.context
+    m = ctx.pack(exps)
+    _check_degree(F.degree() + (m >> ctx.shift))
+    m -= ctx.base
+    return DPPolynomial._of(ctx, {l + m: b for l, b in F.terms.items()})

@@ -355,8 +355,8 @@ def _divisor_span(gens, degree_bound=None):
     builder = SpanBuilder()
     for g in gens:
         for l in g.terms:
-            for m in itertools.product(*(range(e + 1) for e in l)):
-                builder.insert(contract_monomial(m, g))
+            for m in itertools.product(*(range(e + 1) for e in g.context.unpack(l))):
+                builder.insert(contract_monomial(g.context.pack(m), g))
     return _slices_from_vectors(builder.basis(), degree_bound)
 
 

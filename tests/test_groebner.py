@@ -19,7 +19,7 @@ from invsys import (
 )
 from invsys import groebner
 from invsys.groebner import _s_polynomial, standard_monomials
-from invsys.ring import Polynomial, drl_key, exp_divides, monomials_of_degree
+from invsys.ring import Polynomial, monomials_of_degree
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +122,10 @@ def _all_pairs_basis(gens):
             pairs.extend((len(basis), k) for k in range(len(basis)))
             basis.append(r)
     minimal = []
-    for g in sorted(basis, key=lambda g: drl_key(g.leading_monomial())):
-        if not any(exp_divides(h.leading_monomial(), g.leading_monomial()) for h in minimal):
+    unpack = basis[0].context.unpack
+    for g in sorted(basis, key=lambda g: g.leading_monomial()):
+        lg = unpack(g.leading_monomial())
+        if not any(all(a <= b for a, b in zip(unpack(h.leading_monomial()), lg)) for h in minimal):
             minimal.append(g)
     return [normal_form(g, [h for h in minimal if h is not g]).monic() for g in minimal]
 
