@@ -46,6 +46,40 @@ class Ideal:
         return ", ".join(str(g) for g in self.gens) if self.gens else "0"
 
 
+@dataclass
+class GroebnerBasis:
+    """A degrevlex Groebner basis, each element paired with its leading monomial.
+
+    ``groebner.buchberger`` returns it reduced, monic and sorted by ascending
+    leading monomial; while it runs, it grows an unreduced one element by
+    element with ``add``.  ``ann_module`` attaches the same reduced basis to
+    the graded annihilators it reads off their kernels.  ``reducers`` holds
+    the (leading monomial, element) pairs that ``normal_form`` divides by,
+    computed once per element.
+    """
+
+    elements: list
+    context: object
+    source: Ideal = None
+    reducers: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.reducers = [(g.leading_monomial(), g) for g in self.elements]
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def add(self, g):
+        """Append a nonzero element; returns its leading monomial."""
+        lm = g.leading_monomial()
+        self.elements.append(g)
+        self.reducers.append((lm, g))
+        return lm
+
+    def leading_monomials(self):
+        return [lm for lm, _ in self.reducers]
+
+
 @dataclass(frozen=True)
 class GradedSlice:
     """Basis of one degree slice of a subspace of the dual (or of R).
@@ -218,6 +252,27 @@ def _minimalize_graded(kernels_by_degree, context):
     return gens
 
 
+def _reduced_basis(kernels_by_degree, ideal):
+    """Reduced degrevlex Groebner basis of an ideal read off its canonical slices.
+
+    Each kernel vector is monic at its leading monomial, a free column, and
+    elsewhere nonzero only at pivot columns, the standard monomials of its
+    degree.  Once the slices reach a degree where every monomial lies in
+    the ideal, the vectors whose leading monomial no kept leading monomial
+    of a lower degree divides are exactly the reduced basis.
+    """
+    divides = ideal.context.divides
+    kept = []  # (leading monomial, vector)
+    for j in sorted(kernels_by_degree):
+        lower = [lm for lm, _ in kept]
+        for v in kernels_by_degree[j]:
+            m = v.leading_monomial()
+            if not any(divides(lm, m) for lm in lower):
+                kept.append((m, v))
+    kept.sort(key=lambda pair: pair[0])
+    return GroebnerBasis([v for _, v in kept], ideal.context, ideal)
+
+
 def _minimalize_local(space, bound, context, truncated):
     """Extract generators for the ideal spanned by a window subspace of R_{<=bound}.
 
@@ -304,21 +359,28 @@ def ann_module(gens, degree_bound=None):
     annihilators; it is computed here as one stacked contraction kernel,
     which produces the same canonical subspace in a single elimination.
     Inputs needing more than ``MAX_ANN_COLUMNS`` contraction columns are
-    refused up front.
+    refused up front.  In graded mode, when the bound exceeds the degree of
+    every generator (the default), the slices hold the whole ideal through
+    a degree it contains entirely, so the returned ideal arrives with its
+    reduced Groebner basis (``cached_gb``) read off them and
+    ``groebner.buchberger`` does no work on it.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise PreconditionError("annihilator of the zero module is the unit ideal")
     ctx = gens[0].context
-    bound = degree_bound if degree_bound is not None else max(int(g.degree()) for g in gens) + 1
+    top = max(int(g.degree()) for g in gens)
+    bound = degree_bound if degree_bound is not None else top + 1
     _refuse_oversized_window(ctx.n, bound, "annihilator")
+    truncated = bound > top
     if ctx.mode == "graded" and all(g.is_homogeneous() for g in gens):
-        out = _minimalize_graded(annihilator_slices(gens, bound), ctx)
-    else:
-        window = annihilator_window(gens, bound)
-        truncated = bound > max(int(g.degree()) for g in gens)
-        out = _minimalize_local(window, bound, ctx, truncated)
-    return Ideal(out, ctx)
+        slices = annihilator_slices(gens, bound)
+        ideal = Ideal(_minimalize_graded(slices, ctx), ctx)
+        if truncated:
+            ideal.cached_gb = _reduced_basis(slices, ideal)
+        return ideal
+    window = annihilator_window(gens, bound)
+    return Ideal(_minimalize_local(window, bound, ctx, truncated), ctx)
 
 
 # ---------------------------------------------------------------------------

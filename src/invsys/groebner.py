@@ -9,44 +9,12 @@ handled here; the duality layer treats them by degree truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
-from .duality import Ideal, _minimalize_graded, _slices_from_vectors
+from .duality import GroebnerBasis, Ideal, _minimalize_graded, _slices_from_vectors
 from .linalg import rank_of, span_reduce
 from .ring import Polynomial, PreconditionError, _check_degree, _packed_monomials
-
-
-@dataclass
-class GroebnerBasis:
-    """A degrevlex Groebner basis, each element paired with its leading monomial.
-
-    ``buchberger`` returns it reduced, monic and sorted by ascending leading
-    monomial; while it runs, it grows an unreduced one element by element
-    with ``add``.  ``reducers`` holds the (leading monomial, element) pairs
-    that ``normal_form`` divides by, computed once per element.
-    """
-
-    elements: list
-    context: object
-    source: Ideal = None
-    reducers: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.reducers = [(g.leading_monomial(), g) for g in self.elements]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def add(self, g):
-        """Append a nonzero element; returns its leading monomial."""
-        lm = g.leading_monomial()
-        self.elements.append(g)
-        self.reducers.append((lm, g))
-        return lm
-
-    def leading_monomials(self):
-        return [lm for lm, _ in self.reducers]
 
 
 def normal_form(f, basis):
@@ -171,8 +139,11 @@ def buchberger(ideal):
     ``_update``; only the surviving S-polynomials are reduced.  Criterion
     B_k rebuilds the list at every new element anyway, so keeping it sorted
     costs what a heap would.  The final basis is auto-reduced and monic,
-    sorted by ascending leading monomial, and cached on the ideal.  Graded
-    mode requires homogeneous generators.
+    sorted by ascending leading monomial, and cached on the ideal.  A
+    cached basis is returned as it is: graded annihilators from
+    ``ann_module`` with a bound above every generator degree (the default
+    of ``ann_cyclic``) arrive with theirs, read off their contraction
+    kernels.  Graded mode requires homogeneous generators.
     """
     if ideal.cached_gb is not None:
         return ideal.cached_gb

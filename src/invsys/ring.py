@@ -237,10 +237,6 @@ class RingContext:
             raise ZeroDivisionError("denominator vanishes in the prime field")
         return PrimeFieldElement(num * pow(den, -1, p), p)
 
-    @property
-    def zero_exp(self):
-        return (0,) * self.n
-
     def pack(self, exps):
         """The packed monomial of an exponent vector; degrees above MAX_DEGREE are refused."""
         exps = tuple(exps)

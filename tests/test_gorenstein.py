@@ -131,7 +131,7 @@ def test_one_groebner_basis_per_generator_set(monkeypatch, codim4_curve, ellipti
     ctx = ctx_of("ring Q[x,y,z] dual [X,Y,Z]")
     report = gorenstein_check(ann_cyclic(dual(ctx, "X^[3]+X*Y*Z+Z^[3]")), 0, [])
     assert report.is_gorenstein
-    assert len(computed) == 1
+    assert len(computed) == 0  # ann_cyclic attaches the basis it reads off its slices
     for example, z_indices in ((codim4_curve, [4]), (elliptic_curve, [3, 4])):
         ctx = example["ctx"]
         zs = [ctx.variable(i) for i in z_indices]

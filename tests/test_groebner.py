@@ -7,6 +7,7 @@ from invsys import (
     Ideal,
     PreconditionError,
     ann_cyclic,
+    ann_module,
     buchberger,
     hilbert_data,
     hilbert_series,
@@ -154,6 +155,34 @@ def test_pruned_buchberger_matches_reference_on_worked_ideals(
     for ideal in (elliptic_curve["ideal"], codim4_curve["ideal"], surface_codim4["ideal"]):
         fresh = Ideal(list(ideal.gens), ideal.context)
         assert buchberger(fresh).elements == _all_pairs_basis(ideal.gens)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(32003)", "Fp(7)"])
+def test_graded_annihilator_basis_matches_buchberger(field):
+    # ann_module reads the reduced basis off its slices once the bound passes
+    # every generator degree; at the top degree itself it attaches none
+    rng = rng_for(f"annihilator-basis-{field}")
+    attached = 0
+    for k in range(40):
+        n = rng.randint(2, 6)
+        ctx = ctx_of(f"ring {field}[{','.join(f'v{i}' for i in range(n))}]")
+        gens = [
+            random_poly(rng, ctx, "dual", 5 if n <= 4 else 4, homogeneous=True)
+            for _ in range(rng.randint(1, 3))
+        ]
+        top = max(int(g.degree()) for g in gens)
+        bound = (None, top + 3, top)[k % 3]
+        ideal = ann_module(gens, bound)
+        if bound == top:
+            assert ideal.cached_gb is None
+            continue
+        gb = ideal.cached_gb
+        assert gb is not None and gb.source is ideal
+        reference = buchberger(Ideal(list(ideal.gens), ctx))
+        assert [g.terms for g in gb.elements] == [g.terms for g in reference.elements]
+        assert gb.leading_monomials() == reference.leading_monomials()
+        attached += 1
+    assert attached > 20
 
 
 def test_buchberger_never_rebuilds_reducers(monkeypatch, elliptic_curve):

@@ -7,6 +7,7 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "invsys"
 MODULES = sorted(p.name for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(p.name for p in SOURCE.glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -22,6 +23,19 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _function_imports(tree):
+    """Line numbers of the imports that sit inside a function body."""
+    return sorted(
+        {
+            node.lineno
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     # __init__.py imports to re-export, so it is the one module left out
@@ -32,3 +46,25 @@ def test_module_uses_every_name_it_imports(module):
 def test_unused_import_check_sees_leftovers():
     tree = ast.parse("import itertools\nfrom .ring import drl_key, exp_sub\nexp_sub(1, 2)\n")
     assert _unused_imports(tree) == [(1, "itertools"), (2, "drl_key")]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_module_imports_only_at_top_level(module):
+    # an import cycle between modules is solved by placing the shared code
+    # in the lower module, not by deferring the import into a function
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    assert _function_imports(tree) == []
+
+
+def test_function_import_check_sees_deferred_imports():
+    tree = ast.parse(
+        "import math\n"
+        "def f():\n"
+        "    from .groebner import buchberger\n"
+        "    def g():\n"
+        "        import itertools\n"
+        "class C:\n"
+        "    async def h(self):\n"
+        "        import os\n"
+    )
+    assert _function_imports(tree) == [3, 5, 8]
