@@ -27,6 +27,7 @@ from .duality import (
     ann_module,
     hilbert_function,
     ideals_equal_mod,
+    minimal_generators,
     module_span,
     perp_ideal,
     span_dim,
@@ -46,7 +47,6 @@ from .groebner import (
     hilbert_data,
     hilbert_series,
     is_regular_sequence,
-    minimal_generators,
     normal_form,
     socle_dim,
 )

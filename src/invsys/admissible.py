@@ -17,10 +17,9 @@ import functools
 from dataclasses import dataclass
 
 from .duality import (
+    _annihilator_basis,
     _slices_from_vectors,
     ann_cyclic,
-    annihilator_slices,
-    annihilator_window,
     contraction_rows,
     flatten,
     module_span,
@@ -71,7 +70,8 @@ class AdmissibleFamily:
 
     ``z_indices`` names the distinguished variables (positions into the ring
     context's variable list); ``entries`` maps each index in the rectangle
-    {L : 1 <= l_i <= t0} to its dual element.
+    {L : 1 <= l_i <= t0} to its dual element.  The box holds at least the
+    base index, so t0 < 1 is refused.
     """
 
     context: object
@@ -79,6 +79,10 @@ class AdmissibleFamily:
     z_indices: tuple
     entries: dict
     t0: int
+
+    def __post_init__(self):
+        if self.t0 < 1:
+            raise PreconditionError(f"truncation level t0 must be at least 1, got {self.t0}")
 
     def index_box(self):
         box = [()]
@@ -184,14 +188,6 @@ def check_condition_one(fam):
 # condition two, in both formulations
 
 
-def _annihilator_basis(H, bound):
-    """Spanning set of the annihilator of H up to degree bound (no minimality)."""
-    ctx = H.context
-    if ctx.mode == "graded" and H.is_homogeneous():
-        return [v for basis in annihilator_slices([H], bound).values() for v in basis]
-    return [v for v in annihilator_window([H], bound).vectors if v.order() >= 1]
-
-
 def check_condition_two(fam, mode="annihilator"):
     """Verify the annihilator condition over the stored box.
 
@@ -212,7 +208,7 @@ def check_condition_two(fam, mode="annihilator"):
 
     @functools.cache
     def annihilator_at(L, bound):
-        return _annihilator_basis(fam.entry(L), bound)
+        return _annihilator_basis([fam.entry(L)], bound)
 
     @functools.cache
     def target_at(K):

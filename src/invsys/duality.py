@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .linalg import MonomialIndex, SpanBuilder, SubspaceBasis, kernel_vectors
+from .linalg import MonomialIndex, SpanBuilder, SubspaceBasis, kernel_vectors, span_reduce
 from .ring import (
     DPPolynomial,
     Polynomial,
@@ -224,78 +224,63 @@ def _monomial_multiple(m, terms, context, bound):
     return Polynomial._of(context, {m + e: c for e, c in terms.items() if e < limit})
 
 
-def _minimalize_graded(kernels_by_degree, context):
-    """Extract minimal homogeneous generators from per-degree ideal slices.
+def _annihilator_basis(gens, bound):
+    """Spanning set of Ann(gens) in degrees at most ``bound``, no minimality.
 
-    The degree-j part of the ideal is R_{j-k} times its part in the previous
-    nonempty degree k plus new generators, so each degree's span starts from
-    the monomials of degree j - k times the previous span's pivot rows; the
-    slice vectors it misses are the new generators.
+    Homogeneous generators in graded mode give the per-degree kernels
+    flattened in ascending degree; otherwise this is the window kernel.
     """
-    gens, prev = [], None
-    for j in sorted(kernels_by_degree):
-        if not kernels_by_degree[j]:
-            continue
-        span = SpanBuilder()
-        if prev is not None:
-            k, below = prev
-            for m in _packed_monomials(context.n, j - k, j - k):
-                for row in below.pivots.values():
-                    span.insert(_monomial_multiple(m, row, context, j))
-        for v in kernels_by_degree[j]:
-            r = span.reduce(v)
-            if not r.is_zero():
-                r = r.monic()
-                gens.append(r)
-                span.insert(r)
-        prev = (j, span)
-    return gens
+    ctx = gens[0].context
+    if ctx.mode == "graded" and all(g.is_homogeneous() for g in gens):
+        return [v for basis in annihilator_slices(gens, bound).values() for v in basis]
+    return annihilator_window(gens, bound).vectors
 
 
-def _reduced_basis(kernels_by_degree, ideal):
+def _reduced_basis(vectors, ideal):
     """Reduced degrevlex Groebner basis of an ideal read off its canonical slices.
 
     Each kernel vector is monic at its leading monomial, a free column, and
     elsewhere nonzero only at pivot columns, the standard monomials of its
     degree.  Once the slices reach a degree where every monomial lies in
-    the ideal, the vectors whose leading monomial no kept leading monomial
-    of a lower degree divides are exactly the reduced basis.
+    the ideal, the vectors whose leading monomial no smaller kept leading
+    monomial divides are exactly the reduced basis, in ascending order.
     """
     divides = ideal.context.divides
-    kept = []  # (leading monomial, vector)
-    for j in sorted(kernels_by_degree):
-        lower = [lm for lm, _ in kept]
-        for v in kernels_by_degree[j]:
-            m = v.leading_monomial()
-            if not any(divides(lm, m) for lm in lower):
-                kept.append((m, v))
-    kept.sort(key=lambda pair: pair[0])
-    return GroebnerBasis([v for _, v in kept], ideal.context, ideal)
+    kept, lms = [], []
+    for v in sorted(vectors, key=lambda v: v.leading_monomial()):
+        m = v.leading_monomial()
+        if not any(divides(lm, m) for lm in lms):
+            kept.append(v)
+            lms.append(m)
+    return GroebnerBasis(kept, ideal.context, ideal)
 
 
-def _minimalize_local(space, bound, context, truncated):
-    """Extract generators for the ideal spanned by a window subspace of R_{<=bound}.
+def _minimalize(vectors, bound, context, truncated):
+    """Minimal generators of the ideal spanned by vectors of R_{<=bound}.
 
     Candidates are taken in increasing order (valuation), degrevlex breaking
-    ties, and kept when they are independent of the span built so far.
+    ties, and kept when they are independent of the span built so far: by
+    Nakayama, g is a new generator iff g is not in m*I plus the kept ones.
 
-    ``truncated`` says the bound exceeds the degree of every dual generator,
-    so the window is the ideal I modulo m^{bound+1}, and m^{bound+1} lies in
-    m*I.  The span then starts as m*I modulo m^{bound+1}, the window vectors
-    times each variable cut at the bound, and by Nakayama the kept
-    candidates are a minimal generating set; a product made of monomials
-    already inserted alone is skipped.  Otherwise a kept candidate
-    brings its honest multiples that fit in the window, so every emitted
-    generator lies exactly in the window subspace; the list is minimal with
-    respect to window-degree multiples.
+    ``truncated`` says the vectors span all of I modulo m^{bound+1}: a graded
+    annihilator at any bound, whose products never cross degrees, or a local
+    one whose bound exceeds every dual generator degree, so m^{bound+1} lies
+    in m*I.  The span then starts as m*I modulo m^{bound+1}, the vectors
+    times each variable cut at the bound; a vector of order at least the
+    bound has no such product, and a product made of monomials already
+    inserted alone is skipped.  Otherwise a kept candidate brings its honest
+    multiples that fit below the bound, so every emitted generator lies
+    exactly in the span of the vectors; the list is minimal with respect to
+    those multiples.
     """
-    candidates = sorted(space.vectors, key=lambda v: v.leading_monomial(), reverse=True)
+    candidates = sorted(vectors, key=lambda v: v.leading_monomial(), reverse=True)
     candidates.sort(key=lambda v: v.order())
     span = SpanBuilder()
     if truncated:
         inserted = set()  # monomials inserted as products of one term
+        low = [w for w in vectors if w.order() < bound]
         for x in context.var_monomials:
-            for w in space.vectors:
+            for w in low:
                 prod = _monomial_multiple(x, w.terms, context, bound)
                 if not prod.terms.keys() <= inserted:
                     span.insert(prod)
@@ -314,6 +299,18 @@ def _minimalize_local(space, bound, context, truncated):
         for m in _packed_monomials(context.n, 0, bound - int(g.degree())):
             span.insert(_monomial_multiple(m, g.terms, context, bound))
     return gens
+
+
+def minimal_generators(ideal):
+    """Minimal homogeneous generating set of an ideal with homogeneous generators.
+
+    The candidates are the canonical per-degree spans of the given
+    generators; ``_minimalize`` keeps each one outside the honest multiples
+    of the generators kept before it.
+    """
+    if not ideal.is_homogeneous():
+        raise PreconditionError("minimal_generators expects homogeneous generators")
+    return _minimalize(span_reduce(ideal.gens).vectors, ideal.max_degree(), ideal.context, False)
 
 
 def ann_cyclic(F, gen_bound=None):
@@ -359,9 +356,12 @@ def ann_module(gens, degree_bound=None):
     annihilators; it is computed here as one stacked contraction kernel,
     which produces the same canonical subspace in a single elimination.
     Inputs needing more than ``MAX_ANN_COLUMNS`` contraction columns are
-    refused up front.  In graded mode, when the bound exceeds the degree of
-    every generator (the default), the slices hold the whole ideal through
-    a degree it contains entirely, so the returned ideal arrives with its
+    refused up front.  ``_minimalize`` reads the generators off the kernel
+    vectors: graded mode at every bound, and local mode once the bound
+    exceeds every generator degree, start its span from m*Ann cut at the
+    bound.  In graded mode, when the bound exceeds the degree of every
+    generator (the default), the slices hold the whole ideal through a
+    degree it contains entirely, so the returned ideal arrives with its
     reduced Groebner basis (``cached_gb``) read off them and
     ``groebner.buchberger`` does no work on it.
     """
@@ -372,15 +372,12 @@ def ann_module(gens, degree_bound=None):
     top = max(int(g.degree()) for g in gens)
     bound = degree_bound if degree_bound is not None else top + 1
     _refuse_oversized_window(ctx.n, bound, "annihilator")
-    truncated = bound > top
-    if ctx.mode == "graded" and all(g.is_homogeneous() for g in gens):
-        slices = annihilator_slices(gens, bound)
-        ideal = Ideal(_minimalize_graded(slices, ctx), ctx)
-        if truncated:
-            ideal.cached_gb = _reduced_basis(slices, ideal)
-        return ideal
-    window = annihilator_window(gens, bound)
-    return Ideal(_minimalize_local(window, bound, ctx, truncated), ctx)
+    graded = ctx.mode == "graded" and all(g.is_homogeneous() for g in gens)
+    vectors = _annihilator_basis(gens, bound)
+    ideal = Ideal(_minimalize(vectors, bound, ctx, graded or bound > top), ctx)
+    if graded and bound > top:
+        ideal.cached_gb = _reduced_basis(vectors, ideal)
+    return ideal
 
 
 # ---------------------------------------------------------------------------

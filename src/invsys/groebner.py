@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .duality import GroebnerBasis, Ideal, _minimalize_graded, _slices_from_vectors
-from .linalg import rank_of, span_reduce
+from .duality import GroebnerBasis, Ideal
+from .linalg import rank_of
 from .ring import Polynomial, PreconditionError, _check_degree, _packed_monomials
 
 
@@ -340,16 +340,3 @@ def socle_dim(ideal):
                 row = rows.setdefault((i, pos[tm]), {})
                 row[j] = row.get(j, ctx.zero) + tc
     return len(std) - rank_of(list(rows.values()))
-
-
-def minimal_generators(ideal):
-    """Minimal homogeneous generating set, degree-by-degree completion.
-
-    At each degree the given generators' slice is reduced modulo the ideal's
-    part in that degree, grown from the previous degree's part.
-    """
-    if not ideal.is_homogeneous():
-        raise PreconditionError("minimal_generators expects homogeneous generators")
-    slices = _slices_from_vectors(ideal.gens)
-    canonical = {s.degree: span_reduce(s.basis.vectors).vectors for s in slices}
-    return _minimalize_graded(canonical, ideal.context)

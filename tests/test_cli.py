@@ -275,6 +275,26 @@ def test_cone_command(capsys):
     assert "H[2] = X*Y^[2]" in out
 
 
+def test_truncation_level_below_one_is_refused(tmp_path, capsys):
+    # a box with t0 < 1 holds no index, not even the base entry
+    built = [
+        ["cone", "--ring", "Q[x,y]", "--H", "Y", "--d", "1", "--t0", "0"],
+        ["family-from-ideal", "--ring", "Q[x,y]", "--ideal", "x^2", "--z", "y", "--t0", "0"],
+    ]
+    fam_file = tmp_path / "empty.fam"
+    fam_file.write_text("ring Q[x,y] dual [X,Y] mode graded\nd 1\nz y\nt0 0\nH[1] = X\n", encoding="utf-8")
+    loaded = [
+        ["check-admissible", "--family", str(fam_file)],
+        ["finite-lift", "--family", str(fam_file)],
+        ["decompose", "--family", str(fam_file)],
+        ["local-verify", "--family", str(fam_file), "--ideal", "x^2", "--trunc", "3"],
+    ]
+    for argv in built + loaded:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert "t0 must be at least 1" in err
+
+
 def test_output_is_deterministic(capsys, elliptic_curve, tmp_path):
     fam_file = tmp_path / "surface.fam"
     fam_file.write_text(dump_family(elliptic_curve["family"]), encoding="utf-8")

@@ -409,6 +409,10 @@ def test_graded_annihilator_generators_match_multiples_reference(field):
         slices = annihilator_slices([F], int(F.degree()) + 1)
         reference = Ideal(_minimalize_by_multiples(slices, ctx), ctx)
         assert [g.terms for g in ann_cyclic(F).gens] == [g.terms for g in reference.gens]
+        # bounds at or below deg F too: every graded bound starts from m*Ann
+        for b in range(1, int(F.degree()) + 2):
+            reference = Ideal(_minimalize_by_multiples(annihilator_slices([F], b), ctx), ctx)
+            assert [g.terms for g in ann_module([F], b).gens] == [g.terms for g in reference.gens]
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,10 @@ import pytest
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "invsys"
 MODULES = sorted(p.name for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(p.name for p in SOURCE.glob("*.py"))
+# The echelon engine's row format: pivot rows as dicts, the holders index and
+# the row-level insert and reduce.  Only linalg.py may touch them, so a
+# change of row representation stays inside that module.
+ECHELON_INTERNALS = {"pivots", "holders", "insert_row", "reduce_row"}
 
 
 def _unused_imports(tree):
@@ -21,6 +25,15 @@ def _unused_imports(tree):
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _echelon_reads(tree):
+    """(line, attribute) of every use of an echelon internal by attribute access."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ECHELON_INTERNALS
+    )
 
 
 def _function_imports(tree):
@@ -68,3 +81,20 @@ def test_function_import_check_sees_deferred_imports():
         "        import os\n"
     )
     assert _function_imports(tree) == [3, 5, 8]
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "linalg.py"])
+def test_module_keeps_out_of_echelon_rows(module):
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    assert _echelon_reads(tree) == []
+
+
+def test_echelon_read_check_sees_row_access():
+    tree = ast.parse(
+        "span = SpanBuilder()\n"
+        "for row in span.pivots.values():\n"
+        "    span.insert_row(row)\n"
+        "rows = span.basis()\n"
+        "holders = span.holders\n"
+    )
+    assert _echelon_reads(tree) == [(2, "pivots"), (3, "insert_row"), (5, "holders")]
