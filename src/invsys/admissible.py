@@ -17,9 +17,9 @@ import functools
 from dataclasses import dataclass
 
 from .duality import (
-    _annihilator_basis,
     _slices_from_vectors,
     ann_cyclic,
+    annihilator_window,
     contraction_rows,
     flatten,
     module_span,
@@ -208,7 +208,7 @@ def check_condition_two(fam, mode="annihilator"):
 
     @functools.cache
     def annihilator_at(L, bound):
-        return _annihilator_basis([fam.entry(L)], bound)
+        return annihilator_window([fam.entry(L)], bound).vectors
 
     @functools.cache
     def target_at(K):

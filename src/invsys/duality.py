@@ -1,9 +1,9 @@
 """Macaulay duality primitives.
 
 Spans of cyclic submodules of the dual, annihilator ideals, per-degree
-inverse systems and Hilbert functions.  In graded mode everything is sliced
-degree by degree; in local mode computations run over a bounded-degree window
-and spaces are organized by the filtration (leading-degree) slices, so every
+inverse systems and Hilbert functions.  Annihilators are one kernel over a
+bounded-degree window; graded inverse systems are sliced degree by degree,
+local ones organized by the filtration (leading-degree) slices, so every
 bounded statement is exact despite the truncation.
 """
 
@@ -198,21 +198,16 @@ def contraction_kernel(fixed, index, context, side):
 # annihilators
 
 
-def annihilator_slices(gens, bound):
-    """Graded annihilator slices: basis of Ann(gens)_j for each j in 1..bound.
+def annihilator_window(gens, bound):
+    """Basis of the joint annihilator of the given dual elements within R_{<=bound}.
 
-    Ann_0 is zero because the generators are nonzero.
+    For homogeneous generators the matrix is block-diagonal by degree (a
+    column of degree j reaches only rows of degree deg F - j), so the basis
+    is the union of the per-degree kernels.  Windows over
+    ``MAX_ANN_COLUMNS`` monomials are refused up front.
     """
     ctx = gens[0].context
-    return {
-        j: contraction_kernel(gens, MonomialIndex.of_degree(ctx.n, j), ctx, "r").vectors
-        for j in range(1, bound + 1)
-    }
-
-
-def annihilator_window(gens, bound):
-    """Basis of the joint annihilator of the given dual elements within R_{<=bound}."""
-    ctx = gens[0].context
+    _refuse_oversized_window(ctx.n, bound, "annihilator")
     return contraction_kernel(gens, MonomialIndex.window(ctx.n, bound), ctx, "r")
 
 
@@ -224,26 +219,15 @@ def _monomial_multiple(m, terms, context, bound):
     return Polynomial._of(context, {m + e: c for e, c in terms.items() if e < limit})
 
 
-def _annihilator_basis(gens, bound):
-    """Spanning set of Ann(gens) in degrees at most ``bound``, no minimality.
-
-    Homogeneous generators in graded mode give the per-degree kernels
-    flattened in ascending degree; otherwise this is the window kernel.
-    """
-    ctx = gens[0].context
-    if ctx.mode == "graded" and all(g.is_homogeneous() for g in gens):
-        return [v for basis in annihilator_slices(gens, bound).values() for v in basis]
-    return annihilator_window(gens, bound).vectors
-
-
 def _reduced_basis(vectors, ideal):
-    """Reduced degrevlex Groebner basis of an ideal read off its canonical slices.
+    """Reduced degrevlex Groebner basis of a homogeneous ideal read off its window kernel.
 
-    Each kernel vector is monic at its leading monomial, a free column, and
-    elsewhere nonzero only at pivot columns, the standard monomials of its
-    degree.  Once the slices reach a degree where every monomial lies in
-    the ideal, the vectors whose leading monomial no smaller kept leading
-    monomial divides are exactly the reduced basis, in ascending order.
+    Each kernel vector is homogeneous, monic at its leading monomial, a free
+    column, and elsewhere nonzero only at pivot columns, the standard
+    monomials of its degree.  Once the window reaches a degree where every
+    monomial lies in the ideal, the vectors whose leading monomial no
+    smaller kept leading monomial divides are exactly the reduced basis, in
+    ascending order whatever the order of the input.
     """
     divides = ideal.context.divides
     kept, lms = [], []
@@ -316,18 +300,18 @@ def minimal_generators(ideal):
 def ann_cyclic(F, gen_bound=None):
     """Minimal generators of the annihilator of a single dual element.
 
-    Graded mode slices degree by degree (kernels of the contraction maps
-    R_j -> dual_(s-j)); local mode solves one kernel over the window
-    R_{<=bound} and minimalizes along the valuation filtration.  With the
-    default bound deg F + 1 the result generates the full annihilator, and
-    the quotient by it is Artinian Gorenstein.
+    Both modes solve one kernel over the window R_{<=bound}, which for a
+    homogeneous F is the direct sum of the kernels of the contraction maps
+    R_j -> dual_(s-j), and minimalize along the valuation filtration.  With
+    the default bound deg F + 1 the result generates the full annihilator,
+    and the quotient by it is Artinian Gorenstein.
     """
     if F.is_zero():
         raise PreconditionError("annihilator of 0 is the unit ideal")
     return ann_module([F], gen_bound)
 
 
-# Largest number of contraction columns that ``ann_module`` and
+# Largest number of contraction columns that ``annihilator_window`` and
 # ``perp_ideal`` accept -- monomials of degree at most the bound,
 # C(n + bound, n) -- and of contractions that ``module_span`` accepts, one per
 # divisor of a generator term.  The tests and benchmarks need at most 3003
@@ -353,17 +337,16 @@ def ann_module(gens, degree_bound=None):
     """Bounded part of the joint annihilator of several dual elements.
 
     The joint annihilator is the intersection of the per-generator
-    annihilators; it is computed here as one stacked contraction kernel,
-    which produces the same canonical subspace in a single elimination.
-    Inputs needing more than ``MAX_ANN_COLUMNS`` contraction columns are
-    refused up front.  ``_minimalize`` reads the generators off the kernel
-    vectors: graded mode at every bound, and local mode once the bound
-    exceeds every generator degree, start its span from m*Ann cut at the
-    bound.  In graded mode, when the bound exceeds the degree of every
-    generator (the default), the slices hold the whole ideal through a
-    degree it contains entirely, so the returned ideal arrives with its
-    reduced Groebner basis (``cached_gb``) read off them and
-    ``groebner.buchberger`` does no work on it.
+    annihilators; it is computed here as one stacked contraction kernel over
+    the window R_{<=bound} (``annihilator_window``, which refuses windows of
+    more than ``MAX_ANN_COLUMNS`` monomials).  ``_minimalize`` reads the
+    generators off the kernel vectors: graded mode at every bound, and local
+    mode once the bound exceeds every generator degree, start its span from
+    m*Ann cut at the bound.  In graded mode, when the bound exceeds the
+    degree of every generator (the default), the window holds the whole
+    ideal through a degree it contains entirely, so the returned ideal
+    arrives with its reduced Groebner basis (``cached_gb``) read off the
+    kernel and ``groebner.buchberger`` does no work on it.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -371,9 +354,8 @@ def ann_module(gens, degree_bound=None):
     ctx = gens[0].context
     top = max(int(g.degree()) for g in gens)
     bound = degree_bound if degree_bound is not None else top + 1
-    _refuse_oversized_window(ctx.n, bound, "annihilator")
     graded = ctx.mode == "graded" and all(g.is_homogeneous() for g in gens)
-    vectors = _annihilator_basis(gens, bound)
+    vectors = annihilator_window(gens, bound).vectors
     ideal = Ideal(_minimalize(vectors, bound, ctx, graded or bound > top), ctx)
     if graded and bound > top:
         ideal.cached_gb = _reduced_basis(vectors, ideal)
@@ -399,6 +381,9 @@ def perp_ideal(I, degree_bound=None):
     if ctx.mode == "graded":
         if not I.is_homogeneous():
             raise PreconditionError("graded mode needs homogeneous generators")
+        # One kernel per degree, not their sum over the window: the window
+        # matrix holds every degree at once (twice the traced peak memory
+        # for the inverse system of a degree-29 form in three variables).
         return [
             GradedSlice(j, contraction_kernel(I.gens, MonomialIndex.of_degree(ctx.n, j), ctx, "dual"))
             for j in range(bound + 1)

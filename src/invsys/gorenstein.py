@@ -23,6 +23,7 @@ from .admissible import (
 from .duality import (
     Ideal,
     ann_cyclic,
+    annihilator_window,
     flatten,
     ideal_contains_mod,
     module_span,
@@ -99,6 +100,8 @@ def finite_lift(fam, max_gen_degree=None):
     ctx = fam.context
     if ctx.mode != "graded":
         raise PreconditionError("finite reconstruction applies to graded families")
+    if max_gen_degree is not None and max_gen_degree < 1:
+        raise PreconditionError(f"generator degree bound must be at least 1, got {max_gen_degree}")
     r = int(fam.base_entry.degree())
     if max_gen_degree is None:
         level, bound = r + 2, r + 1
@@ -108,9 +111,7 @@ def finite_lift(fam, max_gen_degree=None):
         raise PreconditionError(
             f"family box too small: diagonal level {level} needed, box holds {fam.t0}"
         )
-    top = fam.entry(fam.diagonal_index(level))
-    ann = ann_cyclic(top, gen_bound=bound)
-    return Ideal([g for g in ann.gens if g.degree() <= bound], ctx)
+    return ann_cyclic(fam.entry(fam.diagonal_index(level)), gen_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +197,15 @@ def gorenstein_check(I, d, zs):
 
     Negative findings are reported in the certificate rather than raised; the
     multiplicity, regularity and reduction Hilbert function come from the
-    Hilbert data of the ideal and its Artinian reduction.
+    Hilbert data of the ideal and its Artinian reduction.  Those come from
+    graded Groebner bases, which certify a local ring only for homogeneous
+    generators, so local mode refuses any other ideal or sequence.
     """
+    if I.context.mode == "local" and not all(g.is_homogeneous() for g in [*I.gens, *zs]):
+        raise PreconditionError(
+            "local gorenstein-check needs homogeneous generators; "
+            "certify others with family-from-ideal + local-verify"
+        )
     data = hilbert_data(I)
     certificate = []
     dim_ok = data.dimension == d
@@ -236,11 +244,15 @@ def local_verify(fam, I_claim, trunc=None):
     Checks admissibility of the family and, for every boxed index L, the
     two inclusions between the annihilator of the entry and the claimed
     ideal plus the pure powers of the distinguished variables, all modulo
-    the trunc-th power of the maximal ideal.
+    the trunc-th power of the maximal ideal.  The annihilator side is the
+    window kernel over R_{<trunc}, which spans the same ideal modulo
+    m^trunc as its minimal generators, so none are computed.
     """
     ctx = fam.context
     if trunc is None:
         trunc = max(int(H.degree()) for H in fam.entries.values() if not H.is_zero()) + 2
+    if trunc < 1:
+        raise PreconditionError(f"truncation degree must be at least 1, got {trunc}")
     violations = list(check_family(fam).violations)
     for L in sorted(fam.entries, key=lambda L: (sum(L), L)):
         H = fam.entry(L)
@@ -256,8 +268,8 @@ def local_verify(fam, I_claim, trunc=None):
                 violations.append(
                     CheckViolation(L, "ideal-into-annihilator", f"{g} does not annihilate the entry")
                 )
-        ann_gens = ann_cyclic(H, gen_bound=trunc - 1).gens
-        if not ideal_contains_mod(target_gens, ann_gens, trunc, ctx):
+        ann = annihilator_window([H], trunc - 1).vectors
+        if not ideal_contains_mod(target_gens, ann, trunc, ctx):
             violations.append(
                 CheckViolation(
                     L,

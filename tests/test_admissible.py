@@ -124,7 +124,7 @@ def test_condition_two_builds_each_target_and_annihilator_once(
     # annihilator mode one basis per distinct (entry, degree bound) pair
     # (elliptic: 12 steps, 8 pairs)
     builders, annihilators = [], []
-    build, annihilate = admissible.SubspaceBasis.builder, admissible._annihilator_basis
+    build, annihilate = admissible.SubspaceBasis.builder, admissible.annihilator_window
 
     def counting_build(basis):
         builders.append(basis)
@@ -135,7 +135,7 @@ def test_condition_two_builds_each_target_and_annihilator_once(
         return annihilate(H, bound)
 
     monkeypatch.setattr(admissible.SubspaceBasis, "builder", counting_build)
-    monkeypatch.setattr(admissible, "_annihilator_basis", counting_annihilate)
+    monkeypatch.setattr(admissible, "annihilator_window", counting_annihilate)
     for fam, targets in ((semigroup_curve["family"], 1), (elliptic_curve["family"], 5)):
         builders.clear()
         assert check_condition_two(fam, "intersection").passed

@@ -295,6 +295,31 @@ def test_truncation_level_below_one_is_refused(tmp_path, capsys):
         assert "t0 must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "ring, ideal, d, z",
+    [("Q[x,y,z] mode local", "y*z-x^3, z^2-y^3", "1", "x"), ("Q[x,y] mode local", "x*y, y^2-x^3", "0", "")],
+    ids=["semigroup-curve", "artinian"],
+)
+def test_gorenstein_check_refuses_nonhomogeneous_local_ideals(capsys, ring, ideal, d, z):
+    code, out, err = run(capsys, "gorenstein-check", "--ring", ring, "--ideal", ideal, "--d", d, "--z", z)
+    assert code == 3 and out == ""
+    assert "family-from-ideal" in err and "local-verify" in err
+
+
+def test_bounds_below_one_are_refused(tmp_path, capsys, curve_codim2, semigroup_curve):
+    graded, local = tmp_path / "curve.fam", tmp_path / "semigroup.fam"
+    graded.write_text(dump_family(curve_codim2["family5"]), encoding="utf-8")
+    local.write_text(dump_family(semigroup_curve["family"]), encoding="utf-8")
+    for value in ("0", "-5"):
+        code, out, err = run(capsys, "finite-lift", "--family", str(graded), "--max-gen-degree", value)
+        assert code == 3 and out == "" and "at least 1" in err, value
+    for value in ("0", "-4"):
+        code, out, err = run(
+            capsys, "local-verify", "--family", str(local), "--ideal", "y*z-x^3, z^2-y^3", "--trunc", value
+        )
+        assert code == 3 and out == "" and "at least 1" in err, value
+
+
 def test_output_is_deterministic(capsys, elliptic_curve, tmp_path):
     fam_file = tmp_path / "surface.fam"
     fam_file.write_text(dump_family(elliptic_curve["family"]), encoding="utf-8")

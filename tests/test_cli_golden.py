@@ -177,9 +177,11 @@ CASES = {
     "finite-lift-bound": ["finite-lift", "--family", "@curve5", "--max-gen-degree", "3"],
     "finite-lift-codim4": ["finite-lift", "--json", "--family", "@codim4", "--max-gen-degree", "2"],
     "finite-lift-box-too-small": ["finite-lift", "--family", "@curve4"],
+    "finite-lift-negative-bound": ["finite-lift", "--family", "@curve5", "--max-gen-degree", "-5"],
     "local-verify-pass": ["local-verify", "--family", "@semigroup5", "--ideal", "y*z-x^3, z^2-y^3", "--trunc", "7"],
     "local-verify-fail": ["local-verify", "--family", "@semigroup5", "--ideal", "y*z-x^3, z^2", "--trunc", "7"],
     "local-verify-fail-json": ["local-verify", "--json", "--family", "@semigroup4", "--ideal", "y*z, z^2-y^3"],
+    "local-verify-trunc-zero": ["local-verify", "--family", "@semigroup5", "--ideal", "y*z-x^3, z^2-y^3", "--trunc", "0"],
     "decompose": ["decompose", "--family", "@curve5"],
     "decompose-json": ["decompose", "--json", "--family", "@codim4"],
     "decompose-corrupted": ["decompose", "--family", "@broken"],
@@ -188,6 +190,7 @@ CASES = {
     "cone-rejected": ["cone", "--ring", "Q[x,y]", "--H", "X*Y", "--d", "1", "--t0", "2"],
     "gorenstein-check": ["gorenstein-check", "--ring", "Q[x,y,z]", "--ideal", CURVE, "--d", "1", "--z", "x"],
     "gorenstein-check-json": ["gorenstein-check", "--json", "--ring", "Q[x,y,z,t,v]", "--ideal", CODIM4, "--d", "1", "--z", "v"],
+    "gorenstein-check-local-refused": ["gorenstein-check", "--ring", "Q[x,y,z] mode local", "--ideal", "y*z-x^3, z^2-y^3", "--d", "1", "--z", "x"],
     "gorenstein-check-negative": ["gorenstein-check", "--ring", "Q[x,y,z]", "--ideal", "x*y, x*z, y*z", "--d", "1", "--z", "x+y+z"],
     "parse-error": ["ann", "--ring", "Q[x,y]", "--poly", "Y^["],
     "parse-error-ring": ["ann", "--ring", "Q[x,y", "--poly", "X"],

@@ -21,14 +21,14 @@ from invsys import (
 )
 from invsys.duality import (
     _slices_from_vectors,
-    annihilator_slices,
     annihilator_window,
+    contraction_rows,
     flatten,
     ideal_contains_mod,
     ideal_window_span,
     ideals_equal_mod,
 )
-from invsys.linalg import SpanBuilder
+from invsys.linalg import MonomialIndex, SpanBuilder, kernel_vectors
 from invsys.ring import DPPolynomial, Polynomial, contract, contract_monomial, monomials_of_degree
 
 
@@ -382,6 +382,41 @@ def test_module_span_matches_divisor_enumeration(field, mode):
         assert span and _slice_terms(span) == _slice_terms(_divisor_span(gens, bound))
 
 
+def _per_degree_kernels(gens, bound):
+    """Canonical kernel of contraction on each R_j, j = bound down to 0, concatenated."""
+    ctx = gens[0].context
+    out = []
+    for j in range(bound, -1, -1):
+        index = MonomialIndex.of_degree(ctx.n, j)
+        rows = list(contraction_rows(gens, index).values())
+        out.extend(index.poly(v, ctx, "r") for v in kernel_vectors(rows, len(index), ctx.one))
+    return out
+
+
+@pytest.mark.parametrize("field", ["Q", f"Fp({P})"])
+def test_homogeneous_window_kernel_is_the_sum_of_degree_kernels(field):
+    # a column of degree j reaches only rows of degree deg F - j, so the
+    # window matrix is block-diagonal and its reduced echelon kernel is the
+    # per-degree kernels, vector for vector and in the same order
+    rng = rng_for(f"window-degree-kernels-{field}")
+    for k in range(8):
+        names = "xyzt"[: rng.randint(2, 4)]
+        ctx = ctx_of(f"ring {field}[{','.join(names)}] dual [{','.join(names.upper())}]")
+        gens = [_random_dual(rng, ctx, homogeneous=True) for _ in range(1 + k % 2)]
+        top = max(int(g.degree()) for g in gens)
+        for b in range(1, top + 2):
+            window = annihilator_window(gens, b).vectors
+            assert [v.terms for v in window] == [v.terms for v in _per_degree_kernels(gens, b)]
+
+
+def _window_slices(gens, bound):
+    """The window annihilator's kernel vectors grouped by degree."""
+    slices = {}
+    for v in annihilator_window(gens, bound).vectors:
+        slices.setdefault(int(v.degree()), []).append(v)
+    return slices
+
+
 def _minimalize_by_multiples(slices, ctx):
     """Reference graded minimalization: each degree spans every monomial
     multiple of every generator found in a lower degree."""
@@ -406,12 +441,12 @@ def test_graded_annihilator_generators_match_multiples_reference(field):
         names = "xyzt"[: rng.randint(3, 4)]
         ctx = ctx_of(f"ring {field}[{','.join(names)}] dual [{','.join(names.upper())}]")
         F = _random_dual(rng, ctx, homogeneous=True)
-        slices = annihilator_slices([F], int(F.degree()) + 1)
+        slices = _window_slices([F], int(F.degree()) + 1)
         reference = Ideal(_minimalize_by_multiples(slices, ctx), ctx)
         assert [g.terms for g in ann_cyclic(F).gens] == [g.terms for g in reference.gens]
         # bounds at or below deg F too: every graded bound starts from m*Ann
         for b in range(1, int(F.degree()) + 2):
-            reference = Ideal(_minimalize_by_multiples(annihilator_slices([F], b), ctx), ctx)
+            reference = Ideal(_minimalize_by_multiples(_window_slices([F], b), ctx), ctx)
             assert [g.terms for g in ann_module([F], b).gens] == [g.terms for g in reference.gens]
 
 

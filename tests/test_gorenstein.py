@@ -1,7 +1,9 @@
 """Reconstruction pipelines, certification, local verification."""
 
+import itertools
+
 import pytest
-from conftest import ctx_of, dual, ideal_of, ring_poly, same_ideal
+from conftest import ctx_of, dual, ideal_of, ring_poly, rng_for, same_ideal
 
 from invsys import (
     Ideal,
@@ -9,6 +11,7 @@ from invsys import (
     ann_cyclic,
     build_family,
     check_family,
+    cone_family,
     family_from_ideal,
     finite_lift,
     gorenstein_check,
@@ -20,11 +23,11 @@ from invsys import (
     span_dim,
 )
 from invsys import groebner
-from invsys.duality import flatten, ideals_equal_mod
+from invsys.duality import annihilator_window, flatten, ideal_contains_mod, ideals_equal_mod
 from invsys.gorenstein import second_difference
 from invsys.groebner import hilbert_data, is_regular_sequence
 from invsys.linalg import span_reduce
-from invsys.ring import contract, monomials_of_degree
+from invsys.ring import DPPolynomial, contract, monomials_of_degree
 
 
 # -- finite reconstruction ---------------------------------------------------------
@@ -57,6 +60,12 @@ def test_finite_lift_needs_deep_enough_box(curve_codim2):
 def test_finite_lift_rejects_local_mode(semigroup_curve):
     with pytest.raises(PreconditionError):
         finite_lift(semigroup_curve["family"])
+
+
+@pytest.mark.parametrize("bound", [0, -5])
+def test_finite_lift_refuses_generator_degree_below_one(curve_codim2, bound):
+    with pytest.raises(PreconditionError, match="at least 1"):
+        finite_lift(curve_codim2["family5"], max_gen_degree=bound)
 
 
 # -- invariants --------------------------------------------------------------------
@@ -111,6 +120,31 @@ def test_gorenstein_check_negative_socle():
     report = gorenstein_check(ideal_of(ctx, "x^2, x*y, y^3"), 1, [ctx.variable(2)])
     assert not report.is_gorenstein
     assert any("socle dimension of the reduction is 2" in c for c in report.certificate)
+
+
+@pytest.mark.parametrize(
+    "decl, gens, d, zs",
+    [
+        ("Q[x,y,z]", "y*z-x^3, z^2-y^3", 1, ["x"]),
+        ("Q[x,y]", "x*y, y^2-x^3", 0, []),
+        ("Q[x,y,z]", "y*z+x*z, y^3+z^3-x*y^2+x^2*y-x^3", 1, ["x+y^2"]),
+    ],
+    ids=["semigroup-curve", "artinian", "sequence"],
+)
+def test_gorenstein_check_refuses_nonhomogeneous_local_ideals(decl, gens, d, zs):
+    # graded Groebner bases describe the affine degree filtration of such an
+    # ideal, not its local ring: the semigroup curve is Gorenstein, yet its
+    # graded data said "no"
+    ctx = ctx_of(f"ring {decl} mode local")
+    with pytest.raises(PreconditionError, match="family-from-ideal.*local-verify"):
+        gorenstein_check(ideal_of(ctx, gens), d, [ring_poly(ctx, z) for z in zs])
+
+
+def test_gorenstein_check_keeps_homogeneous_local_ideals(curve_codim2):
+    local = ctx_of("ring Q[x,y,z] dual [X,Y,Z] mode local")
+    report = gorenstein_check(ideal_of(local, str(curve_codim2["ideal"])), 1, [local.variable(0)])
+    graded = gorenstein_check(curve_codim2["ideal"], 1, [curve_codim2["ctx"].variable(0)])
+    assert report.is_gorenstein and report.to_json() == graded.to_json()
 
 
 def _count_computed_bases(monkeypatch):
@@ -248,6 +282,55 @@ def test_local_verify_flags_wrong_ideal(semigroup_curve):
     wrong = ideal_of(ctx, "y*z-x^3, z^2-y^3, x^2*y")
     report = local_verify(semigroup_curve["family"], wrong, trunc=7)
     assert not report.passed
+
+
+@pytest.mark.parametrize("trunc", [0, -4])
+def test_local_verify_refuses_truncation_below_one(semigroup_curve, trunc):
+    with pytest.raises(PreconditionError, match="at least 1"):
+        local_verify(semigroup_curve["family"], semigroup_curve["ideal"], trunc=trunc)
+
+
+def _seeded_local_families(semigroup_curve):
+    """(family, [true claim, perturbed claim]) pairs in local mode.
+
+    Beyond the semigroup curve, cones over seeded dual elements that avoid
+    X: their ideal is generated by the annihilator's generators other than
+    x, and the perturbed claim multiplies the last of those by y, which
+    makes it smaller.
+    """
+    ctx = semigroup_curve["ctx"]
+    yield semigroup_curve["family"], [semigroup_curve["ideal"], ideal_of(ctx, "y*z-x^3, z^2")]
+    for field in ("Q", "Fp(32003)"):
+        rng = rng_for(f"local-verify-window-{field}")
+        ctx = ctx_of(f"ring {field}[x,y,z,t] dual [X,Y,Z,T] mode local")
+        for _ in range(2):
+            terms = {}
+            while len(terms) < 4:  # degrees 1 to 4 in Y, Z, T
+                e = [0] * ctx.n
+                for _ in range(rng.randint(1, 4)):
+                    e[rng.randrange(1, ctx.n)] += 1
+                terms[tuple(e)] = ctx.scalar(rng.choice([-3, -2, -1, 1, 2, 3]))
+            H = DPPolynomial(ctx, terms)
+            gens = [g for g in ann_cyclic(H).gens if g != ctx.variable(0)]
+            perturbed = gens[:-1] + [gens[-1] * ctx.variable(1)]
+            yield cone_family(H, 1, 3), [Ideal(gens, ctx), Ideal(perturbed, ctx)]
+
+
+def test_local_verify_window_vectors_give_the_minimal_generators_verdicts(semigroup_curve):
+    # the window kernel and the minimal generators read off it generate the
+    # same ideal modulo m^trunc, so truncated containment cannot tell them apart
+    verdicts = []
+    for fam, claims in _seeded_local_families(semigroup_curve):
+        ctx = fam.context
+        top = max(int(H.degree()) for H in fam.entries.values())
+        for claim, (L, H) in itertools.product(claims, sorted(fam.entries.items())):
+            targets = list(claim.gens) + [fam.z_variable(0) ** L[0]]  # d = 1 throughout
+            for t in range(1, top + 3):
+                minimal = ideal_contains_mod(targets, ann_cyclic(H, gen_bound=t - 1).gens, t, ctx)
+                window = ideal_contains_mod(targets, annihilator_window([H], t - 1).vectors, t, ctx)
+                assert minimal == window, (str(H), str(claim), t)
+                verdicts.append(minimal)
+    assert True in verdicts and False in verdicts
 
 
 def test_family_from_ideal_local_semigroup(semigroup_curve):

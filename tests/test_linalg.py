@@ -3,7 +3,7 @@
 import pytest
 from conftest import ctx_of, dual, frac, ideal_of, ring_poly, rng_for, random_poly
 
-from invsys import MonomialIndex, membership, perp_ideal, span_intersect, span_reduce
+from invsys import MonomialIndex, ann_module, membership, perp_ideal, span_intersect, span_reduce
 from invsys import linalg
 from invsys.linalg import kernel_vectors, rank_of, rref_rows, solve_affine
 
@@ -109,6 +109,12 @@ def test_graded_perp_runs_one_elimination_per_degree(monkeypatch, curve_codim2):
     local = ctx_of("ring Q[x,y] dual [X,Y] mode local")
     perp_ideal(ideal_of(local, "x*y, y^2-x^3"), 5)
     assert len(eliminations) == 1
+    # a graded annihilator is one window kernel and one minimalizing span
+    F = curve_codim2["H"][2]
+    for b in range(1, int(F.degree()) + 2):
+        eliminations.clear()
+        ann_module([F], b)
+        assert len(eliminations) == 2, b
 
 
 def test_rank_nullity_random():
