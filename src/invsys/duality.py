@@ -250,37 +250,74 @@ def _minimalize(vectors, bound, context, truncated):
     annihilator at any bound, whose products never cross degrees, or a local
     one whose bound exceeds every dual generator degree, so m^{bound+1} lies
     in m*I.  The span then starts as m*I modulo m^{bound+1}, the vectors
-    times each variable cut at the bound; a vector of order at least the
-    bound has no such product, and a product made of monomials already
-    inserted alone is skipped.  Otherwise a kept candidate brings its honest
-    multiples that fit below the bound, so every emitted generator lies
-    exactly in the span of the vectors; the list is minimal with respect to
-    those multiples.
+    times each variable cut at the bound.  Almost every window vector is one
+    monomial, so the span is held in two parts: a set ``units`` of packed
+    monomials (the products of one-term vectors, and every product or kept
+    generator left with one term once the set's monomials are stripped) and
+    an echelon span of the other stripped products and kept generators.  No
+    echelon pivot lies in the set, so the set's unit vectors and the
+    stripped echelon rows are the reduced echelon basis of the whole span: a
+    candidate stripped, reduced by the echelon span and stripped again is
+    its remainder modulo the whole span, term for term.
+
+    Otherwise a kept candidate brings its honest multiples that fit below
+    the bound, so every emitted generator lies exactly in the span of the
+    vectors; the list is minimal with respect to those multiples.  When
+    every candidate is homogeneous the span is graded, and the multiples go
+    only into degrees that a later candidate has.
     """
     candidates = sorted(vectors, key=lambda v: v.leading_monomial(), reverse=True)
     candidates.sort(key=lambda v: v.order())
     span = SpanBuilder()
+    units = set()
+
+    def strip(p):
+        return Polynomial._of(context, {m: c for m, c in p.terms.items() if m not in units})
+
     if truncated:
-        inserted = set()  # monomials inserted as products of one term
-        low = [w for w in vectors if w.order() < bound]
-        for x in context.var_monomials:
-            for w in low:
-                prod = _monomial_multiple(x, w.terms, context, bound)
-                if not prod.terms.keys() <= inserted:
-                    span.insert(prod)
-                    if len(prod.terms) == 1:
-                        inserted.update(prod.terms)
+        xs, base, limit = context.var_monomials, context.base, (bound + 1) << context.shift
+        monomials, rows = [], []
+        for w in vectors:
+            if len(w.terms) == 1:
+                monomials.extend(w.terms)
+            elif w.order() < bound:  # else no product below the bound
+                rows.extend(_monomial_multiple(x, w.terms, context, bound) for x in xs)
+        units.update(p for m in monomials for x in xs if (p := m - base + x) < limit)
+        while True:  # a row left with one monomial joins the set and may strip others
+            size = len(units)
+            kept = []
+            for row in map(strip, rows):
+                if len(row.terms) == 1:
+                    units.update(row.terms)
+                elif row.terms:
+                    kept.append(row)
+            rows = kept
+            if len(units) == size:
+                break
+        for row in rows:
+            span.insert(row)
+    homogeneous = not truncated and all(v.is_homogeneous() for v in candidates)
     gens = []
-    for v in candidates:
-        r = span.reduce(v)
+    for k, v in enumerate(candidates):
+        if v.terms.keys() <= units:
+            continue  # in the span of the set
+        r = strip(span.reduce(strip(v)))
         if r.is_zero():
             continue
         g = r.monic()
         gens.append(g)
         if truncated:
-            span.insert(g)
+            if len(g.terms) == 1:
+                units.update(g.terms)
+            else:
+                span.insert(g)
             continue
-        for m in _packed_monomials(context.n, 0, bound - int(g.degree())):
+        d = int(g.degree())
+        multiples = _packed_monomials(context.n, 0, bound - d)
+        if homogeneous:
+            later = {int(w.degree()) - d for w in candidates[k + 1 :]}
+            multiples = [m for m in multiples if m >> context.shift in later]
+        for m in multiples:
             span.insert(_monomial_multiple(m, g.terms, context, bound))
     return gens
 

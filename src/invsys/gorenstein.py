@@ -250,7 +250,7 @@ def local_verify(fam, I_claim, trunc=None):
     """
     ctx = fam.context
     if trunc is None:
-        trunc = max(int(H.degree()) for H in fam.entries.values() if not H.is_zero()) + 2
+        trunc = max((int(H.degree()) for H in fam.entries.values() if not H.is_zero()), default=0) + 2
     if trunc < 1:
         raise PreconditionError(f"truncation degree must be at least 1, got {trunc}")
     violations = list(check_family(fam).violations)

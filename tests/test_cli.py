@@ -295,6 +295,15 @@ def test_truncation_level_below_one_is_refused(tmp_path, capsys):
         assert "t0 must be at least 1" in err
 
 
+def test_local_verify_reports_zero_entries_with_or_without_truncation(tmp_path, capsys):
+    fam_file = tmp_path / "zero.fam"
+    fam_file.write_text("ring Q[x,y] dual [X,Y] mode local\nd 1\nz x\nt0 2\nH[1] = 0\nH[2] = 0\n", encoding="utf-8")
+    for trunc in ([], ["--trunc", "3"]):
+        code, out, err = run(capsys, "local-verify", "--family", str(fam_file), "--ideal", "x", *trunc)
+        assert code == 4 and err == "", trunc
+        assert out.count("entry is zero") == 2
+
+
 @pytest.mark.parametrize(
     "ring, ideal, d, z",
     [("Q[x,y,z] mode local", "y*z-x^3, z^2-y^3", "1", "x"), ("Q[x,y] mode local", "x*y, y^2-x^3", "0", "")],

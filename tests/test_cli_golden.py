@@ -107,6 +107,14 @@ z x
 H[1] = Y^[2]
 H[2] = X*Y^[2]+Z^[3]
 """,
+    "zero-local": """\
+ring Q[x,y] dual [X,Y] mode local
+d 1
+z x
+t0 2
+H[1] = 0
+H[2] = 0
+""",
     "perturbed-local": """\
 ring Q[x,y,z] dual [X,Y,Z] mode local
 d 1
@@ -182,6 +190,7 @@ CASES = {
     "local-verify-fail": ["local-verify", "--family", "@semigroup5", "--ideal", "y*z-x^3, z^2", "--trunc", "7"],
     "local-verify-fail-json": ["local-verify", "--json", "--family", "@semigroup4", "--ideal", "y*z, z^2-y^3"],
     "local-verify-trunc-zero": ["local-verify", "--family", "@semigroup5", "--ideal", "y*z-x^3, z^2-y^3", "--trunc", "0"],
+    "local-verify-zero-entries": ["local-verify", "--family", "@zero-local", "--ideal", "x"],
     "decompose": ["decompose", "--family", "@curve5"],
     "decompose-json": ["decompose", "--json", "--family", "@codim4"],
     "decompose-corrupted": ["decompose", "--family", "@broken"],

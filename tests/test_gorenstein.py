@@ -290,6 +290,16 @@ def test_local_verify_refuses_truncation_below_one(semigroup_curve, trunc):
         local_verify(semigroup_curve["family"], semigroup_curve["ideal"], trunc=trunc)
 
 
+def test_local_verify_reports_an_all_zero_family_without_truncation():
+    # the default truncation has no nonzero entry to read its degree off
+    ctx = ctx_of("ring Q[x,y] dual [X,Y] mode local")
+    fam = build_family(ctx, (0,), {(1,): DPPolynomial.zero(ctx), (2,): DPPolynomial.zero(ctx)})
+    for trunc in (None, 3):
+        report = local_verify(fam, ideal_of(ctx, "x"), trunc=trunc)
+        assert not report.passed
+        assert [(v.index, v.condition) for v in report.violations] == [((1,), "entry"), ((2,), "entry")]
+
+
 def _seeded_local_families(semigroup_curve):
     """(family, [true claim, perturbed claim]) pairs in local mode.
 
