@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .linalg import MonomialIndex, SpanBuilder, SubspaceBasis, kernel_vectors, span_reduce
 from .ring import (
@@ -80,6 +81,30 @@ class GroebnerBasis:
         return [lm for lm, _ in self.reducers]
 
 
+@dataclass
+class HilbertData:
+    """Numerator h(t) with h(1) != 0, Krull dimension, multiplicity, regularity proxy.
+
+    The Hilbert series of the quotient is h(t)/(1-t)^dimension; the
+    regularity proxy is deg h, which for a Cohen-Macaulay quotient equals the
+    Castelnuovo-Mumford regularity (the socle degree of an Artinian reduction).
+    ``groebner.hilbert_series`` computes it from a leading-term ideal;
+    ``ann_module`` reads that of a graded annihilator off its kernel.
+    """
+
+    numerator: list
+    dimension: int
+    multiplicity: int
+    regularity: int
+
+    def series_coeffs(self, upto):
+        """Hilbert function values 0..upto from the rational form."""
+        coeffs = (list(self.numerator) + [0] * (upto + 1))[: upto + 1]
+        for _ in range(self.dimension):  # multiply by 1/(1-t): prefix sums
+            coeffs = list(accumulate(coeffs))
+        return coeffs
+
+
 @dataclass(frozen=True)
 class GradedSlice:
     """Basis of one degree slice of a subspace of the dual (or of R).
@@ -128,8 +153,11 @@ def module_span(gens, degree_bound=None):
     contraction by x_1..x_n: every vector that enlarges the span queues its
     contractions by the variables.  The canonical basis comes out in degree
     slices.  Inputs whose terms have more than ``MAX_ANN_COLUMNS`` divisors
-    (a bound on the dimension) are refused up front.
+    (a bound on the dimension) are refused up front, and so is a negative
+    ``degree_bound``.
     """
+    if degree_bound is not None:
+        _refuse_negative_bound(degree_bound, "module span")
     divisors = sum(math.prod(e + 1 for e in g.context.unpack(l)) for g in gens for l in g.terms)
     _refuse_oversized(divisors, "module span")
     builder = SpanBuilder()
@@ -219,24 +247,25 @@ def _monomial_multiple(m, terms, context, bound):
     return Polynomial._of(context, {m + e: c for e, c in terms.items() if e < limit})
 
 
-def _reduced_basis(vectors, ideal):
+def _reduced_basis(lead, ideal):
     """Reduced degrevlex Groebner basis of a homogeneous ideal read off its window kernel.
 
-    Each kernel vector is homogeneous, monic at its leading monomial, a free
-    column, and elsewhere nonzero only at pivot columns, the standard
-    monomials of its degree.  Once the window reaches a degree where every
-    monomial lies in the ideal, the vectors whose leading monomial no
-    smaller kept leading monomial divides are exactly the reduced basis, in
-    ascending order whatever the order of the input.
+    ``lead`` holds the (leading monomial, vector) pairs of the kernel in
+    ascending order.  Each kernel vector is homogeneous, monic at its
+    leading monomial, a free column, and elsewhere nonzero only at pivot
+    columns, the standard monomials of its degree.  So the leading
+    monomials of each degree are those of the leading-term ideal, and once
+    the window reaches a degree where every monomial lies in the ideal, the
+    vectors led by a minimal generator u of it -- no u/x_i is a leading
+    monomial, n set lookups -- are exactly the reduced basis, in ascending
+    order.
     """
-    divides = ideal.context.divides
-    kept, lms = [], []
-    for v in sorted(vectors, key=lambda v: v.leading_monomial()):
-        m = v.leading_monomial()
-        if not any(divides(lm, m) for lm in lms):
-            kept.append(v)
-            lms.append(m)
-    return GroebnerBasis(kept, ideal.context, ideal)
+    ctx = ideal.context
+    base, xs = ctx.base, ctx.var_monomials
+    lms = {m for m, _ in lead}
+    # m - x + base packs m / x; an x not dividing m sets a guard bit, which no monomial has
+    kept = [v for m, v in lead if not any(m - x + base in lms for x in xs)]
+    return GroebnerBasis(kept, ctx, ideal)
 
 
 def _minimalize(vectors, bound, context, truncated):
@@ -365,8 +394,14 @@ def _refuse_oversized(columns, what):
         )
 
 
+def _refuse_negative_bound(bound, what):
+    if bound < 0:
+        raise PreconditionError(f"{what} degree bound must be at least 0, got {bound}")
+
+
 def _refuse_oversized_window(n, bound, what):
-    _refuse_oversized(math.comb(n + max(bound, 0), n), f"{what} up to degree {bound}")
+    _refuse_negative_bound(bound, what)
+    _refuse_oversized(math.comb(n + bound, n), f"{what} up to degree {bound}")
     _check_degree(bound)
 
 
@@ -383,7 +418,11 @@ def ann_module(gens, degree_bound=None):
     degree of every generator (the default), the window holds the whole
     ideal through a degree it contains entirely, so the returned ideal
     arrives with its reduced Groebner basis (``cached_gb``) read off the
-    kernel and ``groebner.buchberger`` does no work on it.
+    kernel and ``groebner.buchberger`` does no work on it.  It also arrives
+    with its Hilbert data (``cached_hilbert``): by Macaulay duality the
+    quotient is Artinian of socle degree top, and its Hilbert function in
+    degree d is the number of monomials of degree d minus the number of
+    kernel vectors of degree d.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -395,7 +434,13 @@ def ann_module(gens, degree_bound=None):
     vectors = annihilator_window(gens, bound).vectors
     ideal = Ideal(_minimalize(vectors, bound, ctx, graded or bound > top), ctx)
     if graded and bound > top:
-        ideal.cached_gb = _reduced_basis(vectors, ideal)
+        lead = sorted(((v.leading_monomial(), v) for v in vectors), key=lambda pair: pair[0])
+        ideal.cached_gb = _reduced_basis(lead, ideal)
+        hf = [math.comb(ctx.n + d - 1, d) for d in range(top + 1)]
+        for m, _ in lead:
+            if (d := m >> ctx.shift) <= top:
+                hf[d] -= 1
+        ideal.cached_hilbert = HilbertData(hf, 0, sum(hf), top)
     return ideal
 
 

@@ -224,6 +224,8 @@ def gorenstein_check(I, d, zs):
     if red_data.dimension == 0:
         socle = socle_dim(reduction)
         certificate.append(f"socle dimension of the reduction is {socle}")
+    elif red_data.dimension < 0:
+        certificate.append("reduction is the unit ideal; socle not computed")
     else:
         certificate.append("reduction is not Artinian; socle not computed")
     ok = dim_ok and regular and socle == 1

@@ -3,18 +3,19 @@
 Enough Groebner machinery to certify Gorenstein-ness of graded quotients:
 reduced bases under degrevlex, normal forms, Hilbert series by the monomial
 inclusion-exclusion recursion, Krull dimension, multiplicities, regular
-sequence tests and socle dimensions.  Local ideals are deliberately not
-handled here; the duality layer treats them by degree truncation.
+sequence tests, and standard monomials and socle dimensions read off one
+walk over the border of the standard monomials.  Local ideals are
+deliberately not handled here; the duality layer treats them by degree
+truncation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .duality import GroebnerBasis, Ideal
+from .duality import GroebnerBasis, HilbertData, Ideal
 from .linalg import rank_of
-from .ring import Polynomial, PreconditionError, _check_degree, _packed_monomials
+from .ring import Polynomial, PreconditionError, _check_degree
 
 
 def normal_form(f, basis):
@@ -168,28 +169,6 @@ def buchberger(ideal):
 # Hilbert series of the leading-term ideal
 
 
-@dataclass
-class HilbertData:
-    """Numerator h(t) with h(1) != 0, Krull dimension, multiplicity, regularity proxy.
-
-    The Hilbert series of the quotient is h(t)/(1-t)^dimension; the
-    regularity proxy is deg h, which for a Cohen-Macaulay quotient equals the
-    Castelnuovo-Mumford regularity (the socle degree of an Artinian reduction).
-    """
-
-    numerator: list
-    dimension: int
-    multiplicity: int
-    regularity: int
-
-    def series_coeffs(self, upto):
-        """Hilbert function values 0..upto from the rational form."""
-        coeffs = (list(self.numerator) + [0] * (upto + 1))[: upto + 1]
-        for _ in range(self.dimension):  # multiply by 1/(1-t): prefix sums
-            coeffs = list(accumulate(coeffs))
-        return coeffs
-
-
 def _poly_mul_int(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -255,7 +234,11 @@ def hilbert_series(gb):
 
 
 def hilbert_data(ideal):
-    """Hilbert data of R/I, cached on the ideal."""
+    """Hilbert data of R/I, cached on the ideal.
+
+    Graded annihilators from ``ann_module`` arrive with theirs, read off
+    their kernel; other ideals take the Hilbert series of their basis.
+    """
     if ideal.cached_hilbert is None:
         ideal.cached_hilbert = hilbert_series(buchberger(ideal))
     return ideal.cached_hilbert
@@ -298,45 +281,77 @@ def _regular_chain(ideal, zs):
     return True, current
 
 
-def standard_monomials(gb):
-    """Monomials outside the leading-term ideal; error when R/I is not Artinian."""
-    lms = gb.leading_monomials()
+def _border_walk(gb):
+    """Standard monomials of an Artinian quotient and the normal forms of its border.
+
+    The border is the set of non-standard products x*m, m standard; its
+    normal forms are the multiplication matrices of Faugere, Gianni, Lazard
+    and Mora (J. Symb. Comput. 16, 1993).  Degree by degree, in ascending
+    order, a candidate u that leads an element g of the reduced monic basis
+    has NF(u) = u - g; else, when u/y is in the border, NF(u) is the sum of
+    c*NF(y*t) over the terms c*t of NF(u/y), each y*t a candidate below u;
+    else u is standard.  Returns the ascending standard monomials and a dict
+    from each border monomial to its normal form as {monomial: coefficient}.
+    """
     ctx = gb.context
-    supports = [[i for i, e in enumerate(ctx.unpack(m)) if e] for m in lms]
+    lead = dict(gb.reducers)
+    if ctx.base in lead:
+        return [], {}
+    supports = [[i for i, e in enumerate(ctx.unpack(m)) if e] for m in lead]
     if len({s[0] for s in supports if len(s) == 1}) < ctx.n:  # a pure power of each variable
         raise PreconditionError("quotient is not Artinian")
-    base, guard = ctx.base, ctx.guard
-    std = []
-    degree = 0
-    while True:
-        layer = [
-            m
-            for m in _packed_monomials(ctx.n, degree, degree)
-            if all((m - lm + base) & guard for lm in lms)
-        ]
-        if not layer and degree > 0:
-            break
+    base, xs, one, zero = ctx.base, ctx.var_monomials, ctx.one, ctx.zero
+    std, border = [], {}
+    layer, degree = [base], 0
+    while layer:
         std.extend(layer)
         degree += 1
-    return std
+        _check_degree(degree)
+        candidates, layer = sorted({m + x - base for m in layer for x in xs}), []
+        for u in candidates:
+            g = lead.get(u)
+            if g is not None:
+                border[u] = {t: -c for t, c in g.terms.items() if t != u}
+                continue
+            for y in xs:  # u - y + base packs u / y; a y not dividing u sets a guard bit
+                image = border.get(u - y + base)
+                if image is not None:
+                    break
+            else:
+                layer.append(u)
+                continue
+            nf = {}
+            for t, c in image.items():
+                w = t + y - base
+                for s, e in border.get(w, {w: one}).items():  # a standard w is its own normal form
+                    nf[s] = nf.get(s, zero) + c * e
+            border[u] = {s: c for s, c in nf.items() if c}
+    return std, border
+
+
+def standard_monomials(gb):
+    """Monomials outside the leading-term ideal, ascending, from the border walk.
+
+    None for the unit ideal; an error when R/I is not Artinian.
+    """
+    return _border_walk(gb)[0]
 
 
 def socle_dim(ideal):
-    """Dimension of the socle (0 : m) / I of an Artinian quotient.
+    """Dimension of the socle (0 : m) / I of an Artinian quotient; 0 for the unit ideal.
 
-    Computed by linear algebra against the Groebner normal-form basis: the
-    kernel of joint multiplication by all the variables.
+    The kernel of joint multiplication by all the variables, read off the
+    border walk: each product x*m of a standard monomial is standard or in
+    the border, so no normal form is computed.
     """
     gb = buchberger(ideal)
     ctx = ideal.context
-    std = standard_monomials(gb)
-    _check_degree((max(std, default=0) >> ctx.shift) + 1)
-    pos = {m: i for i, m in enumerate(std)}
+    std, border = _border_walk(gb)
+    pos = {m: j for j, m in enumerate(std)}
     rows = {}
     for j, m in enumerate(std):
         for i, x in enumerate(ctx.var_monomials):
-            image = normal_form(Polynomial._of(ctx, {m + x - ctx.base: ctx.one}), gb)
-            for tm, tc in image.terms.items():
-                row = rows.setdefault((i, pos[tm]), {})
-                row[j] = row.get(j, ctx.zero) + tc
+            u = m + x - ctx.base
+            for t, c in border.get(u, {u: ctx.one}).items():
+                rows.setdefault((i, pos[t]), {})[j] = c
     return len(std) - rank_of(list(rows.values()))

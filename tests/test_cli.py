@@ -329,6 +329,33 @@ def test_bounds_below_one_are_refused(tmp_path, capsys, curve_codim2, semigroup_
         assert code == 3 and out == "" and "at least 1" in err, value
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["ann", "--ring", "Q[x,y,z]", "--poly", "X^[2]*Y+Z^[3]", "--bound", "-3"], "annihilator"),
+        (["ann", "--ring", "Q[x,y] mode local", "--poly", "X^[3]+Y^[2]", "--bound", "-1"], "annihilator"),
+        (["perp", "--ring", "Q[x,y]", "--ideal", "x^2, y^2", "--bound", "-2"], "inverse system"),
+        (["span", "--ring", "Q[x,y]", "--F", "X^[2]*Y", "--bound", "-2"], "module span"),
+        (["hilbert", "--ring", "Q[x,y] mode local", "--ideal", "x*y, y^2-x^3", "--bound", "-2"], "inverse system"),
+    ],
+    ids=["ann", "ann-local", "perp", "span", "hilbert-local"],
+)
+def test_negative_bounds_are_refused(capsys, argv, what):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert f"{what} degree bound must be at least 0, got {argv[-1]}" in err
+
+
+def test_bound_zero_keeps_its_output(capsys):
+    assert run(capsys, "ann", "--ring", "Q[x,y,z]", "--poly", "X^[2]*Y+Z^[3]", "--bound", "0") == (0, "\n", "")
+    assert run(capsys, "perp", "--ring", "Q[x,y]", "--ideal", "x^2, y^2", "--bound", "0")[:2] == (0, "degree 0: 1\n")
+    assert run(capsys, "span", "--ring", "Q[x,y]", "--F", "X^[2]*Y", "--bound", "0")[:2] == (
+        0,
+        "degree 0: 1\ntotal dimension 1\n",
+    )
+    assert run(capsys, "hilbert", "--ring", "Q[x,y] mode local", "--ideal", "x*y", "--bound", "0")[:2] == (0, "1\n")
+
+
 def test_output_is_deterministic(capsys, elliptic_curve, tmp_path):
     fam_file = tmp_path / "surface.fam"
     fam_file.write_text(dump_family(elliptic_curve["family"]), encoding="utf-8")

@@ -201,6 +201,11 @@ CASES = {
     "gorenstein-check-json": ["gorenstein-check", "--json", "--ring", "Q[x,y,z,t,v]", "--ideal", CODIM4, "--d", "1", "--z", "v"],
     "gorenstein-check-local-refused": ["gorenstein-check", "--ring", "Q[x,y,z] mode local", "--ideal", "y*z-x^3, z^2-y^3", "--d", "1", "--z", "x"],
     "gorenstein-check-negative": ["gorenstein-check", "--ring", "Q[x,y,z]", "--ideal", "x*y, x*z, y*z", "--d", "1", "--z", "x+y+z"],
+    "gorenstein-check-unit-ideal": ["gorenstein-check", "--ring", "Q[x,y]", "--ideal", "x, 1", "--d", "0", "--z", ""],
+    "ann-negative-bound": ["ann", "--ring", "Q[x,y,z]", "--poly", "X^[2]*Y+Z^[3]", "--bound", "-3"],
+    "perp-negative-bound": ["perp", "--ring", "Q[x,y]", "--ideal", "x^2, y^2", "--bound", "-2"],
+    "span-negative-bound": ["span", "--ring", "Q[x,y]", "--F", "X^[2]*Y", "--bound", "-2"],
+    "hilbert-local-negative-bound": ["hilbert", "--ring", "Q[x,y] mode local", "--ideal", "x*y, y^2-x^3", "--bound", "-2"],
     "parse-error": ["ann", "--ring", "Q[x,y]", "--poly", "Y^["],
     "parse-error-ring": ["ann", "--ring", "Q[x,y", "--poly", "X"],
     "precondition-zero": ["ann", "--ring", "Q[x,y]", "--poly", "0X"],

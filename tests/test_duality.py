@@ -107,6 +107,28 @@ def test_annihilator_of_plane_conic_plus_linear(elliptic_curve):
     assert hilbert_function(module_span([elliptic_curve["H11"]])) == [1, 3, 1]
 
 
+@pytest.mark.parametrize("mode", ["graded", "local"])
+def test_negative_bounds_are_refused(mode):
+    ctx = ctx_of(f"ring Q[x,y] dual [X,Y] mode {mode}")
+    F = dual(ctx, "X^[2]*Y+Y^[3]")
+    ideal = ideal_of(ctx, "x^2, y^2")
+    calls = [
+        lambda b: ann_cyclic(F, b),
+        lambda b: ann_module([F], b),
+        lambda b: annihilator_window([F], b),
+        lambda b: perp_ideal(ideal, b),
+        lambda b: module_span([F], b),
+    ]
+    for call in calls:
+        for bound in (-1, -3):
+            with pytest.raises(PreconditionError, match=f"at least 0, got {bound}"):
+                call(bound)
+    # bound 0 is the window of the constants, which kill no nonzero element
+    assert ann_cyclic(F, 0).gens == [] and annihilator_window([F], 0).vectors == []
+    assert [(s.degree, s.dim) for s in perp_ideal(ideal, 0)] == [(0, 1)]
+    assert [(s.degree, [str(v) for v in s.basis.vectors]) for s in module_span([F], 0)] == [(0, ["1"])]
+
+
 def test_annihilator_quotient_socle_is_one(curve_codim2):
     from invsys import socle_dim
 

@@ -110,6 +110,15 @@ def test_gorenstein_check_negative():
     assert any("fails the Hilbert-series regularity test" in c for c in report.certificate)
 
 
+@pytest.mark.parametrize("zs", [[], ["x"]])
+def test_gorenstein_check_names_a_unit_reduction(zs):
+    # R/(1) = 0 has dimension -1: its socle is not computed, and the verdict is no
+    ctx = ctx_of("ring Q[x,y] dual [X,Y]")
+    report = gorenstein_check(ideal_of(ctx, "x, 1"), 0, [ring_poly(ctx, z) for z in zs])
+    assert not report.is_gorenstein and report.dimension == -1
+    assert report.certificate[-1] == "reduction is the unit ideal; socle not computed"
+
+
 def test_gorenstein_check_negative_socle():
     # an Artinian reduction with two socle generators: R/(x^2, xy, y^3, z)
     ctx = ctx_of("ring Q[x,y,z] dual [X,Y,Z]")

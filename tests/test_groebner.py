@@ -9,18 +9,23 @@ from invsys import (
     ann_cyclic,
     ann_module,
     buchberger,
+    gorenstein_check,
     hilbert_data,
     hilbert_series,
     is_regular_sequence,
     minimal_generators,
+    module_span,
     normal_form,
+    parse_polynomial,
     perp_ideal,
     socle_dim,
     span_reduce,
 )
 from invsys import groebner
+from invsys.duality import flatten
 from invsys.groebner import _s_polynomial, standard_monomials
-from invsys.ring import Polynomial, monomials_of_degree
+from invsys.linalg import rank_of
+from invsys.ring import Polynomial, _packed_monomials, monomials_of_degree
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +327,138 @@ def test_standard_monomial_count_is_colength():
     ctx = ctx_of("ring Q[x,y] dual [X,Y]")
     gb = buchberger(ideal_of(ctx, "x^2, y^3"))
     assert len(standard_monomials(gb)) == 6
+
+
+def test_unit_ideal_has_no_standard_monomials_and_no_socle():
+    # R/(1) = 0 is Artinian: no standard monomial, a zero socle
+    ctx = ctx_of("ring Q[x,y] dual [X,Y]")
+    for text in ("1", "x, 1, y^2"):
+        ideal = ideal_of(ctx, text)
+        assert standard_monomials(buchberger(ideal)) == []
+        assert socle_dim(ideal) == 0
+
+
+def _reference_standard_monomials(gb):
+    """All-pairs divisibility scan, degree by degree until a degree has none."""
+    ctx, lms = gb.context, gb.leading_monomials()
+    std, degree = [], 0
+    while True:
+        layer = [
+            m
+            for m in _packed_monomials(ctx.n, degree, degree)
+            if not any(ctx.divides(lm, m) for lm in lms)
+        ]
+        if not layer and degree > 0:
+            return sorted(std)
+        std.extend(layer)
+        degree += 1
+
+
+def _reference_socle_dim(ideal):
+    """One normal form per product x*m of a variable and a standard monomial, then a rank."""
+    gb = buchberger(ideal)
+    ctx = ideal.context
+    std = _reference_standard_monomials(gb)
+    pos = {m: i for i, m in enumerate(std)}
+    rows = {}
+    for j, m in enumerate(std):
+        for i, x in enumerate(ctx.var_monomials):
+            image = normal_form(Polynomial._of(ctx, {m + x - ctx.base: ctx.one}), gb)
+            for tm, tc in image.terms.items():
+                rows.setdefault((i, pos[tm]), {})[j] = tc
+    return len(std) - rank_of(list(rows.values()))
+
+
+def _artinian_ideal(rng, ctx):
+    """Pure powers of every variable plus up to three random forms."""
+    gens = []
+    for i in range(ctx.n):
+        e = [0] * ctx.n
+        e[i] = rng.randint(1, 4)
+        gens.append(Polynomial(ctx, {tuple(e): ctx.one}))
+    gens += [random_poly(rng, ctx, "r", 3, homogeneous=True) for _ in range(rng.randint(0, 3))]
+    return Ideal(gens, ctx)
+
+
+def _agrees_with_references(ideal):
+    """Compare the border walk with the references; returns the socle dimension."""
+    gb = buchberger(ideal)
+    ctx = ideal.context
+    std, border = groebner._border_walk(gb)
+    assert std == _reference_standard_monomials(gb)
+    assert standard_monomials(gb) == std
+    for u, nf in border.items():  # each border normal form is the honest one
+        assert normal_form(Polynomial._of(ctx, {u: ctx.one}), gb).terms == nf
+    socle = socle_dim(ideal)
+    assert socle == _reference_socle_dim(ideal)
+    return socle
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(32003)", "Fp(7)"])
+def test_socle_and_standard_monomials_match_references(field):
+    rng = rng_for(f"socle-reference-{field}")
+    socles = []
+    for k in range(24):
+        n = rng.randint(2, 4)
+        ctx = ctx_of(f"ring {field}[{','.join('xyzt'[:n])}]")
+        if k % 2:  # a basis read off the window kernel
+            F = random_poly(rng, ctx, "dual", 4, homogeneous=True)
+            ideal = ann_cyclic(F)
+            assert ideal.cached_gb is not None
+        else:  # a basis from Buchberger
+            ideal = _artinian_ideal(rng, ctx)
+        socles.append(_agrees_with_references(ideal))
+    assert 1 in socles and max(socles) >= 2
+
+
+def test_socle_walk_matches_references_on_nonhomogeneous_bases():
+    # a local-mode ideal is not checked for homogeneity; the walk needs only
+    # a reduced basis, whose tails may then drop in degree
+    ctx = ctx_of("ring Q[x,y] mode local")
+    for text in ("x^2-y, y^3", "x^3+x*y, y^2-x^2, x*y^2"):
+        _agrees_with_references(ideal_of(ctx, text))
+
+
+# -- Hilbert data read off the annihilator kernel -----------------------------------------
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(32003)", "Fp(7)"])
+def test_annihilator_hilbert_data_matches_groebner(field):
+    rng = rng_for(f"annihilator-hilbert-{field}")
+    for _ in range(12):
+        n = rng.randint(2, 5)
+        ctx = ctx_of(f"ring {field}[{','.join(f'v{i}' for i in range(n))}]")
+        gens = [random_poly(rng, ctx, "dual", 4, homogeneous=True) for _ in range(rng.randint(1, 2))]
+        top = max(int(g.degree()) for g in gens)
+        for bound in (top + 1, top + 2):
+            ideal = ann_module(gens, bound)
+            fresh = Ideal(list(ideal.gens), ctx)
+            assert ideal.cached_hilbert == hilbert_series(buchberger(fresh))
+        for bound in (top - 1, top):
+            assert ann_module(gens, bound).cached_hilbert is None
+        local = ctx_of(f"ring {field}[{','.join(f'v{i}' for i in range(n))}] mode local")
+        local_gens = [parse_polynomial(str(g), local, "dual") for g in gens]
+        assert ann_module(local_gens, top + 1).cached_hilbert is None
+
+
+def test_annihilator_certification_computes_no_normal_form(monkeypatch):
+    calls = {"normal_form": 0, "_numerator": 0}
+    for name in calls:
+        original = getattr(groebner, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(groebner, name, counting)
+    ctx = ctx_of("ring Q[x,y,z,t]")
+    F = dual(ctx, "X*Y*Z+Z*T^[2]-2X^[3]+Y^[2]*T")
+    report = gorenstein_check(ann_cyclic(F), 0, [])
+    assert report.is_gorenstein and report.multiplicity == len(flatten(module_span([F])))
+    assert calls == {"normal_form": 0, "_numerator": 0}
+    # the counters see the calls of an ideal without attached data
+    gorenstein_check(Ideal(list(ann_cyclic(F).gens), ctx), 0, [])
+    assert calls["normal_form"] > 0 and calls["_numerator"] > 0
 
 
 # -- minimal generators -------------------------------------------------------------------
