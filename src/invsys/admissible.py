@@ -14,9 +14,12 @@ by contraction from any stored entry above them.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .duality import (
+    _refuse_negative_bound,
+    _refuse_oversized,
     _slices_from_vectors,
     ann_cyclic,
     annihilator_window,
@@ -336,31 +339,25 @@ def lift_space(fam, L_target, deg_bound=None):
     Solves for G with contraction by each distinguished variable matching the
     predecessor entry (or vanishing where the target coordinate is 1), and
     with G orthogonal to the annihilator products required by the admissible
-    condition.  Returns (particular solution, kernel basis) with the
-    particular solution taken at kernel coordinates zero, or None when the
-    system is infeasible at this degree bound.
+    condition, in degree ``deg_bound`` (default: one above the largest
+    predecessor degree) for a graded family, up to it otherwise.  Returns
+    (particular solution, kernel basis) with the particular solution taken at
+    kernel coordinates zero, or None when the system is infeasible at this
+    degree bound; ``solve_lift`` refuses a negative or oversized bound.
     """
-    ctx = fam.context
     L_target = tuple(L_target)
     if len(L_target) != fam.d or any(l < 1 for l in L_target):
         raise PreconditionError("target must be a positive multi-index")
     constraints = fam.step_down(L_target)
-    graded = ctx.mode == "graded" and all(H.is_homogeneous() for H in fam.entries.values())
     max_pred = max((int(T.degree()) for _, T in constraints if not T.is_zero()), default=0)
     bound = deg_bound if deg_bound is not None else max_pred + 1
-    if graded:
-        index = MonomialIndex.of_degree(ctx.n, bound)
-    else:
-        index = MonomialIndex.window(ctx.n, bound)
-    ann_cache = {}
 
+    @functools.cache
     def ann_gens(idx):
-        if idx not in ann_cache:
-            H = fam.entry(idx)
-            ann_cache[idx] = [] if H.is_zero() else ann_cyclic(H).gens
-        return ann_cache[idx]
+        H = fam.entry(idx)
+        return [] if H.is_zero() else ann_cyclic(H).gens
 
-    zero = DPPolynomial.zero(ctx)
+    zero = DPPolynomial.zero(fam.context)
     for i in range(fam.d):
         L = tuple(l - (1 if k == i else 0) for k, l in enumerate(L_target))
         if not all(l >= 1 for l in L):
@@ -369,23 +366,36 @@ def lift_space(fam, L_target, deg_bound=None):
         for p in ann_gens(back):
             for q in ann_gens(L):
                 constraints.append((p * q, zero))
-    solved = solve_lift(index, constraints)
+    solved = solve_lift(fam, bound, constraints)
     if solved is None:
         return None
     particular, kernel = solved
     return particular, span_reduce(kernel)
 
 
-def solve_lift(index, constraints):
-    """Dual elements G over the index with g o G = T for every pair (g, T).
+def _lift_columns(n, degree, graded):
+    """Columns of a lifting system: the monomials of one degree, or up to it."""
+    return math.comb(n - 1 + degree, degree) if graded else math.comb(n + degree, n)
 
-    Returns (particular solution, kernel vectors) with the particular
-    solution taken at kernel coordinates zero, or None when the system is
-    infeasible.  The result does not depend on the order of the pairs, but
-    the cost does: contraction by a variable gives unit rows on distinct
-    columns, and listing those pairs first keeps the elimination sparse.
+
+def solve_lift(fam, degree, constraints):
+    """Next entries G of the family with g o G = T for every pair (g, T).
+
+    The columns are the monomials of the given degree for a graded family
+    (graded ring, every entry homogeneous), of degree up to it otherwise; a
+    negative degree or more than ``MAX_ANN_COLUMNS`` columns is refused
+    before they are built.  Returns (particular solution, kernel vectors)
+    with the particular solution taken at kernel coordinates zero, or None
+    when the system is infeasible.  The result does not depend on the order
+    of the pairs, but the cost does: contraction by a variable gives unit
+    rows on distinct columns, and listing those pairs first keeps the
+    elimination sparse.
     """
-    ctx = constraints[0][0].context
+    ctx = fam.context
+    graded = ctx.mode == "graded" and all(H.is_homogeneous() for H in fam.entries.values())
+    _refuse_negative_bound(degree, "lifting system")
+    _refuse_oversized(_lift_columns(ctx.n, degree, graded), f"lifting system of degree {degree}")
+    index = (MonomialIndex.of_degree if graded else MonomialIndex.window)(ctx.n, degree)
     rows = contraction_rows([g for g, _ in constraints], index)
     for k, (_, T) in enumerate(constraints):
         for m in T.terms:

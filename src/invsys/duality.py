@@ -377,13 +377,15 @@ def ann_cyclic(F, gen_bound=None):
     return ann_module([F], gen_bound)
 
 
-# Largest number of contraction columns that ``annihilator_window`` and
-# ``perp_ideal`` accept -- monomials of degree at most the bound,
-# C(n + bound, n) -- and of contractions that ``module_span`` accepts, one per
-# divisor of a generator term.  The tests and benchmarks need at most 3003
-# columns and 9100 divisors; ``ann`` of X^[250]*Y^[250] (126253 columns)
-# took 4.6 s on one core of a shared 2-core Xeon VM, and the cost grows
-# faster than linearly in the column count.
+# Largest number of contraction columns that ``annihilator_window``,
+# ``perp_ideal``, ``ideal_window_span`` and ``admissible.solve_lift`` accept
+# (monomials of degree at most the bound, C(n + bound, n), or of one degree
+# for a graded lift), that ``family_from_ideal`` accepts over all the lifts of
+# its box, and of contractions that ``module_span`` accepts, one per divisor
+# of a generator term.  Tests and benchmarks need at most 3003 columns (2569
+# for a family box) and 9100 divisors; ``ann`` of X^[250]*Y^[250] (126253
+# columns) took 4.6 s on one core of a shared 2-core Xeon VM, and the cost
+# grows faster than linearly in the column count.
 MAX_ANN_COLUMNS = 100_000
 
 
@@ -479,8 +481,10 @@ def ideal_window_span(gens, bound, context):
 
     Multiples whose honest degree exceeds the bound enter truncated, which is
     exactly the image of the ideal in R modulo degrees above the bound.
+    Windows of more than ``MAX_ANN_COLUMNS`` monomials are refused.
     """
     _check_degree(bound)
+    _refuse_oversized_window(context.n, bound, "ideal window")
     span = SpanBuilder()
     for g in gens:
         if g.is_zero():

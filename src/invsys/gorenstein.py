@@ -17,11 +17,13 @@ from .admissible import (
     AdmissibleFamily,
     CheckReport,
     CheckViolation,
+    _lift_columns,
     check_family,
     solve_lift,
 )
 from .duality import (
     Ideal,
+    _refuse_oversized,
     ann_cyclic,
     annihilator_window,
     flatten,
@@ -31,12 +33,13 @@ from .duality import (
     span_dim,
 )
 from .groebner import _regular_chain, hilbert_data, socle_dim
-from .linalg import MonomialIndex, SpanBuilder
+from .linalg import SpanBuilder
 from .ring import (
     DPPolynomial,
     Polynomial,
     PreconditionError,
     contract,
+    contract_monomial,
 )
 
 
@@ -118,18 +121,15 @@ def finite_lift(fam, max_gen_degree=None):
 # forward direction: family from an ideal
 
 
-def _reduction_generator(I, z_polys, window):
+def _reduction_generator(reduction, window):
     """Generator of the dual of the Artinian reduction; errors when not cyclic."""
-    ctx = I.context
-    reduction = Ideal(list(I.gens) + list(z_polys), ctx)
-    slices = perp_ideal(reduction, window)
-    basis = flatten(slices)
+    basis = flatten(perp_ideal(reduction, window))
     if not basis:
         raise PreconditionError("Artinian reduction has empty dual; unit ideal?")
     mw = SpanBuilder()
     for v in basis:
-        for i in range(ctx.n):
-            mw.insert(contract(ctx.variable(i), v))
+        for x in reduction.context.var_monomials:
+            mw.insert(contract_monomial(x, v))
     if len(basis) - mw.dim() != 1:
         raise PreconditionError(
             "dual of the Artinian reduction is not cyclic (quotient is not Gorenstein)"
@@ -146,39 +146,36 @@ def family_from_ideal(I, z_indices, t0, trunc=None):
     The base entry generates the dual of the Artinian reduction by the
     distinguished variables; every further entry is the particular solution
     (kernel coordinates zero) of the affine system that contracts correctly
-    onto its predecessors and is annihilated by the ideal.
+    onto its predecessors and is annihilated by the ideal: in degree
+    r + |L| - d (r the base degree) when graded, up to degree trunc
+    otherwise.  A box whose lifting systems need more than
+    ``MAX_ANN_COLUMNS`` columns in all is refused before the first lift.
     """
     ctx = I.context
     z_indices = tuple(z_indices)
     d = len(z_indices)
-    z_polys = [ctx.variable(i) for i in z_indices]
+    reduction = Ideal(list(I.gens) + [ctx.variable(i) for i in z_indices], ctx)
     graded = ctx.mode == "graded" and I.is_homogeneous()
     if graded:
-        reduction = Ideal(list(I.gens) + list(z_polys), ctx)
         red_data = hilbert_data(reduction)
         if red_data.dimension != 0:
             raise PreconditionError("distinguished variables do not cut down to Artinian")
-        socle_degree = red_data.regularity
-        window = socle_degree
+        window = red_data.regularity
     else:
         if trunc is None:
             trunc = I.max_degree() + (t0 - 1) * d + 2
         window = trunc
-    base = _reduction_generator(I, z_polys, window)
+    base = _reduction_generator(reduction, window)
     r = int(base.degree())
     entries = {(1,) * d: base}
     shell = AdmissibleFamily(ctx, d, z_indices, entries, t0)
-    order = sorted(shell.index_box(), key=lambda L: (sum(L), L))
+    order = [L for L in sorted(shell.index_box(), key=lambda L: (sum(L), L)) if L not in entries]
+    degrees = [r + sum(L) - d if graded else trunc for L in order]
+    columns = sum(_lift_columns(ctx.n, D, graded) for D in degrees)
+    _refuse_oversized(columns, f"lifting the family box to t0 = {t0}")
     zero = DPPolynomial.zero(ctx)
-    for L in order:
-        if L in entries:
-            continue
-        constraints = shell.step_down(L) + [(g, zero) for g in I.gens]
-        if graded:
-            index = MonomialIndex.of_degree(ctx.n, r + sum(L) - d)
-        else:
-            index = MonomialIndex.window(ctx.n, trunc)
-        lifted = solve_lift(index, constraints)
+    for L, D in zip(order, degrees):
+        lifted = solve_lift(shell, D, shell.step_down(L) + [(g, zero) for g in I.gens])
         if lifted is None:
             raise PreconditionError(
                 f"lift at index {L} is infeasible: the sequence is not regular "

@@ -14,7 +14,7 @@ vectors, pairwise distinct leading monomials, mutually reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ring import DPPolynomial, Polynomial, _packed_monomials
 
@@ -164,13 +164,11 @@ class MonomialIndex:
     """
 
     monomials: tuple
-    position: dict = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(
             self, "monomials", tuple(sorted(self.monomials, reverse=True))
         )
-        object.__setattr__(self, "position", {m: i for i, m in enumerate(self.monomials)})
 
     @classmethod
     def of_degree(cls, n, degree):

@@ -1,5 +1,7 @@
 """Family construction, both verification modes, cones, lifts, decomposition."""
 
+import time
+
 import pytest
 from conftest import ctx_of, dual, ring_poly, rng_for, random_poly
 
@@ -264,6 +266,15 @@ def test_lift_space_infeasible():
     fam = build_family(ctx, (0,), {(1,): dual(ctx, "X+Y")})
     out = lift_space(fam, (2,), deg_bound=1)
     assert out is None
+
+
+def test_oversized_graded_lift_is_refused_up_front(curve_codim2):
+    # a graded lift solves in one degree: C(2 + 446, 2) = 100128 columns,
+    # just over the limit (the window up to 446 would hold C(449, 3))
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="lifting system of degree 446 needs 100128 contraction columns"):
+        lift_space(curve_codim2["family4"], (5,), deg_bound=446)
+    assert time.perf_counter() - start < 5
 
 
 def test_lift_extends_family_admissibly(curve_codim2):

@@ -6,7 +6,7 @@ import time
 import pytest
 from conftest import dual
 
-from invsys import dump_family
+from invsys import build_family, dump_family
 from invsys.cli import main
 
 
@@ -137,6 +137,39 @@ def test_oversized_span_and_inverse_system_are_refused_up_front(capsys, argv, co
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        # a local lift solves over the window R_{<=120}: C(123, 3) columns
+        ("120", "lifting system of degree 120 needs 302621 contraction columns"),
+        ("-3", "lifting system degree bound must be at least 0, got -3"),
+    ],
+    ids=["oversized", "negative"],
+)
+def test_lift_bounds_are_refused_up_front(tmp_path, capsys, semigroup_curve, bound, message):
+    fam = semigroup_curve["family"]
+    fam_file = tmp_path / "partial.fam"
+    partial = build_family(fam.context, (0,), {(l,): fam.entry((l,)) for l in range(1, 5)})
+    fam_file.write_text(dump_family(partial), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lift", "--family", str(fam_file), "--target", "5", "--bound", bound)
+    assert code == 3 and out == ""
+    assert message in err and "infeasible" not in err
+    assert time.perf_counter() - start < 5
+
+
+def test_oversized_family_box_is_refused_up_front(capsys):
+    # every graded lift of this curve stays below the limit (the last,
+    # in degree 302, needs C(304, 2) = 46056 columns), the box does not
+    start = time.perf_counter()
+    ideal = "y*z+x*z, y^3+z^3-x*y^2+x^2*y-x^3"
+    argv = ["--ring", "Q[x,y,z] dual [X,Y,Z]", "--ideal", ideal, "--z", "x", "--t0", "300"]
+    code, out, err = run(capsys, "family-from-ideal", *argv)
+    assert code == 3 and out == ""
+    assert "lifting the family box to t0 = 300 needs 4682340 contraction columns" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_check_admissible_pass_and_fail(tmp_path, capsys, curve_codim2):
     good = tmp_path / "good.fam"
     good.write_text(dump_family(curve_codim2["family5"]), encoding="utf-8")
@@ -178,8 +211,6 @@ def test_finite_lift_command(tmp_path, capsys, elliptic_curve):
 def test_lift_command(tmp_path, capsys, semigroup_curve):
     fam = semigroup_curve["family"]
     partial = {(l,): fam.entry((l,)) for l in range(1, 5)}
-    from invsys import build_family
-
     fam_file = tmp_path / "partial.fam"
     fam_file.write_text(
         dump_family(build_family(fam.context, (0,), partial)), encoding="utf-8"

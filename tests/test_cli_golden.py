@@ -161,6 +161,8 @@ CASES = {
     "check-admissible-fp": ["check-admissible", "--family", "@curve-fp", "--check-mode", "intersection"],
     "lift-local": ["lift", "--family", "@semigroup4", "--target", "5"],
     "lift-local-bound": ["lift", "--family", "@semigroup4", "--target", "5", "--bound", "5"],
+    "lift-bound-negative": ["lift", "--family", "@semigroup4", "--target", "5", "--bound", "-3"],
+    "lift-bound-oversized": ["lift", "--family", "@semigroup4", "--target", "5", "--bound", "120"],
     "lift-two-parameter": ["lift", "--family", "@ci2", "--target", "3,1"],
     "lift-two-parameter-json": ["lift", "--json", "--family", "@ci2", "--target", "1,3"],
     "lift-missing-predecessor": ["lift", "--family", "@ci2", "--target", "3,2"],

@@ -1,6 +1,7 @@
 """Module spans, annihilators, inverse systems and Hilbert functions."""
 
 import itertools
+import time
 
 import pytest
 from conftest import ctx_of, dual, ideal_of, ring_poly, rng_for, random_poly
@@ -127,6 +128,16 @@ def test_negative_bounds_are_refused(mode):
     assert ann_cyclic(F, 0).gens == [] and annihilator_window([F], 0).vectors == []
     assert [(s.degree, s.dim) for s in perp_ideal(ideal, 0)] == [(0, 1)]
     assert [(s.degree, [str(v) for v in s.basis.vectors]) for s in module_span([F], 0)] == [(0, ["1"])]
+
+
+def test_oversized_ideal_window_is_refused_up_front():
+    # truncated comparison works in R_{<40}: C(45, 6) = 8145060 monomials
+    ctx = ctx_of("ring Q[x,y,z,t,u,v] mode local")
+    gens = [ring_poly(ctx, "x^2-y*z"), ring_poly(ctx, "t^3")]
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="ideal window up to degree 39 needs 8145060 contraction columns"):
+        ideals_equal_mod(gens, gens, 40, ctx)
+    assert time.perf_counter() - start < 5
 
 
 def test_annihilator_quotient_socle_is_one(curve_codim2):

@@ -168,12 +168,12 @@ def test_affine_solve_contraction_system():
     index = MonomialIndex.window(2, 3)
     rows, rhs = [], []
     target = dual(ctx, "Y^[2]")
-    for m in index.monomials:
+    for col, m in enumerate(index.monomials):
         e = ctx.unpack(m)
         down = (e[0] - 1, e[1])
         if down[0] < 0:
             continue
-        rows.append({index.position[m]: frac(1)})
+        rows.append({col: frac(1)})
         rhs.append(target.coeff(down))
     out = solve_affine(rows, rhs, len(index), frac(1))
     assert out is not None
