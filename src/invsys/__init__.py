@@ -51,7 +51,6 @@ from .groebner import (
     socle_dim,
 )
 from .linalg import (
-    MonomialIndex,
     SubspaceBasis,
     membership,
     span_intersect,

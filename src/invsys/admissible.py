@@ -14,12 +14,9 @@ by contraction from any stored entry above them.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from .duality import (
-    _refuse_negative_bound,
-    _refuse_oversized,
     _slices_from_vectors,
     ann_cyclic,
     annihilator_window,
@@ -28,7 +25,7 @@ from .duality import (
     module_span,
     span_dim,
 )
-from .linalg import MonomialIndex, SubspaceBasis, solve_affine, span_reduce, vanishing_combinations
+from .linalg import SubspaceBasis, monomial_columns, solve_affine, span_reduce, vanishing_combinations
 from .parsing import parse_polynomial, parse_ring_decl
 from .ring import (
     DPPolynomial,
@@ -73,8 +70,9 @@ class AdmissibleFamily:
 
     ``z_indices`` names the distinguished variables (positions into the ring
     context's variable list); ``entries`` maps each index in the rectangle
-    {L : 1 <= l_i <= t0} to its dual element.  The box holds at least the
-    base index, so t0 < 1 is refused.
+    {L : 1 <= l_i <= t0} to its dual element.  There are d >= 1 of them,
+    distinct variables of the ring, and the box holds at least the base
+    index, so t0 < 1 is refused.  Both rules run before any other work.
     """
 
     context: object
@@ -84,6 +82,9 @@ class AdmissibleFamily:
     t0: int
 
     def __post_init__(self):
+        z = self.z_indices
+        if self.d < 1 or len(set(z)) != self.d or any(not 0 <= i < self.context.n for i in z):
+            raise PreconditionError("distinguished variables must be distinct context variables")
         if self.t0 < 1:
             raise PreconditionError(f"truncation level t0 must be at least 1, got {self.t0}")
 
@@ -140,8 +141,6 @@ def build_family(context, z_indices, given, t0=None):
     """
     z_indices = tuple(z_indices)
     d = len(z_indices)
-    if d < 1 or len(set(z_indices)) != d or any(not 0 <= i < context.n for i in z_indices):
-        raise PreconditionError("distinguished variables must be distinct context variables")
     given = {tuple(L): H for L, H in given.items()}
     for L in given:
         if len(L) != d or any(l < 1 for l in L):
@@ -290,13 +289,14 @@ def cone_family(H, d, t0, context=None, z_indices=None):
     """
     ctx = context or H.context
     z_indices = tuple(z_indices) if z_indices is not None else tuple(range(d))
+    given = {}
+    box = AdmissibleFamily(ctx, d, z_indices, given, t0).index_box()
     for m in H.terms:
         if any(ctx.unpack(m)[pos] for pos in z_indices):
             raise PreconditionError(
                 "cone generator must avoid the distinguished dual variables"
             )
-    given = {}
-    for L in AdmissibleFamily(ctx, d, z_indices, given, t0).index_box():
+    for L in box:
         shift = [0] * ctx.n
         for pos, l in zip(z_indices, L):
             shift[pos] = l - 1
@@ -373,11 +373,6 @@ def lift_space(fam, L_target, deg_bound=None):
     return particular, span_reduce(kernel)
 
 
-def _lift_columns(n, degree, graded):
-    """Columns of a lifting system: the monomials of one degree, or up to it."""
-    return math.comb(n - 1 + degree, degree) if graded else math.comb(n + degree, n)
-
-
 def solve_lift(fam, degree, constraints):
     """Next entries G of the family with g o G = T for every pair (g, T).
 
@@ -393,19 +388,17 @@ def solve_lift(fam, degree, constraints):
     """
     ctx = fam.context
     graded = ctx.mode == "graded" and all(H.is_homogeneous() for H in fam.entries.values())
-    _refuse_negative_bound(degree, "lifting system")
-    _refuse_oversized(_lift_columns(ctx.n, degree, graded), f"lifting system of degree {degree}")
-    index = (MonomialIndex.of_degree if graded else MonomialIndex.window)(ctx.n, degree)
-    rows = contraction_rows([g for g, _ in constraints], index)
+    columns = monomial_columns(ctx.n, degree if graded else 0, degree, "lifting system", "of")
+    rows = contraction_rows([g for g, _ in constraints], columns)
     for k, (_, T) in enumerate(constraints):
         for m in T.terms:
             rows.setdefault((k, m), {})  # unreached target term: 0 = T_m, infeasible
     rhs = [constraints[k][1].terms.get(d, ctx.zero) for k, d in rows]
-    solved = solve_affine(list(rows.values()), rhs, len(index), ctx.one)
+    solved = solve_affine(list(rows.values()), rhs, columns, ctx.one)
     if solved is None:
         return None
     particular, kernel = solved
-    return index.poly(particular, ctx, "dual"), [index.poly(v, ctx, "dual") for v in kernel]
+    return DPPolynomial._of(ctx, particular), [DPPolynomial._of(ctx, v) for v in kernel]
 
 
 # ---------------------------------------------------------------------------

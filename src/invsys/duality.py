@@ -13,7 +13,16 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .linalg import MonomialIndex, SpanBuilder, SubspaceBasis, kernel_vectors, span_reduce
+from .linalg import (
+    SpanBuilder,
+    SubspaceBasis,
+    column_count,
+    kernel_vectors,
+    monomial_columns,
+    refuse_negative_bound,
+    refuse_oversized,
+    span_reduce,
+)
 from .ring import (
     DPPolynomial,
     Polynomial,
@@ -157,9 +166,9 @@ def module_span(gens, degree_bound=None):
     ``degree_bound``.
     """
     if degree_bound is not None:
-        _refuse_negative_bound(degree_bound, "module span")
+        refuse_negative_bound(degree_bound, "module span")
     divisors = sum(math.prod(e + 1 for e in g.context.unpack(l)) for g in gens for l in g.terms)
-    _refuse_oversized(divisors, "module span")
+    refuse_oversized(divisors, "module span")
     builder = SpanBuilder()
     queue = list(gens)
     while queue:
@@ -188,22 +197,23 @@ def hilbert_function(slices):
 # contraction matrices
 
 
-def contraction_rows(fixed, index):
-    """Sparse rows of contraction against each fixed element, columns over index.
+def contraction_rows(fixed, columns):
+    """Sparse rows of contraction against each fixed element, one column per monomial.
 
     With dual elements F the columns are ring monomials and a column h maps
     to the contractions h o F; with ring elements g the columns are dual
     monomials and G maps to g o G.  Rows are keyed by (position of the fixed
-    element, packed monomial of the contraction result); a key is present
-    whenever some column reaches it, even when its entries cancel.
+    element, packed monomial of the contraction result) and hold column
+    positions; a key is present whenever some column reaches it, even when
+    its entries cancel.
     """
     rows = {}
     for k, f in enumerate(fixed):
         base, guard = f.context.base, f.context.guard
         if isinstance(f, DPPolynomial):  # col + t packs L - col for each term L
-            cols, terms = [-c for c in index.monomials], [(m + base, a) for m, a in f.terms.items()]
+            cols, terms = [-c for c in columns], [(m + base, a) for m, a in f.terms.items()]
         else:  # col + t packs col - M for each term M
-            cols, terms = index.monomials, [(base - m, a) for m, a in f.terms.items()]
+            cols, terms = columns, [(base - m, a) for m, a in f.terms.items()]
         for j, col in enumerate(cols):
             for t, a in terms:
                 d = col + t
@@ -212,14 +222,9 @@ def contraction_rows(fixed, index):
     return rows
 
 
-def contraction_kernel(fixed, index, context, side):
-    """Canonical kernel basis of contraction against the fixed elements.
-
-    ``side`` names the side of the columns: "r" when the fixed elements are
-    dual, "dual" when they are ring elements.
-    """
-    kernel = kernel_vectors(list(contraction_rows(fixed, index).values()), len(index), context.one)
-    return SubspaceBasis([index.poly(v, context, side) for v in kernel])
+def contraction_kernel(fixed, columns, one):
+    """Canonical kernel basis of contraction against the fixed elements, keyed by column monomial."""
+    return kernel_vectors(list(contraction_rows(fixed, columns).values()), columns, one)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +240,8 @@ def annihilator_window(gens, bound):
     ``MAX_ANN_COLUMNS`` monomials are refused up front.
     """
     ctx = gens[0].context
-    _refuse_oversized_window(ctx.n, bound, "annihilator")
-    return contraction_kernel(gens, MonomialIndex.window(ctx.n, bound), ctx, "r")
+    columns = monomial_columns(ctx.n, 0, bound, "annihilator")
+    return SubspaceBasis([Polynomial._of(ctx, v) for v in contraction_kernel(gens, columns, ctx.one)])
 
 
 def _monomial_multiple(m, terms, context, bound):
@@ -377,36 +382,6 @@ def ann_cyclic(F, gen_bound=None):
     return ann_module([F], gen_bound)
 
 
-# Largest number of contraction columns that ``annihilator_window``,
-# ``perp_ideal``, ``ideal_window_span`` and ``admissible.solve_lift`` accept
-# (monomials of degree at most the bound, C(n + bound, n), or of one degree
-# for a graded lift), that ``family_from_ideal`` accepts over all the lifts of
-# its box, and of contractions that ``module_span`` accepts, one per divisor
-# of a generator term.  Tests and benchmarks need at most 3003 columns (2569
-# for a family box) and 9100 divisors; ``ann`` of X^[250]*Y^[250] (126253
-# columns) took 4.6 s on one core of a shared 2-core Xeon VM, and the cost
-# grows faster than linearly in the column count.
-MAX_ANN_COLUMNS = 100_000
-
-
-def _refuse_oversized(columns, what):
-    if columns > MAX_ANN_COLUMNS:
-        raise PreconditionError(
-            f"{what} needs {columns} contraction columns, more than the limit {MAX_ANN_COLUMNS}"
-        )
-
-
-def _refuse_negative_bound(bound, what):
-    if bound < 0:
-        raise PreconditionError(f"{what} degree bound must be at least 0, got {bound}")
-
-
-def _refuse_oversized_window(n, bound, what):
-    _refuse_negative_bound(bound, what)
-    _refuse_oversized(math.comb(n + bound, n), f"{what} up to degree {bound}")
-    _check_degree(bound)
-
-
 def ann_module(gens, degree_bound=None):
     """Bounded part of the joint annihilator of several dual elements.
 
@@ -460,20 +435,25 @@ def perp_ideal(I, degree_bound=None):
     contraction columns in all, refused beyond ``MAX_ANN_COLUMNS``.
     """
     ctx = I.context
+    graded = ctx.mode == "graded"
+    if graded and not I.is_homogeneous():
+        raise PreconditionError("graded mode needs homogeneous generators")
     bound = degree_bound if degree_bound is not None else I.max_degree() + 2
-    _refuse_oversized_window(ctx.n, bound, "inverse system")
-    if ctx.mode == "graded":
-        if not I.is_homogeneous():
-            raise PreconditionError("graded mode needs homogeneous generators")
+    columns = monomial_columns(ctx.n, 0, bound, "inverse system")
+    if graded:
         # One kernel per degree, not their sum over the window: the window
         # matrix holds every degree at once (twice the traced peak memory
         # for the inverse system of a degree-29 form in three variables).
+        by_degree = [[] for _ in range(bound + 1)]
+        for m in columns:
+            by_degree[m >> ctx.shift].append(m)
+        kernels = (contraction_kernel(I.gens, cols, ctx.one) for cols in by_degree)
         return [
-            GradedSlice(j, contraction_kernel(I.gens, MonomialIndex.of_degree(ctx.n, j), ctx, "dual"))
-            for j in range(bound + 1)
+            GradedSlice(j, SubspaceBasis([DPPolynomial._of(ctx, v) for v in kernel]))
+            for j, kernel in enumerate(kernels)
         ]
-    index = MonomialIndex.window(ctx.n, bound)
-    return _slices_from_vectors(contraction_kernel(I.gens, index, ctx, "dual").vectors, bound)
+    kernel = contraction_kernel(I.gens, columns, ctx.one)
+    return _slices_from_vectors([DPPolynomial._of(ctx, v) for v in kernel], bound)
 
 
 def ideal_window_span(gens, bound, context):
@@ -484,7 +464,8 @@ def ideal_window_span(gens, bound, context):
     Windows of more than ``MAX_ANN_COLUMNS`` monomials are refused.
     """
     _check_degree(bound)
-    _refuse_oversized_window(context.n, bound, "ideal window")
+    refuse_negative_bound(bound, "ideal window")
+    refuse_oversized(column_count(context.n, 0, bound), f"ideal window up to degree {bound}")
     span = SpanBuilder()
     for g in gens:
         if g.is_zero():

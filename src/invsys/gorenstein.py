@@ -17,13 +17,11 @@ from .admissible import (
     AdmissibleFamily,
     CheckReport,
     CheckViolation,
-    _lift_columns,
     check_family,
     solve_lift,
 )
 from .duality import (
     Ideal,
-    _refuse_oversized,
     ann_cyclic,
     annihilator_window,
     flatten,
@@ -33,7 +31,7 @@ from .duality import (
     span_dim,
 )
 from .groebner import _regular_chain, hilbert_data, socle_dim
-from .linalg import SpanBuilder
+from .linalg import SpanBuilder, column_count, refuse_oversized
 from .ring import (
     DPPolynomial,
     Polynomial,
@@ -148,12 +146,15 @@ def family_from_ideal(I, z_indices, t0, trunc=None):
     (kernel coordinates zero) of the affine system that contracts correctly
     onto its predecessors and is annihilated by the ideal: in degree
     r + |L| - d (r the base degree) when graded, up to degree trunc
-    otherwise.  A box whose lifting systems need more than
+    otherwise.  The distinguished variables and t0 are checked first, by
+    ``AdmissibleFamily``; a box whose lifting systems need more than
     ``MAX_ANN_COLUMNS`` columns in all is refused before the first lift.
     """
     ctx = I.context
     z_indices = tuple(z_indices)
     d = len(z_indices)
+    entries = {}
+    shell = AdmissibleFamily(ctx, d, z_indices, entries, t0)
     reduction = Ideal(list(I.gens) + [ctx.variable(i) for i in z_indices], ctx)
     graded = ctx.mode == "graded" and I.is_homogeneous()
     if graded:
@@ -167,12 +168,11 @@ def family_from_ideal(I, z_indices, t0, trunc=None):
         window = trunc
     base = _reduction_generator(reduction, window)
     r = int(base.degree())
-    entries = {(1,) * d: base}
-    shell = AdmissibleFamily(ctx, d, z_indices, entries, t0)
+    entries[(1,) * d] = base
     order = [L for L in sorted(shell.index_box(), key=lambda L: (sum(L), L)) if L not in entries]
     degrees = [r + sum(L) - d if graded else trunc for L in order]
-    columns = sum(_lift_columns(ctx.n, D, graded) for D in degrees)
-    _refuse_oversized(columns, f"lifting the family box to t0 = {t0}")
+    columns = sum(column_count(ctx.n, D if graded else 0, D) for D in degrees)
+    refuse_oversized(columns, f"lifting the family box to t0 = {t0}")
     zero = DPPolynomial.zero(ctx)
     for L, D in zip(order, degrees):
         lifted = solve_lift(shell, D, shell.step_down(L) + [(g, zero) for g in I.gens])

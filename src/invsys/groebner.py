@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .duality import GroebnerBasis, HilbertData, Ideal
-from .linalg import rank_of
+from .linalg import rank_of, refuse_oversized
 from .ring import Polynomial, PreconditionError, _check_degree
 
 
@@ -342,10 +342,15 @@ def socle_dim(ideal):
 
     The kernel of joint multiplication by all the variables, read off the
     border walk: each product x*m of a standard monomial is standard or in
-    the border, so no normal form is computed.
+    the border, so no normal form is computed.  The matrix has one column
+    per standard monomial, the multiplicity, so a quotient whose cached
+    Hilbert data put it above ``MAX_ANN_COLUMNS`` is refused before the walk.
     """
     gb = buchberger(ideal)
     ctx = ideal.context
+    data = hilbert_data(ideal)
+    if data.dimension == 0:
+        refuse_oversized(data.multiplicity, "socle of the Artinian quotient", "multiplication")
     std, border = _border_walk(gb)
     pos = {m: j for j, m in enumerate(std)}
     rows = {}

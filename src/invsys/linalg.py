@@ -4,7 +4,9 @@ One echelon engine maintains a reduced row echelon form of sparse rows
 (dicts mapping a key to a scalar); everything is exact, so there are no pivot
 thresholds of any kind.  Keys are either int columns, leftmost pivot first
 for reduced echelon forms and affine solving, rightmost first for kernels,
-or monomials, degrevlex-largest pivot first.
+or monomials, degrevlex-largest pivot first.  The columns of a contraction
+system are the monomials of a degree range (``monomial_columns``, which
+sizes them); kernels and affine solutions come back keyed by them.
 
 Coordinate vectors indexed by monomials are just polynomials, so subspaces
 of a degree window are kept as lists of polynomials in reduced echelon form
@@ -14,9 +16,10 @@ vectors, pairwise distinct leading monomials, mutually reduced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .ring import DPPolynomial, Polynomial, _packed_monomials
+from .ring import PreconditionError, _packed_monomials
 
 # ---------------------------------------------------------------------------
 # the echelon engine: sparse rows keyed by int columns or by monomials
@@ -105,34 +108,38 @@ def rank_of(rows):
     return len(rref_rows(rows)[1])
 
 
-def _free_column_kernel(reduced, pivots, ncols, one):
-    """Null-space basis of an RREF system, one vector per free column below ncols."""
+def _free_column_kernel(reduced, pivots, columns, one):
+    """Null-space basis of an RREF system, one vector per free column, keyed by ``columns``."""
     pivot_set = set(pivots)
-    kernel = {c: {c: one} for c in range(ncols) if c not in pivot_set}
+    kernel = {c: {columns[c]: one} for c in range(len(columns)) if c not in pivot_set}
     for lead, prow in zip(pivots, reduced):
         for c, v in prow.items():
             if c in kernel:
-                kernel[c][lead] = -v
+                kernel[c][columns[lead]] = -v
     return list(kernel.values())
 
 
-def kernel_vectors(rows, ncols, one):
+def kernel_vectors(rows, columns, one):
     """Null-space basis in reduced echelon form with leftmost pivots.
 
-    Rightmost pivots make the vector of free column c, 1 at c, nonzero
-    elsewhere only at pivot columns right of c.  ``one`` is the field's unit.
+    Rows are keyed by column position 0..len(columns)-1, vectors by the
+    column labels in ``columns``.  Rightmost pivots make the vector of free
+    column c, 1 at c, nonzero elsewhere only at pivot columns right of c.
+    ``one`` is the field's unit.
     """
     reduced, pivots = rref_rows(rows, lead=max)
-    return _free_column_kernel(reduced, pivots, ncols, one)
+    return _free_column_kernel(reduced, pivots, columns, one)
 
 
-def solve_affine(rows, rhs, ncols, one):
+def solve_affine(rows, rhs, columns, one):
     """Solve the sparse linear system rows * x = rhs.
 
     Returns (particular solution, kernel basis) with all free coordinates of
-    the particular solution set to zero, or None when inconsistent.  Vectors
-    are sparse dicts over 0..ncols-1; ``one`` is the field's unit.
+    the particular solution set to zero, or None when inconsistent.  Rows are
+    keyed by column position 0..len(columns)-1, the returned vectors by the
+    column labels in ``columns``; ``one`` is the field's unit.
     """
+    ncols = len(columns)
     aug = []
     for row, b in zip(rows, rhs):
         r = dict(row)
@@ -146,44 +153,53 @@ def solve_affine(rows, rhs, ncols, one):
     for lead, prow in zip(pivots, reduced):
         b = prow.get(ncols)
         if b:
-            particular[lead] = b
-    return particular, _free_column_kernel(reduced, pivots, ncols, one)
+            particular[columns[lead]] = b
+    return particular, _free_column_kernel(reduced, pivots, columns, one)
 
 
 # ---------------------------------------------------------------------------
-# monomial-indexed columns
+# monomial columns and their size limit
+
+# Largest number of columns any system here accepts: the monomials that
+# ``monomial_columns`` builds (C(n + bound, n) up to a bound, fewer for one
+# degree), the window of ``ideal_window_span``, all the lifts of a
+# ``family_from_ideal`` box, the divisors of ``module_span``'s generator
+# terms and the standard monomials (the multiplicity) of ``socle_dim``.
+# Tests and benchmarks need at most 3003 columns (2569 for a family box) and
+# 9100 divisors; ``ann`` of X^[250]*Y^[250] (126253 columns) took 4.6 s on one
+# core of a shared 2-core Xeon VM, and the cost grows faster than linearly.
+MAX_ANN_COLUMNS = 100_000
 
 
-@dataclass(frozen=True)
-class MonomialIndex:
-    """A bijection between a sorted list of packed monomials and column positions.
-
-    Monomials are stored degrevlex-descending so that column 0 is the largest
-    monomial and leftmost pivots correspond to canonical leading monomials.
-    ``of_degree`` and ``window`` take the number of variables.
-    """
-
-    monomials: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "monomials", tuple(sorted(self.monomials, reverse=True))
+def refuse_oversized(columns, what, kind="contraction"):
+    if columns > MAX_ANN_COLUMNS:
+        raise PreconditionError(
+            f"{what} needs {columns} {kind} columns, more than the limit {MAX_ANN_COLUMNS}"
         )
 
-    @classmethod
-    def of_degree(cls, n, degree):
-        return cls(tuple(_packed_monomials(n, degree, degree)))
 
-    @classmethod
-    def window(cls, n, bound):
-        return cls(tuple(_packed_monomials(n, 0, bound)))
+def refuse_negative_bound(bound, what):
+    if bound < 0:
+        raise PreconditionError(f"{what} degree bound must be at least 0, got {bound}")
 
-    def __len__(self):
-        return len(self.monomials)
 
-    def poly(self, vec, context, side):
-        cls = Polynomial if side == "r" else DPPolynomial
-        return cls._of(context, {self.monomials[i]: c for i, c in vec.items() if c})
+def column_count(n, low, high):
+    """Number of monomials of degree low..high in n variables."""
+    return math.comb(n + high, n) - math.comb(n + low - 1, n)
+
+
+def monomial_columns(n, low, high, what, scope="up to"):
+    """The packed monomials of degree low..high in n variables, degrevlex descending.
+
+    Column 0 is the largest monomial, so leftmost pivots are canonical
+    leading monomials.  A negative ``high``, more than ``MAX_ANN_COLUMNS``
+    monomials or a degree above the packing limit is refused before any
+    is built; the refusal names ``what`` and, for the size, "``what``
+    ``scope`` degree ``high``".
+    """
+    refuse_negative_bound(high, what)
+    refuse_oversized(column_count(n, low, high), f"{what} {scope} degree {high}")
+    return sorted(_packed_monomials(n, low, high), reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +309,7 @@ def vanishing_combinations(vectors, selected, head):
             if selected(m):
                 rows.setdefault(m, {})[j] = c
     out = []
-    for combo in kernel_vectors(list(rows.values()), len(vectors), vectors[0].context.one):
+    for combo in kernel_vectors(list(rows.values()), range(len(vectors)), vectors[0].context.one):
         acc = None
         for j, c in combo.items():
             if j < head:

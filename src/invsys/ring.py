@@ -6,8 +6,8 @@ of its graded dual, the divided-power module, written in the uppercase dual
 variables with bracketed exponents (``X^[3]``).  A polynomial is a map from
 packed monomials, one int per exponent vector (see ``RingContext``), to
 nonzero field scalars.  Exponent tuples appear only at the boundary: the
-parser, the printer, the constructor, ``monomial``, ``coeff``, ``shift_mul``
-and ``monomials_of_degree``.
+parser, the printer, the constructor, ``monomial``, ``coeff`` and
+``shift_mul``.
 
 The dual side carries no internal product; R acts on it by contraction,
 which sends ``z^M . Z^[L]`` to ``Z^[L-M]`` (zero when any component of L-M is
@@ -156,17 +156,35 @@ def _check_degree(degree):
 
 
 def _packed_monomials(n, low, high):
-    """Packed monomials of degree low..high in n variables, each once: factor indices never rise."""
+    """Packed monomials of degree low..high in n variables, each once: factor indices never rise.
+
+    A monomial of degree d is the non-increasing sequence of its d factor
+    indices, and each layer lists them in ascending lexicographic order,
+    the order in which stepping up from degree 0 (appending any index up to
+    the last one, ``top``) produces them.  Layer ``low`` > 0 starts at
+    x_0^low and walks that order directly: the successor replaces the c
+    trailing factors equal to the least index ``top`` by one factor
+    top + 1 and c - 1 factors 0.  ``low`` is at least 0.
+    """
     _check_degree(high)
     shift = n * _BITS
     steps = [(1 << shift) - (1 << (i * _BITS)) for i in range(n)]
-    layer = [(MAX_DEGREE * (((1 << shift) - 1) // _FIELD), n - 1)]
+    m = MAX_DEGREE * (((1 << shift) - 1) // _FIELD) + low * steps[0]
+    top, c = (0, low) if low else (n - 1, 0)  # c factors equal the least index top
+    layer = [(m, top)]
+    while top < n - 1:
+        m += steps[top + 1] - c * steps[top] + (c - 1) * steps[0]
+        if c > 1:
+            top, c = 0, c - 1
+        else:
+            top += 1
+            c = MAX_DEGREE - (m >> (top * _BITS) & _FIELD)
+        layer.append((m, top))
     out = []
-    for d in range(high + 1):
-        if d:
+    for d in range(low, high + 1):
+        if d > low:
             layer = [(m + steps[i], i) for m, top in layer for i in range(top + 1)]
-        if d >= low:
-            out.extend(m for m, _ in layer)
+        out.extend(m for m, _ in layer)
     return out
 
 
@@ -286,20 +304,6 @@ def ring_context(variables, duals=None, char=0, mode="graded"):
     elif isinstance(duals, str):
         duals = [v.strip() for v in duals.split(",")]
     return RingContext(tuple(variables), tuple(duals), char, mode)
-
-
-# ---------------------------------------------------------------------------
-# exponent vectors
-
-
-def monomials_of_degree(n, d):
-    """All exponent vectors of total degree d in n variables."""
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in monomials_of_degree(n - 1, d - first):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from invsys import (  # noqa: E402
     parse_ring_decl,
     shift_mul,
 )
+from invsys.ring import _packed_monomials  # noqa: E402
 
 
 def ctx_of(decl):
@@ -38,6 +39,11 @@ def ring_poly(ctx, text):
 
 def ideal_of(ctx, text):
     return Ideal(parse_ideal_gens(text, ctx), ctx)
+
+
+def exponent_vectors(ctx, d):
+    """Exponent vectors of the monomials of degree d, none when d < 0."""
+    return [ctx.unpack(m) for m in _packed_monomials(ctx.n, d, d)] if d >= 0 else []
 
 
 def same_ideal(a, b):

@@ -11,7 +11,7 @@ corrected ten-generator identity is verified exactly alongside it.
 """
 
 import pytest
-from conftest import ctx_of, dual, ideal_of, ring_poly, rng_for, random_poly, same_ideal
+from conftest import ctx_of, dual, exponent_vectors, ideal_of, ring_poly, rng_for, random_poly, same_ideal
 
 from invsys import (
     DPPolynomial,
@@ -43,7 +43,7 @@ from invsys import (
 from invsys.duality import flatten, ideals_equal_mod
 from invsys.gorenstein import second_difference
 from invsys.groebner import _s_polynomial, hilbert_data
-from invsys.ring import Polynomial, contract, monomials_of_degree, shift_mul
+from invsys.ring import Polynomial, contract, shift_mul
 
 
 def verdict(num, label, ok):
@@ -285,7 +285,7 @@ def test_criterion_8c_pairing_perfection():
     ctx = ctx_of("ring Q[x,y,z] dual [X,Y,Z]")
     ok = True
     for j in range(5):
-        monos = list(monomials_of_degree(3, j))
+        monos = exponent_vectors(ctx, j)
         for a, m in enumerate(monos):
             for b, l in enumerate(monos):
                 value = pairing(
@@ -420,7 +420,7 @@ def test_criterion_8g_buchberger_certificates():
             [
                 Polynomial.monomial(ctx, m) * g
                 for g in gens
-                for m in monomials_of_degree(3, j - int(g.degree()))
+                for m in exponent_vectors(ctx, j - int(g.degree()))
                 if g.degree() <= j
             ]
         )

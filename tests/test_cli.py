@@ -170,6 +170,31 @@ def test_oversized_family_box_is_refused_up_front(capsys):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cone", "--ring", "ring Q[x,y,z] dual [X,Y,Z]", "--H", "1", "--d", "4", "--t0", "2"],
+        ["family-from-ideal", "--ring", "Q[x,y,z]", "--ideal", "y*z+x*z, y^3+z^3-x*y^2+x^2*y-x^3", "--z", "x,x", "--t0", "1"],
+        ["family-from-ideal", "--ring", "Q[x,y,z]", "--ideal", "y*z+x*z, y^3+z^3-x*y^2+x^2*y-x^3", "--z", "x,x", "--t0", "2"],
+        ["family-from-ideal", "--ring", "Q[x,y]", "--ideal", "x^2, y^2", "--z", "", "--t0", "1"],
+    ],
+    ids=["cone-outside", "repeated-t0-1", "repeated-t0-2", "empty"],
+)
+def test_distinguished_variables_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "distinguished variables must be distinct context variables" in err
+
+
+def test_oversized_socle_is_refused_up_front(capsys):
+    start = time.perf_counter()
+    argv = ["--ring", "ring Q[x,y,z] dual [X,Y,Z]", "--ideal", "x^160,y^160,z^160", "--d", "0", "--z", ""]
+    code, out, err = run(capsys, "gorenstein-check", *argv)
+    assert code == 3 and out == ""
+    assert "socle of the Artinian quotient needs 4096000 multiplication columns" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_check_admissible_pass_and_fail(tmp_path, capsys, curve_codim2):
     good = tmp_path / "good.fam"
     good.write_text(dump_family(curve_codim2["family5"]), encoding="utf-8")

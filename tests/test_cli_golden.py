@@ -199,11 +199,15 @@ CASES = {
     "cone": ["cone", "--ring", "Q[x,y,z]", "--H", "Y^[2]+Z^[3]", "--d", "1", "--t0", "3"],
     "cone-two-parameter": ["cone", "--ring", "Q[x,y,z,w]", "--H", "Z^[2]*W-W^[3]", "--d", "2", "--t0", "2"],
     "cone-rejected": ["cone", "--ring", "Q[x,y]", "--H", "X*Y", "--d", "1", "--t0", "2"],
+    "cone-distinguished-outside-ring": ["cone", "--ring", "Q[x,y,z]", "--H", "1", "--d", "4", "--t0", "2"],
+    "family-from-ideal-repeated-z": ["family-from-ideal", "--ring", "Q[x,y,z]", "--ideal", CURVE, "--z", "x,x", "--t0", "1"],
+    "family-from-ideal-empty-z": ["family-from-ideal", "--ring", "Q[x,y]", "--ideal", "x^2, y^2", "--z", "", "--t0", "1"],
     "gorenstein-check": ["gorenstein-check", "--ring", "Q[x,y,z]", "--ideal", CURVE, "--d", "1", "--z", "x"],
     "gorenstein-check-json": ["gorenstein-check", "--json", "--ring", "Q[x,y,z,t,v]", "--ideal", CODIM4, "--d", "1", "--z", "v"],
     "gorenstein-check-local-refused": ["gorenstein-check", "--ring", "Q[x,y,z] mode local", "--ideal", "y*z-x^3, z^2-y^3", "--d", "1", "--z", "x"],
     "gorenstein-check-negative": ["gorenstein-check", "--ring", "Q[x,y,z]", "--ideal", "x*y, x*z, y*z", "--d", "1", "--z", "x+y+z"],
     "gorenstein-check-unit-ideal": ["gorenstein-check", "--ring", "Q[x,y]", "--ideal", "x, 1", "--d", "0", "--z", ""],
+    "gorenstein-check-oversized-socle": ["gorenstein-check", "--ring", "Q[x,y,z]", "--ideal", "x^160, y^160, z^160", "--d", "0", "--z", ""],
     "ann-negative-bound": ["ann", "--ring", "Q[x,y,z]", "--poly", "X^[2]*Y+Z^[3]", "--bound", "-3"],
     "perp-negative-bound": ["perp", "--ring", "Q[x,y]", "--ideal", "x^2, y^2", "--bound", "-2"],
     "span-negative-bound": ["span", "--ring", "Q[x,y]", "--F", "X^[2]*Y", "--bound", "-2"],

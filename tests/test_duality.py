@@ -4,7 +4,7 @@ import itertools
 import time
 
 import pytest
-from conftest import ctx_of, dual, ideal_of, ring_poly, rng_for, random_poly
+from conftest import ctx_of, dual, exponent_vectors, ideal_of, ring_poly, rng_for, random_poly
 
 from invsys import (
     Ideal,
@@ -20,6 +20,7 @@ from invsys import (
     span_dim,
     span_reduce,
 )
+from invsys import duality
 from invsys.duality import (
     _slices_from_vectors,
     annihilator_window,
@@ -29,8 +30,8 @@ from invsys.duality import (
     ideal_window_span,
     ideals_equal_mod,
 )
-from invsys.linalg import MonomialIndex, SpanBuilder, kernel_vectors
-from invsys.ring import DPPolynomial, Polynomial, contract, contract_monomial, monomials_of_degree
+from invsys.linalg import SpanBuilder, kernel_vectors, monomial_columns
+from invsys.ring import DPPolynomial, Polynomial, contract, contract_monomial
 
 
 # -- module spans --------------------------------------------------------------
@@ -172,18 +173,29 @@ def test_perp_of_maximal_ideal():
     assert by_degree[1].dim == 0
 
 
+def test_graded_perp_refuses_nonhomogeneous_generators_before_building_columns(monkeypatch):
+    # the window of C(402, 2) = 80601 columns is never built for a refusal
+    def build(*args):
+        raise AssertionError("columns built")
+
+    monkeypatch.setattr(duality, "monomial_columns", build)
+    ctx = ctx_of("ring Q[x,y] dual [X,Y]")
+    with pytest.raises(PreconditionError, match="graded mode needs homogeneous generators"):
+        perp_ideal(ideal_of(ctx, "x*y-x"), 400)
+
+
 def test_graded_perp_dimension_formula(curve_codim2):
     ctx = curve_codim2["ctx"]
     ideal = curve_codim2["ideal"]
     slices = perp_ideal(ideal, 6)
     for s in slices:
         j = s.degree
-        full = len(list(monomials_of_degree(ctx.n, j)))
+        full = len(exponent_vectors(ctx, j))
         gens_span = span_reduce(
             [
                 Polynomial.monomial(ctx, m) * g
                 for g in ideal.gens
-                for m in monomials_of_degree(ctx.n, j - int(g.degree()))
+                for m in exponent_vectors(ctx, j - int(g.degree()))
                 if j >= g.degree()
             ]
         )
@@ -420,9 +432,9 @@ def _per_degree_kernels(gens, bound):
     ctx = gens[0].context
     out = []
     for j in range(bound, -1, -1):
-        index = MonomialIndex.of_degree(ctx.n, j)
-        rows = list(contraction_rows(gens, index).values())
-        out.extend(index.poly(v, ctx, "r") for v in kernel_vectors(rows, len(index), ctx.one))
+        columns = monomial_columns(ctx.n, j, j, "test system", "of")
+        rows = list(contraction_rows(gens, columns).values())
+        out.extend(Polynomial._of(ctx, v) for v in kernel_vectors(rows, columns, ctx.one))
     return out
 
 
@@ -457,7 +469,7 @@ def _minimalize_by_multiples(slices, ctx):
     for j in sorted(slices):
         span = SpanBuilder()
         for g in gens:
-            for m in monomials_of_degree(ctx.n, j - int(g.degree())):
+            for m in exponent_vectors(ctx, j - int(g.degree())):
                 span.insert(Polynomial.monomial(ctx, m) * g)
         for v in slices[j]:
             r = span.reduce(v)

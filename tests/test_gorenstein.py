@@ -3,9 +3,10 @@
 import itertools
 
 import pytest
-from conftest import ctx_of, dual, ideal_of, ring_poly, rng_for, same_ideal
+from conftest import ctx_of, dual, exponent_vectors, ideal_of, ring_poly, rng_for, same_ideal
 
 from invsys import (
+    AdmissibleFamily,
     Ideal,
     PreconditionError,
     ann_cyclic,
@@ -22,12 +23,12 @@ from invsys import (
     perp_ideal,
     span_dim,
 )
-from invsys import groebner
+from invsys import groebner, linalg
 from invsys.duality import annihilator_window, flatten, ideal_contains_mod, ideals_equal_mod
 from invsys.gorenstein import second_difference
 from invsys.groebner import hilbert_data, is_regular_sequence
 from invsys.linalg import span_reduce
-from invsys.ring import DPPolynomial, contract, monomials_of_degree
+from invsys.ring import DPPolynomial, contract
 
 
 # -- finite reconstruction ---------------------------------------------------------
@@ -227,6 +228,51 @@ def test_family_from_ideal_rejects_non_gorenstein():
         family_from_ideal(ideal_of(ctx, "x^2, x*y, y^2"), (2,), 2)
 
 
+@pytest.mark.parametrize(
+    "z_indices", [(), (0, 0), (0, 7), (-1,)], ids=["none", "repeated", "outside", "negative"]
+)
+def test_distinguished_variables_are_checked_before_any_work(z_indices):
+    # one rule, in AdmissibleFamily: d >= 1 distinct variables of the ring;
+    # without it these raised IndexError, lifted with the wrong variable or
+    # wrote a family file that loading refuses
+    ctx = ctx_of("ring Q[x,y,z] dual [X,Y,Z]")
+    curve = ideal_of(ctx, "y*z+x*z, y^3+z^3-x*y^2+x^2*y-x^3")
+    d, one = len(z_indices), dual(ctx, "1")
+    message = "distinguished variables must be distinct context variables"
+    with pytest.raises(PreconditionError, match=message):
+        AdmissibleFamily(ctx, d, z_indices, {}, 2)
+    for t0 in (1, 2):
+        with pytest.raises(PreconditionError, match=message):
+            family_from_ideal(curve, z_indices, t0)
+    with pytest.raises(PreconditionError, match=message):
+        cone_family(one, d, 2, z_indices=z_indices)
+    with pytest.raises(PreconditionError, match=message):
+        build_family(ctx, z_indices, {(1,) * d: one}, 1)
+
+
+def test_oversized_socle_is_refused_before_the_border_walk(monkeypatch):
+    # the multiplication matrix has one column per standard monomial, so the
+    # cached multiplicity sizes it; x^160 took over a minute before the limit
+    ctx = ctx_of("ring Q[x,y,z] dual [X,Y,Z]")
+
+    class Walked(Exception):
+        pass
+
+    def walk(gb):
+        raise Walked
+
+    monkeypatch.setattr(groebner, "_border_walk", walk)
+    with pytest.raises(PreconditionError, match="needs 4096000 multiplication columns, more than the limit 100000"):
+        groebner.socle_dim(ideal_of(ctx, "x^160, y^160, z^160"))
+    with pytest.raises(Walked):  # multiplicity 64000 is accepted
+        groebner.socle_dim(ideal_of(ctx, "x^40, y^40, z^40"))
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "MAX_ANN_COLUMNS", 64)
+    assert groebner.socle_dim(ideal_of(ctx, "x^4, y^4, z^4")) == 1
+    with pytest.raises(PreconditionError, match="needs 80 multiplication columns"):
+        groebner.socle_dim(ideal_of(ctx, "x^4, y^4, z^5"))
+
+
 def test_round_trip_on_graded_examples(curve_codim2, elliptic_curve, codim4_curve):
     cases = [
         (curve_codim2["ideal"], (0,)),
@@ -262,7 +308,7 @@ def test_claim_two_bounded(curve_codim2):
         dims = {sl.degree: sl.dim for sl in span}
         hf = hilbert_data(extended).series_coeffs(s)
         for j in range(s + 1):
-            full = len(list(monomials_of_degree(ctx.n, j)))
+            full = len(exponent_vectors(ctx, j))
             ann_dim = full - dims.get(s - j, 0)
             assert ann_dim == full - hf[j]
 

@@ -1,7 +1,7 @@
 """Buchberger engine, Hilbert series, regular sequences, socles, minimal generators."""
 
 import pytest
-from conftest import ctx_of, dual, ideal_of, ring_poly, rng_for, random_poly
+from conftest import ctx_of, dual, exponent_vectors, ideal_of, ring_poly, rng_for, random_poly
 
 from invsys import (
     Ideal,
@@ -25,7 +25,7 @@ from invsys import groebner
 from invsys.duality import flatten
 from invsys.groebner import _s_polynomial, standard_monomials
 from invsys.linalg import rank_of
-from invsys.ring import Polynomial, _packed_monomials, monomials_of_degree
+from invsys.ring import Polynomial, _packed_monomials
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ def test_membership_agrees_with_linear_algebra(ctx3):
             [
                 Polynomial.monomial(ctx3, m) * g
                 for g in gens
-                for m in monomials_of_degree(3, j - int(g.degree()))
+                for m in exponent_vectors(ctx3, j - int(g.degree()))
                 if g.degree() <= j
             ]
         )

@@ -3,9 +3,9 @@
 import pytest
 from conftest import ctx_of, dual, frac, ideal_of, ring_poly, rng_for, random_poly
 
-from invsys import MonomialIndex, ann_module, membership, perp_ideal, span_intersect, span_reduce
+from invsys import DPPolynomial, Polynomial, ann_module, membership, perp_ideal, span_intersect, span_reduce
 from invsys import linalg
-from invsys.linalg import kernel_vectors, rank_of, rref_rows, solve_affine
+from invsys.linalg import kernel_vectors, monomial_columns, rank_of, rref_rows, solve_affine
 
 
 def _dense_to_rows(grid):
@@ -59,7 +59,7 @@ def test_rref_kernel_annihilation_random():
     rng = rng_for("rref-kernel")
     for _ in range(50):
         rows = _random_rows(rng, 6, 8)
-        kernel = kernel_vectors(rows, 8, frac(1))
+        kernel = kernel_vectors(rows, range(8), frac(1))
         for vec in kernel:
             assert all(v == 0 for v in _apply(rows, vec))
         reduced, _ = rref_rows(rows)
@@ -72,8 +72,8 @@ def test_kernel_vectors_come_out_in_reduced_echelon_form(field):
     # monic at the leftmost entry, distinct leads, zero at the other leads:
     # the basis equals its own span_reduce over degrevlex-ordered columns
     ctx = ctx_of(f"ring {field}[x,y,z]")
-    index = MonomialIndex.of_degree(3, 4)
-    ncols = len(index)
+    columns = monomial_columns(3, 4, 4, "test system", "of")
+    ncols = len(columns)
     rng = rng_for(f"kernel-echelon-{field}")
     for _ in range(40):
         rows = [
@@ -81,7 +81,7 @@ def test_kernel_vectors_come_out_in_reduced_echelon_form(field):
              for j in range(ncols) if rng.random() < 0.3}
             for _ in range(rng.randint(1, 12))
         ]
-        kernel = kernel_vectors(rows, ncols, ctx.scalar(1))
+        kernel = kernel_vectors(rows, range(ncols), ctx.scalar(1))
         assert rank_of(rows) + len(kernel) == ncols
         leads = [min(vec) for vec in kernel]
         assert len(set(leads)) == len(leads)
@@ -89,7 +89,7 @@ def test_kernel_vectors_come_out_in_reduced_echelon_form(field):
             assert vec[lead] == 1
             assert not any(other in vec for other in leads if other != lead)
             assert all(v == 0 for v in _apply(rows, vec))
-        polys = [index.poly(vec, ctx, "r") for vec in kernel]
+        polys = [Polynomial._of(ctx, {columns[j]: c for j, c in vec.items()}) for vec in kernel]
         assert span_reduce(polys).vectors == polys
 
 
@@ -122,12 +122,12 @@ def test_rank_nullity_random():
     for _ in range(50):
         rows = _random_rows(rng, rng.randint(1, 7), rng.randint(1, 7))
         ncols = max((max(r) for r in rows if r), default=-1) + 1
-        assert rank_of(rows) + len(kernel_vectors(rows, ncols, frac(1))) == ncols
+        assert rank_of(rows) + len(kernel_vectors(rows, range(ncols), frac(1))) == ncols
 
 
 def test_full_rank_square_kernel_empty():
     rows = _dense_to_rows([[2, 1], [1, 1]])
-    assert kernel_vectors(rows, 2, frac(1)) == []
+    assert kernel_vectors(rows, range(2), frac(1)) == []
 
 
 # -- affine solving ------------------------------------------------------------
@@ -136,11 +136,11 @@ def test_full_rank_square_kernel_empty():
 def test_affine_solve_zero_target_gives_full_kernel():
     rng = rng_for("affine-zero")
     rows = _random_rows(rng, 4, 6)
-    out = solve_affine(rows, [frac(0)] * 4, 6, frac(1))
+    out = solve_affine(rows, [frac(0)] * 4, range(6), frac(1))
     assert out is not None
     particular, kernel = out
     assert particular == {}
-    assert len(kernel) == len(kernel_vectors(rows, 6, frac(1)))
+    assert len(kernel) == len(kernel_vectors(rows, range(6), frac(1)))
 
 
 def test_affine_solve_consistency_random():
@@ -149,7 +149,7 @@ def test_affine_solve_consistency_random():
         rows = _random_rows(rng, 5, 6)
         secret = {j: frac(rng.randint(-3, 3)) for j in range(6)}
         rhs = _apply(rows, secret)
-        out = solve_affine(rows, rhs, 6, frac(1))
+        out = solve_affine(rows, rhs, range(6), frac(1))
         assert out is not None
         particular, kernel = out
         assert _apply(rows, particular) == rhs
@@ -159,27 +159,27 @@ def test_affine_solve_consistency_random():
 
 def test_affine_solve_detects_infeasible():
     rows = _dense_to_rows([[1, 0], [1, 0]])
-    assert solve_affine(rows, [frac(1), frac(2)], 2, frac(1)) is None
+    assert solve_affine(rows, [frac(1), frac(2)], range(2), frac(1)) is None
 
 
 def test_affine_solve_contraction_system():
     # unknown dual element G of degree <= 3 in two variables with x o G = Y^[2]
     ctx = ctx_of("ring Q[x,y] dual [X,Y] mode local")
-    index = MonomialIndex.window(2, 3)
+    columns = monomial_columns(2, 0, 3, "test system")
     rows, rhs = [], []
     target = dual(ctx, "Y^[2]")
-    for col, m in enumerate(index.monomials):
+    for col, m in enumerate(columns):
         e = ctx.unpack(m)
         down = (e[0] - 1, e[1])
         if down[0] < 0:
             continue
         rows.append({col: frac(1)})
         rhs.append(target.coeff(down))
-    out = solve_affine(rows, rhs, len(index), frac(1))
+    out = solve_affine(rows, rhs, columns, frac(1))
     assert out is not None
     particular, kernel = out
-    assert index.poly(particular, ctx, "dual") == dual(ctx, "X*Y^[2]")
-    kernel_polys = [index.poly(v, ctx, "dual") for v in kernel]
+    assert DPPolynomial._of(ctx, particular) == dual(ctx, "X*Y^[2]")
+    kernel_polys = [DPPolynomial._of(ctx, v) for v in kernel]
     for text in ["Y^[3]", "Y^[2]", "Y", "1"]:
         assert any(p == dual(ctx, text) for p in kernel_polys)
 
@@ -192,18 +192,18 @@ def test_catalecticant_kernel_of_quadric_cubic_generator():
     #   x^2 -> X, x*y -> 0, y^2 -> 1, so the kernel is spanned by x*y
     ctx = ctx_of("ring Q[x,y] dual [X,Y] mode local")
     F = dual(ctx, "X^[3]+Y^[2]")
-    cols = MonomialIndex.of_degree(2, 2)
-    from invsys.ring import contract, Polynomial
+    cols = monomial_columns(2, 2, 2, "test system", "of")
+    from invsys.ring import contract
 
-    images = [contract(Polynomial.monomial(ctx, ctx.unpack(m)), F) for m in cols.monomials]
+    images = [contract(Polynomial.monomial(ctx, ctx.unpack(m)), F) for m in cols]
     support = sorted({m for im in images for m in im.terms})
     rows = []
     for target in support:
         rows.append(
             {j: im.terms[target] for j, im in enumerate(images) if target in im.terms}
         )
-    kernel = kernel_vectors(rows, len(cols), frac(1))
-    polys = [cols.poly(v, ctx, "r") for v in kernel]
+    kernel = kernel_vectors(rows, cols, frac(1))
+    polys = [Polynomial._of(ctx, v) for v in kernel]
     assert polys == [ring_poly(ctx, "x*y")]
 
 

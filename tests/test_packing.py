@@ -8,7 +8,7 @@ from conftest import ctx_of, dual, ring_poly, rng_for
 from invsys import Ideal, Polynomial, buchberger, ideals_equal_mod, shift_mul
 from invsys.cli import main
 from invsys.groebner import _s_polynomial
-from invsys.ring import MAX_DEGREE, PreconditionError, ring_context
+from invsys.ring import MAX_DEGREE, PreconditionError, _packed_monomials, ring_context
 
 # Reference definitions on exponent tuples: what the packed int expressions
 # used by the kernels must agree with.
@@ -144,3 +144,16 @@ def test_cli_refuses_degrees_past_the_limit(capsys, argv):
     assert code == 3
     assert f"limit {MAX_DEGREE}" in err
     assert "Traceback" not in out + err
+
+
+def test_degree_range_starts_at_its_lowest_layer():
+    # layer low is walked directly, not reached by stepping up from degree 0,
+    # and comes out in the order the full window lists it
+    rng = rng_for("packed-degree-range")
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        high = rng.randint(0, 12)
+        low = rng.randint(0, high)
+        shift = ring_context([f"x{i}" for i in range(n)]).shift
+        window = _packed_monomials(n, 0, high)
+        assert _packed_monomials(n, low, high) == [m for m in window if m >> shift >= low]

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from conftest import ctx_of, dual, ring_poly, rng_for, random_poly
+from conftest import ctx_of, dual, exponent_vectors, ring_poly, rng_for, random_poly
 
 from invsys import (
     ContextMismatchError,
@@ -17,7 +17,7 @@ from invsys import (
     ring_context,
     shift_mul,
 )
-from invsys.ring import NEG_INF, PrimeFieldElement, monomials_of_degree
+from invsys.ring import NEG_INF, PrimeFieldElement
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ def test_pairing_annihilator_membership(ctx3):
 
 def test_pairing_is_kronecker_delta(ctx3):
     for j in range(4):
-        monos = list(monomials_of_degree(3, j))
+        monos = exponent_vectors(ctx3, j)
         for m, l in itertools.product(monos, monos):
             f = Polynomial.monomial(ctx3, m)
             F = DPPolynomial.monomial(ctx3, l)
@@ -100,7 +100,7 @@ def test_pairing_is_constant_term_of_contraction(ctx3):
 
 def test_pairing_perfection_per_degree(ctx3):
     for j in range(5):
-        monos = list(monomials_of_degree(3, j))
+        monos = exponent_vectors(ctx3, j)
         grid = [
             [pairing(Polynomial.monomial(ctx3, m), DPPolynomial.monomial(ctx3, l)) for l in monos]
             for m in monos
