@@ -21,6 +21,7 @@ from .duality import (
     ann_cyclic,
     annihilator_window,
     contraction_rows,
+    divisor_monomials,
     flatten,
     module_span,
     span_dim,
@@ -137,19 +138,20 @@ def build_family(context, z_indices, given, t0=None):
 
     A missing index is filled by contracting the closest given entry above
     it; the rectangle must be fully derivable, otherwise the box is
-    incomplete and an error is raised.
+    incomplete and an error is raised.  The rules of ``AdmissibleFamily``
+    (distinguished variables, t0) run before the indices are checked.
     """
     z_indices = tuple(z_indices)
     d = len(z_indices)
     given = {tuple(L): H for L, H in given.items()}
+    if t0 is None:
+        t0 = max([1] + [l for L in given for l in L])
+    entries = {}
+    fam = AdmissibleFamily(context, d, z_indices, entries, t0)  # its rules run first
     for L in given:
         if len(L) != d or any(l < 1 for l in L):
             raise PreconditionError(f"index {L} is not a positive multi-index of length {d}")
-    if t0 is None:
-        t0 = max(max(L) for L in given)
     sources = sorted(given, key=lambda L: (sum(L), L))
-    entries = {}
-    fam = AdmissibleFamily(context, d, z_indices, entries, t0)
     for L in fam.index_box():
         if L in given:
             entries[L] = given[L]
@@ -196,6 +198,10 @@ def check_condition_two(fam, mode="annihilator"):
     ``annihilator`` mode checks, for every in-box step from L to L+e_i, that
     contracting the next entry by the annihilator of the current one spans
     exactly the cyclic span of the entry with i-th coordinate reset to 1.
+    The annihilator is the window kernel of ``annihilator_window``: its
+    multi-term vectors, and the monomials outside the current entry's
+    divisor set, of which only those dividing a term of the next entry
+    contract it to something nonzero.
     ``intersection`` mode checks the equivalent containment of the cyclic
     span's coordinate-subspace part; both modes return identical verdicts on
     families satisfying condition one.
@@ -210,7 +216,7 @@ def check_condition_two(fam, mode="annihilator"):
 
     @functools.cache
     def annihilator_at(L, bound):
-        return annihilator_window([fam.entry(L)], bound).vectors
+        return annihilator_window([fam.entry(L)], bound)
 
     @functools.cache
     def target_at(K):
@@ -230,7 +236,11 @@ def check_condition_two(fam, mode="annihilator"):
                     lhs = span_at(up)
                 else:
                     bound = int(max(H_up.degree(), H_L.degree()))
-                    span = span_reduce([contract(h, H_up) for h in annihilator_at(L, bound)])
+                    window = annihilator_at(L, bound)
+                    reaching = divisor_monomials([H_up], bound) - window.divisors
+                    images = [contract(h, H_up) for h in window.multi_term]
+                    images += [contract_monomial(u, H_up) for u in sorted(reaching, reverse=True)]
+                    span = span_reduce(images)
                     lhs = _slices_from_vectors(span.vectors)
                 if lhs != rhs:
                     violations.append(
@@ -417,8 +427,14 @@ def dump_family(fam):
 
 
 def load_family(text):
-    """Parse a family session file; omitted entries are filled by contraction."""
+    """Parse a family session file; omitted entries are filled by contraction.
+
+    The ``d`` line is optional; when present it must equal the number of
+    names on the ``z`` line.  A ``z`` line naming nothing is refused by the
+    distinguished-variable rule of ``AdmissibleFamily``.
+    """
     context = None
+    d = None
     z_names = None
     t0 = None
     given = {}
@@ -429,8 +445,8 @@ def load_family(text):
         if line.startswith("ring "):
             context = parse_ring_decl(line)
         elif line.startswith("d "):
-            pass  # redundant with the z line; kept for readability
-        elif line.startswith("z "):
+            d = int(line[2:].strip())
+        elif line == "z" or line.startswith("z "):  # "z " loses its space to strip()
             z_names = line[2:].replace(",", " ").split()
         elif line.startswith("t0 "):
             t0 = int(line[3:].strip())
@@ -445,4 +461,7 @@ def load_family(text):
     if context is None or z_names is None or not given:
         raise PreconditionError("family file needs a ring, a z line and at least one entry")
     z_indices = tuple(context.var_index(nm) for nm in z_names)
+    # a z line naming nothing falls under the family's own distinguished-variable rule
+    if z_indices and d is not None and d != len(z_indices):
+        raise PreconditionError(f"family file declares d {d} but its z line names {len(z_indices)} variables")
     return build_family(context, z_indices, given, t0)

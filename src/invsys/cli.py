@@ -310,7 +310,7 @@ def build_parser():
     common(p)
     p.add_argument("--ideal", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--z", required=True)
+    p.add_argument("--z", default="", help="comma-separated regular sequence (default: none, for d 0)")
     p.set_defaults(func=cmd_gorenstein_check)
 
     p = sub.add_parser("local-verify", help="truncated family-vs-ideal verification")

@@ -9,6 +9,7 @@ bounded statement is exact despite the truncation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -19,6 +20,7 @@ from .linalg import (
     column_count,
     kernel_vectors,
     monomial_columns,
+    refuse_column_range,
     refuse_negative_bound,
     refuse_oversized,
     span_reduce,
@@ -231,17 +233,90 @@ def contraction_kernel(fixed, columns, one):
 # annihilators
 
 
-def annihilator_window(gens, bound):
-    """Basis of the joint annihilator of the given dual elements within R_{<=bound}.
+def divisor_monomials(gens, bound):
+    """The packed monomials of degree <= bound that divide a term of some generator.
 
-    For homogeneous generators the matrix is block-diagonal by degree (a
-    column of degree j reaches only rows of degree deg F - j), so the basis
-    is the union of the per-degree kernels.  Windows over
-    ``MAX_ANN_COLUMNS`` monomials are refused up front.
+    They form an order ideal: every quotient of one is another.  The
+    divisors of each term, its exponents cut at the bound (terms that agree
+    after the cut are listed once), are listed variable by variable, so the
+    work is at most the number of nonzero entries of the contraction matrix.
     """
     ctx = gens[0].context
-    columns = monomial_columns(ctx.n, 0, bound, "annihilator")
-    return SubspaceBasis([Polynomial._of(ctx, v) for v in contraction_kernel(gens, columns, ctx.one)])
+    base, shift = ctx.base, ctx.shift
+    steps = [x - base for x in ctx.var_monomials]  # u + step packs u * x
+    out = set()
+    for exponents in {tuple(min(e, bound) for e in ctx.unpack(l)) for g in gens for l in g.terms}:
+        divisors = [base]
+        for step, e in zip(steps, exponents):
+            if e:
+                divisors = [u + k * step for u in divisors for k in range(min(e, bound - (u >> shift)) + 1)]
+        out.update(divisors)
+    return out
+
+
+@dataclass
+class AnnihilatorWindow:
+    """The joint annihilator of dual elements within R_{<=bound}, in two parts.
+
+    ``divisors`` is the order ideal D of the window monomials that divide a
+    term of some generator.  By Macaulay duality every other window monomial
+    u kills every generator (u o F = 0), so it is a one-term kernel vector,
+    and none of them is built.  ``multi_term`` holds the rest of the kernel:
+    the canonical kernel of contraction over the columns in D, whose vectors
+    all have more than one term (a column in D is nonzero), by descending
+    leading monomial.  Together they are the reduced echelon kernel over the
+    whole window, vector for vector.
+
+    ``border`` lists the minimal one-term vectors: the monomials outside D
+    whose every quotient u/x_i lies in D.  Every monomial outside D is a
+    monomial multiple of one of them, and a window monomial m is a product
+    x_i * u of a one-term vector u exactly when some m/x_i lies outside D,
+    that is when m lies neither in D nor in the border.
+    """
+
+    context: object
+    bound: int
+    divisors: set
+    multi_term: list
+
+    @functools.cached_property
+    def border(self):
+        ctx, inside = self.context, self.divisors
+        base, guard, xs = ctx.base, ctx.guard, ctx.var_monomials
+        limit = (self.bound + 1) << ctx.shift
+        outside = ({base} | {u - base + x for u in inside for x in xs}) - inside
+        # m - x + base packs m / x; a guard bit is set when x does not divide m
+        return sorted(
+            (m for m in outside if m < limit and all((q := m - x + base) & guard or q in inside for x in xs)),
+            reverse=True,
+        )
+
+    def generating_vectors(self):
+        """The multi-term vectors and the border monomials as one-term vectors.
+
+        Modulo m^{bound+1} they generate the same ideal as the whole kernel:
+        every other kernel vector is a monomial multiple of a border monomial.
+        """
+        one = self.context.one
+        return self.multi_term + [Polynomial._of(self.context, {u: one}) for u in self.border]
+
+
+def annihilator_window(gens, bound):
+    """The joint annihilator of the given dual elements within R_{<=bound}.
+
+    Returns an ``AnnihilatorWindow``: the divisor set D and the multi-term
+    kernel vectors, eliminated over the columns in D only.  For homogeneous
+    generators the matrix is block-diagonal by degree (a column of degree j
+    reaches only rows of degree deg F - j), so the kernel is the union of the
+    per-degree kernels.  A negative bound, windows of more than
+    ``MAX_ANN_COLUMNS`` monomials and degrees above the packing limit are
+    refused up front, in that order.
+    """
+    ctx = gens[0].context
+    refuse_column_range(ctx.n, 0, bound, "annihilator")
+    divisors = divisor_monomials(gens, bound)
+    kernel = contraction_kernel(gens, sorted(divisors, reverse=True), ctx.one)
+    return AnnihilatorWindow(ctx, bound, divisors, [Polynomial._of(ctx, v) for v in kernel])
 
 
 def _monomial_multiple(m, terms, context, bound):
@@ -252,71 +327,74 @@ def _monomial_multiple(m, terms, context, bound):
     return Polynomial._of(context, {m + e: c for e, c in terms.items() if e < limit})
 
 
-def _reduced_basis(lead, ideal):
+def _reduced_basis(vectors, ideal):
     """Reduced degrevlex Groebner basis of a homogeneous ideal read off its window kernel.
 
-    ``lead`` holds the (leading monomial, vector) pairs of the kernel in
-    ascending order.  Each kernel vector is homogeneous, monic at its
-    leading monomial, a free column, and elsewhere nonzero only at pivot
-    columns, the standard monomials of its degree.  So the leading
-    monomials of each degree are those of the leading-term ideal, and once
-    the window reaches a degree where every monomial lies in the ideal, the
-    vectors led by a minimal generator u of it -- no u/x_i is a leading
-    monomial, n set lookups -- are exactly the reduced basis, in ascending
-    order.
+    Each kernel vector is homogeneous, monic at its leading monomial, a free
+    column, and elsewhere nonzero only at pivot columns, the standard
+    monomials of its degree.  So the leading monomials of each degree are
+    those of the leading-term ideal, and once the window reaches a degree
+    where every monomial lies in the ideal, the vectors led by a minimal
+    generator u of it -- no u/x_i is a leading monomial -- are exactly the
+    reduced basis, in ascending order.  ``vectors`` are the window's
+    multi-term vectors and border monomials: a one-term vector off the
+    border has a one-term quotient, and the quotients of the others lie in
+    the divisor set, so only multi-term leading monomials are looked up.
     """
     ctx = ideal.context
     base, xs = ctx.base, ctx.var_monomials
-    lms = {m for m, _ in lead}
+    lead = sorted(((v.leading_monomial(), v) for v in vectors), key=lambda pair: pair[0])
+    lms = {m for m, v in lead if len(v.terms) > 1}
     # m - x + base packs m / x; an x not dividing m sets a guard bit, which no monomial has
     kept = [v for m, v in lead if not any(m - x + base in lms for x in xs)]
     return GroebnerBasis(kept, ctx, ideal)
 
 
-def _minimalize(vectors, bound, context, truncated):
+def _minimalize(vectors, bound, context, hull=None):
     """Minimal generators of the ideal spanned by vectors of R_{<=bound}.
 
     Candidates are taken in increasing order (valuation), degrevlex breaking
     ties, and kept when they are independent of the span built so far: by
     Nakayama, g is a new generator iff g is not in m*I plus the kept ones.
 
-    ``truncated`` says the vectors span all of I modulo m^{bound+1}: a graded
-    annihilator at any bound, whose products never cross degrees, or a local
-    one whose bound exceeds every dual generator degree, so m^{bound+1} lies
-    in m*I.  The span then starts as m*I modulo m^{bound+1}, the vectors
-    times each variable cut at the bound.  Almost every window vector is one
-    monomial, so the span is held in two parts: a set ``units`` of packed
-    monomials (the products of one-term vectors, and every product or kept
-    generator left with one term once the set's monomials are stripped) and
-    an echelon span of the other stripped products and kept generators.  No
-    echelon pivot lies in the set, so the set's unit vectors and the
-    stripped echelon rows are the reduced echelon basis of the whole span: a
-    candidate stripped, reduced by the echelon span and stripped again is
-    its remainder modulo the whole span, term for term.
+    A ``hull`` (an annihilator window's divisor set with its border) says
+    the vectors, with the window monomials outside the hull, span all of I
+    modulo m^{bound+1}: a graded annihilator at any bound, whose products
+    never cross degrees, or a local one whose bound exceeds every dual
+    generator degree, so m^{bound+1} lies in m*I.  Those monomials are the
+    products x_i * u of the one-term kernel vectors, so they lie in m*I
+    unbuilt, and the candidates need only be the multi-term vectors and the
+    border monomials.  The span starts as m*I modulo m^{bound+1}, held in
+    two parts: the monomials outside the hull plus a set ``units`` of packed
+    monomials (every product or kept generator left with one term once those
+    are stripped), and an echelon span of the other stripped products x_i *
+    v, cut at the bound, and kept generators.  No echelon pivot lies in
+    either, so a candidate stripped, reduced by the echelon span and
+    stripped again is its remainder modulo the whole span, term for term.
 
-    Otherwise a kept candidate brings its honest multiples that fit below
-    the bound, so every emitted generator lies exactly in the span of the
-    vectors; the list is minimal with respect to those multiples.  When
+    Without a hull a kept candidate brings its honest multiples that fit
+    below the bound, so every emitted generator lies exactly in the span of
+    the vectors; the list is minimal with respect to those multiples.  When
     every candidate is homogeneous the span is graded, and the multiples go
     only into degrees that a later candidate has.
     """
     candidates = sorted(vectors, key=lambda v: v.leading_monomial(), reverse=True)
     candidates.sort(key=lambda v: v.order())
+    truncated = hull is not None
     span = SpanBuilder()
     units = set()
 
     def strip(p):
-        return Polynomial._of(context, {m: c for m, c in p.terms.items() if m not in units})
+        return Polynomial._of(context, {m: c for m, c in p.terms.items() if m in hull and m not in units})
 
     if truncated:
-        xs, base, limit = context.var_monomials, context.base, (bound + 1) << context.shift
-        monomials, rows = [], []
-        for w in vectors:
-            if len(w.terms) == 1:
-                monomials.extend(w.terms)
-            elif w.order() < bound:  # else no product below the bound
-                rows.extend(_monomial_multiple(x, w.terms, context, bound) for x in xs)
-        units.update(p for m in monomials for x in xs if (p := m - base + x) < limit)
+        xs = context.var_monomials
+        rows = [
+            _monomial_multiple(x, w.terms, context, bound)
+            for w in vectors
+            if len(w.terms) > 1 and w.order() < bound  # else no product below the bound
+            for x in xs
+        ]
         while True:  # a row left with one monomial joins the set and may strip others
             size = len(units)
             kept = []
@@ -335,7 +413,7 @@ def _minimalize(vectors, bound, context, truncated):
     for k, v in enumerate(candidates):
         if v.terms.keys() <= units:
             continue  # in the span of the set
-        r = strip(span.reduce(strip(v)))
+        r = strip(span.reduce(strip(v))) if truncated else span.reduce(v)
         if r.is_zero():
             continue
         g = r.monic()
@@ -365,7 +443,7 @@ def minimal_generators(ideal):
     """
     if not ideal.is_homogeneous():
         raise PreconditionError("minimal_generators expects homogeneous generators")
-    return _minimalize(span_reduce(ideal.gens).vectors, ideal.max_degree(), ideal.context, False)
+    return _minimalize(span_reduce(ideal.gens).vectors, ideal.max_degree(), ideal.context)
 
 
 def ann_cyclic(F, gen_bound=None):
@@ -388,18 +466,21 @@ def ann_module(gens, degree_bound=None):
     The joint annihilator is the intersection of the per-generator
     annihilators; it is computed here as one stacked contraction kernel over
     the window R_{<=bound} (``annihilator_window``, which refuses windows of
-    more than ``MAX_ANN_COLUMNS`` monomials).  ``_minimalize`` reads the
-    generators off the kernel vectors: graded mode at every bound, and local
-    mode once the bound exceeds every generator degree, start its span from
-    m*Ann cut at the bound.  In graded mode, when the bound exceeds the
-    degree of every generator (the default), the window holds the whole
-    ideal through a degree it contains entirely, so the returned ideal
-    arrives with its reduced Groebner basis (``cached_gb``) read off the
-    kernel and ``groebner.buchberger`` does no work on it.  It also arrives
-    with its Hilbert data (``cached_hilbert``): by Macaulay duality the
-    quotient is Artinian of socle degree top, and its Hilbert function in
-    degree d is the number of monomials of degree d minus the number of
-    kernel vectors of degree d.
+    more than ``MAX_ANN_COLUMNS`` monomials and eliminates only over the
+    monomials that divide a generator term).  ``_minimalize`` reads the
+    generators off the kernel: graded mode at every bound, and local mode
+    once the bound exceeds every generator degree, start its span from m*Ann
+    cut at the bound and take as candidates only the multi-term vectors and
+    the border monomials; a local bound at or below the top degree offers
+    every kernel vector with its honest multiples.  In graded mode, when the
+    bound exceeds the degree of every generator (the default), the window
+    holds the whole ideal through a degree it contains entirely, so the
+    returned ideal arrives with its reduced Groebner basis (``cached_gb``)
+    read off the kernel and ``groebner.buchberger`` does no work on it.  It
+    also arrives with its Hilbert data (``cached_hilbert``): by Macaulay
+    duality the quotient is Artinian of socle degree top, and its Hilbert
+    function in degree d is the number of kernel columns of degree d, the
+    divisor monomials, minus the number of multi-term vectors of degree d.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -408,14 +489,25 @@ def ann_module(gens, degree_bound=None):
     top = max(int(g.degree()) for g in gens)
     bound = degree_bound if degree_bound is not None else top + 1
     graded = ctx.mode == "graded" and all(g.is_homogeneous() for g in gens)
-    vectors = annihilator_window(gens, bound).vectors
-    ideal = Ideal(_minimalize(vectors, bound, ctx, graded or bound > top), ctx)
+    window = annihilator_window(gens, bound)
+    if graded or bound > top:
+        vectors = window.generating_vectors()
+        ideal = Ideal(_minimalize(vectors, bound, ctx, window.divisors.union(window.border)), ctx)
+    else:
+        one_term = [
+            Polynomial._of(ctx, {m: ctx.one})
+            for m in _packed_monomials(ctx.n, 0, bound)
+            if m not in window.divisors
+        ]
+        ideal = Ideal(_minimalize(window.multi_term + one_term, bound, ctx), ctx)
     if graded and bound > top:
-        lead = sorted(((v.leading_monomial(), v) for v in vectors), key=lambda pair: pair[0])
-        ideal.cached_gb = _reduced_basis(lead, ideal)
-        hf = [math.comb(ctx.n + d - 1, d) for d in range(top + 1)]
-        for m, _ in lead:
+        ideal.cached_gb = _reduced_basis(vectors, ideal)
+        hf = [0] * (top + 1)
+        for m in window.divisors:
             if (d := m >> ctx.shift) <= top:
+                hf[d] += 1
+        for v in window.multi_term:
+            if (d := v.leading_monomial() >> ctx.shift) <= top:
                 hf[d] -= 1
         ideal.cached_hilbert = HilbertData(hf, 0, sum(hf), top)
     return ideal

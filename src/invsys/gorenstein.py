@@ -245,7 +245,10 @@ def local_verify(fam, I_claim, trunc=None):
     ideal plus the pure powers of the distinguished variables, all modulo
     the trunc-th power of the maximal ideal.  The annihilator side is the
     window kernel over R_{<trunc}, which spans the same ideal modulo
-    m^trunc as its minimal generators, so none are computed.
+    m^trunc as its minimal generators, so none are computed.  Only its
+    multi-term vectors and border monomials are tested: the claimed side is
+    an ideal modulo m^trunc, and every other one-term vector is a monomial
+    multiple of a border monomial.
     """
     ctx = fam.context
     if trunc is None:
@@ -267,7 +270,7 @@ def local_verify(fam, I_claim, trunc=None):
                 violations.append(
                     CheckViolation(L, "ideal-into-annihilator", f"{g} does not annihilate the entry")
                 )
-        ann = annihilator_window([H], trunc - 1).vectors
+        ann = annihilator_window([H], trunc - 1).generating_vectors()
         if not ideal_contains_mod(target_gens, ann, trunc, ctx):
             violations.append(
                 CheckViolation(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ring import PreconditionError, _packed_monomials
+from .ring import PreconditionError, _check_degree, _packed_monomials
 
 # ---------------------------------------------------------------------------
 # the echelon engine: sparse rows keyed by int columns or by monomials
@@ -160,9 +160,11 @@ def solve_affine(rows, rhs, columns, one):
 # ---------------------------------------------------------------------------
 # monomial columns and their size limit
 
-# Largest number of columns any system here accepts: the monomials that
-# ``monomial_columns`` builds (C(n + bound, n) up to a bound, fewer for one
-# degree), the window of ``ideal_window_span``, all the lifts of a
+# Largest number of columns any system here accepts: the monomials of a
+# degree range that ``refuse_column_range`` counts before ``monomial_columns``
+# builds them or ``annihilator_window`` keeps the divisors among them
+# (C(n + bound, n) up to a bound, fewer for one degree), the window of
+# ``ideal_window_span``, all the lifts of a
 # ``family_from_ideal`` box, the divisors of ``module_span``'s generator
 # terms and the standard monomials (the multiplicity) of ``socle_dim``.
 # Tests and benchmarks need at most 3003 columns (2569 for a family box) and
@@ -188,17 +190,25 @@ def column_count(n, low, high):
     return math.comb(n + high, n) - math.comb(n + low - 1, n)
 
 
+def refuse_column_range(n, low, high, what, scope="up to"):
+    """Refuse a system over the monomials of degree low..high in n variables.
+
+    In this order: a negative ``high``, more than ``MAX_ANN_COLUMNS``
+    monomials, a degree above the packing limit.  The refusal names
+    ``what`` and, for the size, "``what`` ``scope`` degree ``high``".
+    """
+    refuse_negative_bound(high, what)
+    refuse_oversized(column_count(n, low, high), f"{what} {scope} degree {high}")
+    _check_degree(high)
+
+
 def monomial_columns(n, low, high, what, scope="up to"):
     """The packed monomials of degree low..high in n variables, degrevlex descending.
 
     Column 0 is the largest monomial, so leftmost pivots are canonical
-    leading monomials.  A negative ``high``, more than ``MAX_ANN_COLUMNS``
-    monomials or a degree above the packing limit is refused before any
-    is built; the refusal names ``what`` and, for the size, "``what``
-    ``scope`` degree ``high``".
+    leading monomials.  ``refuse_column_range`` runs before any is built.
     """
-    refuse_negative_bound(high, what)
-    refuse_oversized(column_count(n, low, high), f"{what} {scope} degree {high}")
+    refuse_column_range(n, low, high, what, scope)
     return sorted(_packed_monomials(n, low, high), reverse=True)
 
 

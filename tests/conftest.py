@@ -22,6 +22,8 @@ from invsys import (  # noqa: E402
     parse_ring_decl,
     shift_mul,
 )
+from invsys.duality import annihilator_window  # noqa: E402
+from invsys.linalg import SubspaceBasis  # noqa: E402
 from invsys.ring import _packed_monomials  # noqa: E402
 
 
@@ -44,6 +46,21 @@ def ideal_of(ctx, text):
 def exponent_vectors(ctx, d):
     """Exponent vectors of the monomials of degree d, none when d < 0."""
     return [ctx.unpack(m) for m in _packed_monomials(ctx.n, d, d)] if d >= 0 else []
+
+
+def window_kernel(gens, bound):
+    """The whole reduced echelon kernel of ``annihilator_window(gens, bound)``.
+
+    The window monomials outside ``divisors`` as one-term vectors, plus the
+    multi-term vectors, by descending leading monomial.
+    """
+    window = annihilator_window(gens, bound)
+    ctx = window.context
+    one_term = [
+        Polynomial._of(ctx, {m: ctx.one}) for m in _packed_monomials(ctx.n, 0, bound) if m not in window.divisors
+    ]
+    vectors = sorted(one_term + window.multi_term, key=lambda v: v.leading_monomial(), reverse=True)
+    return SubspaceBasis(vectors)
 
 
 def same_ideal(a, b):

@@ -146,6 +146,38 @@ def test_condition_two_builds_each_target_and_annihilator_once(
     assert len(annihilators) == len(set(annihilators)) == 8
 
 
+def test_condition_two_contracts_only_by_monomials_that_reach_the_next_entry(monkeypatch, elliptic_curve):
+    # annihilator mode contracts H_up by the multi-term window vectors and by
+    # the monomials outside the divisor set of H_L that divide a term of
+    # H_up; the other one-term annihilators would contract it to zero
+    calls = []
+    contract, contract_monomial = admissible.contract, admissible.contract_monomial
+
+    def recording_contract(h, H):
+        calls.append((list(h.terms), H))
+        return contract(h, H)
+
+    def recording_contract_monomial(m, H):
+        calls.append(([m], H))
+        return contract_monomial(m, H)
+
+    monkeypatch.setattr(admissible, "contract", recording_contract)
+    monkeypatch.setattr(admissible, "contract_monomial", recording_contract_monomial)
+    fam = elliptic_curve["family"]
+    ctx = fam.context
+    assert check_condition_two(fam, "annihilator").passed
+    monomials = [(h[0], H) for h, H in calls if len(h) == 1]
+    assert monomials and len(monomials) < len(calls)
+    assert all(any(ctx.divides(m, l) for l in H.terms) for m, H in monomials)
+    # both modes still agree, on the family and on a perturbed copy
+    assert check_condition_two(fam, "intersection").passed
+    broken = dict(fam.entries)
+    broken[(3, 3)] = broken[(3, 3)] + dual(ctx, "Y^[6]")
+    perturbed = build_family(ctx, fam.z_indices, broken, fam.t0)
+    verdicts = {check_condition_two(perturbed, mode).passed for mode in ("annihilator", "intersection")}
+    assert verdicts == {False}
+
+
 def test_condition_two_detects_perturbation():
     # x contracts X*Y^[2]+Z^[3] onto Y^[2], so the step-down condition holds,
     # but z now reaches Z^[2], which escapes the cyclic span of Y^[2]
@@ -382,3 +414,20 @@ def test_family_file_auto_fill(tmp_path):
 def test_family_file_rejects_garbage():
     with pytest.raises(PreconditionError):
         load_family("nonsense line\n")
+
+
+@pytest.mark.parametrize("z_line", ["z ", "z", "z ,"])
+def test_family_file_without_distinguished_names_falls_under_the_rule(z_line):
+    text = f"ring Q[x,y] dual [X,Y] mode graded\nd 1\n{z_line}\nH[1] = Y^[2]\n"
+    with pytest.raises(PreconditionError, match="distinguished variables must be distinct context variables"):
+        load_family(text)
+
+
+@pytest.mark.parametrize("d", [0, 2, 3])
+def test_family_file_d_line_must_match_the_z_line(d):
+    text = f"ring Q[x,y,z] dual [X,Y,Z] mode graded\nd {d}\nz x\nH[1] = Y^[2]\n"
+    with pytest.raises(PreconditionError, match=f"declares d {d} but its z line names 1 variables"):
+        load_family(text)
+    # without a d line, or with the matching one, the same file loads
+    for head in ("", "d 1\n"):
+        assert load_family(text.replace(f"d {d}\n", head)).d == 1

@@ -186,6 +186,29 @@ def test_distinguished_variables_are_refused(capsys, argv):
     assert "distinguished variables must be distinct context variables" in err
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["d 1", "z "], "distinguished variables must be distinct context variables"),
+        (["d 2", "z x"], "family file declares d 2 but its z line names 1 variables"),
+    ],
+    ids=["empty-z", "d-mismatch"],
+)
+def test_family_file_distinguished_lines_are_checked(tmp_path, capsys, lines, message):
+    path = tmp_path / "family.fam"
+    path.write_text("\n".join(["ring Q[x,y] dual [X,Y] mode graded", *lines, "H[1] = Y^[2]"]) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "check-admissible", "--family", str(path))
+    assert code == 3 and out == ""
+    assert message in err
+
+
+def test_artinian_gorenstein_check_needs_no_z(capsys):
+    argv = ["gorenstein-check", "--ring", "Q[x,y]", "--ideal", "x^2, y^3", "--d", "0"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "gorenstein: yes" in out.splitlines()
+    assert run(capsys, *argv, "--z", "") == (code, out, "")
+
+
 def test_oversized_socle_is_refused_up_front(capsys):
     start = time.perf_counter()
     argv = ["--ring", "ring Q[x,y,z] dual [X,Y,Z]", "--ideal", "x^160,y^160,z^160", "--d", "0", "--z", ""]

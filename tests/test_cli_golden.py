@@ -115,6 +115,13 @@ t0 2
 H[1] = 0
 H[2] = 0
 """,
+    "empty-z": "ring Q[x,y] dual [X,Y] mode graded\nd 1\nz \nH[1] = Y^[2]\n",
+    "d-mismatch": """\
+ring Q[x,y] dual [X,Y] mode graded
+d 2
+z x
+H[1] = Y^[2]
+""",
     "perturbed-local": """\
 ring Q[x,y,z] dual [X,Y,Z] mode local
 d 1
@@ -176,6 +183,8 @@ CASES = {
     "check-admissible-local": ["check-admissible", "--family", "@semigroup5", "--check-mode", "intersection"],
     "check-admissible-two-parameter": ["check-admissible", "--family", "@ci2"],
     "check-admissible-broken": ["check-admissible", "--family", "@broken"],
+    "check-admissible-empty-z": ["check-admissible", "--family", "@empty-z"],
+    "check-admissible-d-mismatch": ["check-admissible", "--family", "@d-mismatch"],
     "check-admissible-broken-json": ["check-admissible", "--json", "--family", "@broken", "--check-mode", "intersection"],
     "check-admissible-perturbed-annihilator": ["check-admissible", "--family", "@perturbed"],
     "check-admissible-perturbed-intersection": ["check-admissible", "--family", "@perturbed", "--check-mode", "intersection"],
@@ -207,6 +216,7 @@ CASES = {
     "gorenstein-check-local-refused": ["gorenstein-check", "--ring", "Q[x,y,z] mode local", "--ideal", "y*z-x^3, z^2-y^3", "--d", "1", "--z", "x"],
     "gorenstein-check-negative": ["gorenstein-check", "--ring", "Q[x,y,z]", "--ideal", "x*y, x*z, y*z", "--d", "1", "--z", "x+y+z"],
     "gorenstein-check-unit-ideal": ["gorenstein-check", "--ring", "Q[x,y]", "--ideal", "x, 1", "--d", "0", "--z", ""],
+    "gorenstein-check-artinian-without-z": ["gorenstein-check", "--ring", "Q[x,y]", "--ideal", "x^2, y^3", "--d", "0"],
     "gorenstein-check-oversized-socle": ["gorenstein-check", "--ring", "Q[x,y,z]", "--ideal", "x^160, y^160, z^160", "--d", "0", "--z", ""],
     "ann-negative-bound": ["ann", "--ring", "Q[x,y,z]", "--poly", "X^[2]*Y+Z^[3]", "--bound", "-3"],
     "perp-negative-bound": ["perp", "--ring", "Q[x,y]", "--ideal", "x^2, y^2", "--bound", "-2"],

@@ -4,7 +4,7 @@ import itertools
 import time
 
 import pytest
-from conftest import ctx_of, dual, exponent_vectors, ideal_of, ring_poly, rng_for, random_poly
+from conftest import ctx_of, dual, exponent_vectors, ideal_of, ring_poly, rng_for, random_poly, window_kernel
 
 from invsys import (
     Ideal,
@@ -31,7 +31,7 @@ from invsys.duality import (
     ideals_equal_mod,
 )
 from invsys.linalg import SpanBuilder, kernel_vectors, monomial_columns
-from invsys.ring import DPPolynomial, Polynomial, contract, contract_monomial
+from invsys.ring import DPPolynomial, Polynomial, _packed_monomials, contract, contract_monomial
 
 
 # -- module spans --------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_negative_bounds_are_refused(mode):
             with pytest.raises(PreconditionError, match=f"at least 0, got {bound}"):
                 call(bound)
     # bound 0 is the window of the constants, which kill no nonzero element
-    assert ann_cyclic(F, 0).gens == [] and annihilator_window([F], 0).vectors == []
+    assert ann_cyclic(F, 0).gens == [] and window_kernel([F], 0).vectors == []
     assert [(s.degree, s.dim) for s in perp_ideal(ideal, 0)] == [(0, 1)]
     assert [(s.degree, [str(v) for v in s.basis.vectors]) for s in module_span([F], 0)] == [(0, ["1"])]
 
@@ -450,14 +450,55 @@ def test_homogeneous_window_kernel_is_the_sum_of_degree_kernels(field):
         gens = [_random_dual(rng, ctx, homogeneous=True) for _ in range(1 + k % 2)]
         top = max(int(g.degree()) for g in gens)
         for b in range(1, top + 2):
-            window = annihilator_window(gens, b).vectors
+            window = window_kernel(gens, b).vectors
             assert [v.terms for v in window] == [v.terms for v in _per_degree_kernels(gens, b)]
+
+
+def _full_window_reference(gens, bound):
+    """The reduced echelon kernel over every window column, one-term vectors built too."""
+    ctx = gens[0].context
+    columns = monomial_columns(ctx.n, 0, bound, "reference window")
+    rows = list(contraction_rows(gens, columns).values())
+    return [Polynomial._of(ctx, v) for v in kernel_vectors(rows, columns, ctx.one)]
+
+
+def _assert_window_matches_reference(gens, bound):
+    ctx = gens[0].context
+    window = annihilator_window(gens, bound)
+    reference = _full_window_reference(gens, bound)
+    # the multi-term vectors, vector for vector and in the same order
+    assert [v.terms for v in window.multi_term] == [v.terms for v in reference if len(v.terms) > 1]
+    # the one-term vectors are the window monomials outside the divisor set
+    one_term = {m for v in reference if len(v.terms) == 1 for m in v.terms}
+    assert one_term == set(_packed_monomials(ctx.n, 0, bound)) - window.divisors
+    # and the border is their set of minimal elements
+    minimal = {m for m in one_term if not any(u != m and ctx.divides(u, m) for u in one_term)}
+    assert window.border == sorted(minimal, reverse=True)
+
+
+@pytest.mark.parametrize("field", ["Q", f"Fp({P})", "Fp(7)"])
+@pytest.mark.parametrize("mode", ["graded", "local"])
+def test_window_parts_match_the_full_window_kernel(field, mode):
+    rng = rng_for(f"window-parts-{field}-{mode}")
+    for k in range(10):
+        names = "xyzt"[: rng.randint(2, 4)]
+        ctx = ctx_of(f"ring {field}[{','.join(names)}] dual [{','.join(names.upper())}] mode {mode}")
+        gens = [_random_dual(rng, ctx, homogeneous=mode == "graded") for _ in range(1 + k % 3 // 2)]
+        top = max(int(g.degree()) for g in gens)
+        for bound in range(0, top + 3):
+            _assert_window_matches_reference(gens, bound)
+
+
+def test_window_parts_of_the_surface_diagonal(surface_codim4):
+    # the joint annihilator of eight generators of degree 5..19 in six variables
+    for bound in range(0, 9):
+        _assert_window_matches_reference(surface_codim4["diagonal"], bound)
 
 
 def _window_slices(gens, bound):
     """The window annihilator's kernel vectors grouped by degree."""
     slices = {}
-    for v in annihilator_window(gens, bound).vectors:
+    for v in window_kernel(gens, bound).vectors:
         slices.setdefault(int(v.degree()), []).append(v)
     return slices
 
@@ -522,7 +563,7 @@ def _assert_locally_minimal(gens, duals, bound):
         assert all(contract(g, F).is_zero() for F in duals)
         others = gens[:k] + gens[k + 1 :]
         assert not ideal_window_span(others, bound, ctx).contains(g), str(g)
-    window = annihilator_window(duals, bound)
+    window = window_kernel(duals, bound)
     assert ideal_window_span(gens, bound, ctx).dim() == window.dim
 
 

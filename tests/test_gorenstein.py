@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from conftest import ctx_of, dual, exponent_vectors, ideal_of, ring_poly, rng_for, same_ideal
+from conftest import ctx_of, dual, exponent_vectors, ideal_of, ring_poly, rng_for, same_ideal, window_kernel
 
 from invsys import (
     AdmissibleFamily,
@@ -24,7 +24,7 @@ from invsys import (
     span_dim,
 )
 from invsys import groebner, linalg
-from invsys.duality import annihilator_window, flatten, ideal_contains_mod, ideals_equal_mod
+from invsys.duality import flatten, ideal_contains_mod, ideals_equal_mod
 from invsys.gorenstein import second_difference
 from invsys.groebner import hilbert_data, is_regular_sequence
 from invsys.linalg import span_reduce
@@ -392,7 +392,7 @@ def test_local_verify_window_vectors_give_the_minimal_generators_verdicts(semigr
             targets = list(claim.gens) + [fam.z_variable(0) ** L[0]]  # d = 1 throughout
             for t in range(1, top + 3):
                 minimal = ideal_contains_mod(targets, ann_cyclic(H, gen_bound=t - 1).gens, t, ctx)
-                window = ideal_contains_mod(targets, annihilator_window([H], t - 1).vectors, t, ctx)
+                window = ideal_contains_mod(targets, window_kernel([H], t - 1).vectors, t, ctx)
                 assert minimal == window, (str(H), str(claim), t)
                 verdicts.append(minimal)
     assert True in verdicts and False in verdicts

@@ -3,12 +3,12 @@
 import hashlib
 
 import pytest
-from conftest import ctx_of, ideal_of, rng_for
+from conftest import ctx_of, ideal_of, rng_for, window_kernel
 
 from invsys import ann_cyclic, ann_module, minimal_generators
 from invsys.duality import _minimalize, _monomial_multiple, annihilator_window
 from invsys.linalg import SpanBuilder
-from invsys.ring import DPPolynomial, _packed_monomials
+from invsys.ring import DPPolynomial, Polynomial, _packed_monomials
 
 P = 32003
 
@@ -71,9 +71,10 @@ def test_minimalize_matches_all_products_reference(field, mode):
     for gens, top in _seeded_cases(f"minimalize-products-{field}-{mode}", field, mode, 9):
         ctx = gens[0].context
         for bound in range(1, top + 3):
-            vectors = annihilator_window(gens, bound).vectors
+            vectors = window_kernel(gens, bound).vectors
             truncated = mode == "graded" or bound > top
-            out = _minimalize(vectors, bound, ctx, truncated)
+            window = annihilator_window(gens, bound)
+            out = _minimalize(vectors, bound, ctx, window.divisors.union(window.border) if truncated else None)
             reference = _minimalize_all_products(vectors, bound, ctx, truncated)
             assert [g.terms for g in out] == [g.terms for g in reference], (str(gens), bound)
 
@@ -97,6 +98,29 @@ def test_no_one_term_vector_enters_the_span(surface_codim4, inserted):
     # held as a monomial set, never as rows of the echelon engine
     assert ann_cyclic(surface_codim4["H"]).gens
     assert inserted and [str(p) for p in inserted if len(p.terms) == 1] == []
+
+
+def test_no_one_term_vector_off_the_border_is_built(surface_codim4, monkeypatch):
+    # the local annihilator of the surface form: the window monomials outside
+    # the divisor set and its border are one-term kernel vectors that no step
+    # builds as a polynomial
+    H = surface_codim4["H"]
+    ctx, bound = H.context, int(H.degree()) + 1
+    window = annihilator_window([H], bound)
+    hull = window.divisors.union(window.border)
+    built = []
+    of = Polynomial._of.__func__
+
+    def recording_of(cls, context, terms):
+        if cls is Polynomial and len(terms) == 1:
+            built.extend(terms)
+        return of(cls, context, terms)
+
+    monkeypatch.setattr(Polynomial, "_of", classmethod(recording_of))
+    assert ann_cyclic(H).gens
+    window_monomials = set(_packed_monomials(ctx.n, 0, bound))
+    assert len(window_monomials - hull) > 10 * len(window.border)  # almost all of the window
+    assert [m for m in built if m in window_monomials and m not in hull] == []
 
 
 def test_multiples_go_only_into_degrees_a_later_candidate_has(inserted):
