@@ -548,17 +548,20 @@ def perp_ideal(I, degree_bound=None):
     return _slices_from_vectors([DPPolynomial._of(ctx, v) for v in kernel], bound)
 
 
-def ideal_window_span(gens, bound, context):
+def ideal_window_span(gens, bound, context, span=None):
     """Span of the window R_{<=bound} part of the ideal the generators produce.
 
     Multiples whose honest degree exceeds the bound enter truncated, which is
     exactly the image of the ideal in R modulo degrees above the bound.
+    Given ``span``, the window span of other generators, the multiples are
+    added to it and it is returned: the span of the sum of the two ideals.
     Windows of more than ``MAX_ANN_COLUMNS`` monomials are refused.
     """
     _check_degree(bound)
     refuse_negative_bound(bound, "ideal window")
     refuse_oversized(column_count(context.n, 0, bound), f"ideal window up to degree {bound}")
-    span = SpanBuilder()
+    if span is None:
+        span = SpanBuilder()
     for g in gens:
         if g.is_zero():
             continue

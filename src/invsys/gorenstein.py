@@ -25,7 +25,7 @@ from .duality import (
     ann_cyclic,
     annihilator_window,
     flatten,
-    ideal_contains_mod,
+    ideal_window_span,
     module_span,
     perp_ideal,
     span_dim,
@@ -248,7 +248,8 @@ def local_verify(fam, I_claim, trunc=None):
     m^trunc as its minimal generators, so none are computed.  Only its
     multi-term vectors and border monomials are tested: the claimed side is
     an ideal modulo m^trunc, and every other one-term vector is a monomial
-    multiple of a border monomial.
+    multiple of a border monomial.  The window span of the claimed ideal is
+    built once; each index adds the multiples of its pure powers to a copy.
     """
     ctx = fam.context
     if trunc is None:
@@ -256,22 +257,26 @@ def local_verify(fam, I_claim, trunc=None):
     if trunc < 1:
         raise PreconditionError(f"truncation degree must be at least 1, got {trunc}")
     violations = list(check_family(fam).violations)
+    claim_span = None
     for L in sorted(fam.entries, key=lambda L: (sum(L), L)):
         H = fam.entry(L)
         if H.is_zero():
             violations.append(CheckViolation(L, "entry", "entry is zero"))
             continue
-        target_gens = list(I_claim.gens) + [
+        powers = [
             Polynomial.monomial(ctx, fam.embed(tuple(0 if k != j else L[j] for k in range(fam.d))))
             for j in range(fam.d)
         ]
-        for g in target_gens:
+        for g in list(I_claim.gens) + powers:
             if not contract(g, H).is_zero():
                 violations.append(
                     CheckViolation(L, "ideal-into-annihilator", f"{g} does not annihilate the entry")
                 )
         ann = annihilator_window([H], trunc - 1).generating_vectors()
-        if not ideal_contains_mod(target_gens, ann, trunc, ctx):
+        if claim_span is None:
+            claim_span = ideal_window_span(I_claim.gens, trunc - 1, ctx)
+        span = ideal_window_span(powers, trunc - 1, ctx, claim_span.copy())
+        if not all(span.contains(v.truncate(trunc - 1)) for v in ann):
             violations.append(
                 CheckViolation(
                     L,

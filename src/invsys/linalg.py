@@ -94,6 +94,14 @@ class _Echelon:
         pivots[key] = row
         return key
 
+    def copy(self):
+        """An independent copy, to extend without changing this one."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.pivots = {key: dict(row) for key, row in self.pivots.items()}
+        new.holders = {c: set(keys) for c, keys in self.holders.items()}
+        return new
+
 
 def rref_rows(rows, lead=min):
     """Reduced row echelon form of sparse rows; returns (rows, pivot columns)."""

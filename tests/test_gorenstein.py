@@ -24,7 +24,7 @@ from invsys import (
     span_dim,
 )
 from invsys import groebner, linalg
-from invsys.duality import flatten, ideal_contains_mod, ideals_equal_mod
+from invsys.duality import flatten, ideal_contains_mod, ideal_window_span, ideals_equal_mod
 from invsys.gorenstein import second_difference
 from invsys.groebner import hilbert_data, is_regular_sequence
 from invsys.linalg import span_reduce
@@ -396,6 +396,40 @@ def test_local_verify_window_vectors_give_the_minimal_generators_verdicts(semigr
                 assert minimal == window, (str(H), str(claim), t)
                 verdicts.append(minimal)
     assert True in verdicts and False in verdicts
+
+
+def test_local_verify_extends_one_claimed_span_per_call(monkeypatch, semigroup_curve):
+    # the claimed ideal's window span is built once per call and each index
+    # extends a copy by its pure powers; the verdicts are those of
+    # containment in the whole target ideal
+    from invsys import gorenstein
+
+    fresh = []
+
+    def counting(gens, bound, context, span=None):
+        fresh.append(span is None)
+        return ideal_window_span(gens, bound, context, span)
+
+    monkeypatch.setattr(gorenstein, "ideal_window_span", counting)
+    flagged = []
+    for fam, claims in _seeded_local_families(semigroup_curve):
+        ctx = fam.context
+        top = max(int(H.degree()) for H in fam.entries.values())
+        for claim, t in itertools.product(claims, range(1, top + 3)):
+            fresh.clear()
+            report = local_verify(fam, claim, trunc=t)
+            assert fresh.count(True) == 1 and fresh.count(False) == len(fam.entries)
+            escaped = {v.index for v in report.violations if v.condition == "annihilator-into-ideal"}
+            expected = {
+                L
+                for L, H in fam.entries.items()
+                if not ideal_contains_mod(
+                    list(claim.gens) + [fam.z_variable(0) ** L[0]], window_kernel([H], t - 1).vectors, t, ctx
+                )
+            }
+            assert escaped == expected, (str(claim), t)
+            flagged.append(bool(escaped))
+    assert True in flagged and False in flagged
 
 
 def test_family_from_ideal_local_semigroup(semigroup_curve):

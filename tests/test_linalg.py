@@ -360,3 +360,22 @@ def test_span_builder_matches_scan_all_reference_on_monomial_keys(field):
         _check_engine_against_reference(builder, reference, [p.terms for p in polys], probes)
         for p in polys:
             assert builder.reduce(p).is_zero()
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(32003)"])
+def test_span_builder_copy_extends_without_changing_the_original(field):
+    ctx = ctx_of(f"ring {field}[x,y,z]")
+    rng = rng_for(f"span-builder-copy-{field}")
+    for _ in range(20):
+        polys = [random_poly(rng, ctx, "r", 3, max_terms=6) for _ in range(rng.randint(2, 14))]
+        cut = rng.randint(0, len(polys))
+        original = linalg.SpanBuilder()
+        for p in polys[:cut]:
+            original.insert(p)
+        before = (original.basis(), {c: set(keys) for c, keys in original.holders.items()})
+        extended = original.copy()
+        for p in polys[cut:]:
+            extended.insert(p)
+        assert (original.basis(), original.holders) == before
+        assert extended.basis() == span_reduce(polys).vectors
+        assert extended.holders == _holders_of(extended.pivots)
