@@ -236,21 +236,32 @@ def contraction_kernel(fixed, columns, one):
 def divisor_monomials(gens, bound):
     """The packed monomials of degree <= bound that divide a term of some generator.
 
-    They form an order ideal: every quotient of one is another.  The
-    divisors of each term, its exponents cut at the bound (terms that agree
-    after the cut are listed once), are listed variable by variable, so the
-    work is at most the number of nonzero entries of the contraction matrix.
+    They form an order ideal: every quotient of one is another.  Each
+    term's exponents are cut at the bound, and only the maximal cut vectors
+    are kept: a vector that divides a vector of higher degree has only
+    shared divisors (two of one degree divide each other only when equal).
+    The divisors of each kept vector are listed variable by variable, so
+    the work is at most the number of nonzero entries of the contraction
+    matrix.
     """
     ctx = gens[0].context
     base, shift = ctx.base, ctx.shift
     steps = [x - base for x in ctx.var_monomials]  # u + step packs u * x
-    out = set()
+    by_degree = {}
     for exponents in {tuple(min(e, bound) for e in ctx.unpack(l)) for g in gens for l in g.terms}:
-        divisors = [base]
-        for step, e in zip(steps, exponents):
-            if e:
-                divisors = [u + k * step for u in divisors for k in range(min(e, bound - (u >> shift)) + 1)]
-        out.update(divisors)
+        by_degree.setdefault(sum(exponents), []).append(exponents)
+    out, kept = set(), []
+    for degree in sorted(by_degree, reverse=True):
+        higher = tuple(kept)
+        for exponents in by_degree[degree]:
+            if higher and any(all(a <= b for a, b in zip(exponents, top)) for top in higher):
+                continue
+            kept.append(exponents)
+            divisors = [base]
+            for step, e in zip(steps, exponents):
+                if e:
+                    divisors = [u + k * step for u in divisors for k in range(min(e, bound - (u >> shift)) + 1)]
+            out.update(divisors)
     return out
 
 

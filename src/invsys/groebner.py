@@ -359,4 +359,4 @@ def socle_dim(ideal):
             u = m + x - ctx.base
             for t, c in border.get(u, {u: ctx.one}).items():
                 rows.setdefault((i, pos[t]), {})[j] = c
-    return len(std) - rank_of(list(rows.values()))
+    return len(std) - rank_of(list(rows.values()), ctx.one)

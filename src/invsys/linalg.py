@@ -8,6 +8,10 @@ or monomials, degrevlex-largest pivot first.  The columns of a contraction
 system are the monomials of a degree range (``monomial_columns``, which
 sizes them); kernels and affine solutions come back keyed by them.
 
+Over Fp(p) the engine's rows hold plain ints in [0, p), over Q Fractions.
+The ints live inside this module only: field scalars enter and leave at its
+boundary, where a row or polynomial from another field is refused.
+
 Coordinate vectors indexed by monomials are just polynomials, so subspaces
 of a degree window are kept as lists of polynomials in reduced echelon form
 with respect to the canonical (degrevlex descending) monomial order: monic
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ring import PreconditionError, _check_degree, _packed_monomials
+from .ring import ContextMismatchError, PreconditionError, PrimeFieldElement, _check_degree, _packed_monomials
 
 # ---------------------------------------------------------------------------
 # the echelon engine: sparse rows keyed by int columns or by monomials
@@ -34,10 +38,17 @@ class _Echelon:
     set of pivot keys whose row is nonzero there, so back substitution visits
     only those rows; a pivot column needs no entry, since RREF leaves it in
     its own row only.
+
+    ``modulus`` is the field's characteristic (None in a ``SpanBuilder``
+    that has seen no polynomial yet).  Over Fp(p) the rows hold ints in
+    [0, p), reduced with ``% p`` and normalised by ``pow(lc, -1, p)``; over
+    Q (0) they hold Fractions.  ``rref_rows`` and ``SpanBuilder`` convert
+    field scalars to rows and back, so no int leaves this module.
     """
 
-    def __init__(self, lead):
+    def __init__(self, lead, modulus):
         self.lead = lead
+        self.modulus = modulus
         self.pivots = {}
         self.holders = {}
 
@@ -49,7 +60,19 @@ class _Echelon:
         input clears exactly those keys and creates no new ones.
         """
         out = dict(row)
-        pivots = self.pivots
+        pivots, p = self.pivots, self.modulus
+        if p:
+            for c, factor in row.items():
+                prow = pivots.get(c)
+                if prow is None:
+                    continue
+                for pc, pv in prow.items():
+                    s = (out.get(pc, 0) - factor * pv) % p
+                    if s:
+                        out[pc] = s
+                    else:
+                        del out[pc]  # factor * pv is a unit, so s is 0 only where pc was
+            return out
         for c, factor in row.items():
             prow = pivots.get(c)
             if prow is None:
@@ -70,7 +93,12 @@ class _Echelon:
             return None
         key = self.lead(row)
         lc = row.pop(key)
-        row = {c: v / lc for c, v in row.items()}
+        p = self.modulus
+        if p:
+            inverse = pow(lc, -1, p)
+            row = {c: v * inverse % p for c, v in row.items()}
+        else:
+            row = {c: v / lc for c, v in row.items()}
         pivots, holders = self.pivots, self.holders
         for c in row:
             holders.setdefault(c, set()).add(key)
@@ -78,6 +106,20 @@ class _Echelon:
         for pk in holders.pop(key, ()):
             other = pivots[pk]
             f = other.pop(key)
+            if p:
+                for c, v in row.items():
+                    s = other.get(c)
+                    if s is None:
+                        other[c] = -f * v % p
+                        holders[c].add(pk)
+                        continue
+                    s = (s - f * v) % p
+                    if s:
+                        other[c] = s
+                    else:
+                        del other[c]
+                        holders[c].discard(pk)
+                continue
             for c, v in row.items():
                 s = other.get(c)
                 if s is None:
@@ -90,7 +132,7 @@ class _Echelon:
                 else:
                     del other[c]
                     holders[c].discard(pk)
-        row[key] = lc / lc  # the field's one
+        row[key] = 1 if p else lc / lc  # the field's one
         pivots[key] = row
         return key
 
@@ -103,17 +145,53 @@ class _Echelon:
         return new
 
 
-def rref_rows(rows, lead=min):
-    """Reduced row echelon form of sparse rows; returns (rows, pivot columns)."""
-    ech = _Echelon(lead)
-    for row in rows:
-        ech.insert_row({c: v for c, v in row.items() if v})
+def _mixed_fields(what, p):
+    """The refusal of ``what`` (a row, a polynomial) from another field than Fp(p), or Q for p = 0."""
+    return ContextMismatchError(f"mixed fields: {what} not over {f'Fp({p})' if p else 'Q'}")
+
+
+def _engine_rows(rows, p):
+    """Rows of field scalars as the engine holds them, zeros dropped, one at a time.
+
+    A scalar of another field is refused: over Q a PrimeFieldElement has no
+    numerator, over Fp a Fraction has no ``val``, and a PrimeFieldElement of
+    another prime is dropped, which leaves the row short.
+    """
+    try:
+        if not p:
+            for row in rows:
+                yield {c: v for c, v in row.items() if v.numerator}
+            return
+        for row in rows:
+            out = {c: v.val for c, v in row.items() if v.p == p and v.val}
+            if len(out) < len(row) and any(v.p != p for v in row.values()):
+                raise _mixed_fields("a row", p)
+            yield out
+    except AttributeError:
+        raise _mixed_fields("a row", p) from None
+
+
+def _field_row(row, p):
+    """An engine row over Fp(p) with PrimeFieldElements again."""
+    return {c: PrimeFieldElement(v, p) for c, v in row.items()}
+
+
+def rref_rows(rows, one, lead=min):
+    """Reduced row echelon form of sparse rows over the field of ``one``.
+
+    Returns (rows, pivot columns).
+    """
+    p = one.p if isinstance(one, PrimeFieldElement) else 0
+    ech = _Echelon(lead, p)
+    for row in _engine_rows(rows, p):
+        ech.insert_row(row)
     pivots = sorted(ech.pivots)
-    return [ech.pivots[c] for c in pivots], pivots
+    reduced = [ech.pivots[c] for c in pivots]
+    return [_field_row(row, p) for row in reduced] if p else reduced, pivots
 
 
-def rank_of(rows):
-    return len(rref_rows(rows)[1])
+def rank_of(rows, one):
+    return len(rref_rows(rows, one)[1])
 
 
 def _free_column_kernel(reduced, pivots, columns, one):
@@ -135,7 +213,7 @@ def kernel_vectors(rows, columns, one):
     column c, 1 at c, nonzero elsewhere only at pivot columns right of c.
     ``one`` is the field's unit.
     """
-    reduced, pivots = rref_rows(rows, lead=max)
+    reduced, pivots = rref_rows(rows, one, lead=max)
     return _free_column_kernel(reduced, pivots, columns, one)
 
 
@@ -154,7 +232,7 @@ def solve_affine(rows, rhs, columns, one):
         if b:
             r[ncols] = b
         aug.append(r)
-    reduced, pivots = rref_rows(aug)
+    reduced, pivots = rref_rows(aug, one)
     if ncols in pivots:
         return None
     particular = {}
@@ -229,19 +307,30 @@ class SpanBuilder(_Echelon):
 
     Keeps one monic vector per leading monomial, fully inter-reduced, so the
     resulting basis is canonical for the subspace: two spans are equal iff
-    their bases coincide vector by vector.
+    their bases coincide vector by vector.  The first polynomial it sees
+    fixes its field; a polynomial over another field is refused.
     """
 
     def __init__(self):
-        super().__init__(max)
+        super().__init__(max, None)
+
+    def _row(self, poly):
+        """The engine row of poly's terms; the first polynomial fixes the field."""
+        p = poly.context.char
+        if p != self.modulus:
+            if self.modulus is not None:
+                raise _mixed_fields("a polynomial", self.modulus)
+            self.modulus = p
+        return {m: c.val for m, c in poly.terms.items()} if p else poly.terms
 
     def reduce(self, poly):
         """Remainder of poly after eliminating every basis leading monomial."""
-        return type(poly)._of(poly.context, self.reduce_row(poly.terms))
+        row, p = self.reduce_row(self._row(poly)), self.modulus
+        return type(poly)._of(poly.context, _field_row(row, p) if p else row)
 
     def insert(self, poly):
         """Add a vector to the span; returns True if it enlarged the span."""
-        if self.insert_row(poly.terms) is None:
+        if self.insert_row(self._row(poly)) is None:
             return False
         self._sample = poly
         return True
@@ -255,8 +344,9 @@ class SpanBuilder(_Echelon):
     def basis(self):
         if not self.pivots:
             return []
-        cls, ctx = type(self._sample), self._sample.context
-        return [cls._of(ctx, dict(self.pivots[lm])) for lm in sorted(self.pivots, reverse=True)]
+        cls, ctx, p = type(self._sample), self._sample.context, self.modulus
+        rows = (self.pivots[lm] for lm in sorted(self.pivots, reverse=True))
+        return [cls._of(ctx, _field_row(row, p) if p else dict(row)) for row in rows]
 
 
 @dataclass

@@ -24,6 +24,7 @@ from invsys import duality
 from invsys.duality import (
     _slices_from_vectors,
     annihilator_window,
+    divisor_monomials,
     contraction_rows,
     flatten,
     ideal_contains_mod,
@@ -589,3 +590,14 @@ def test_local_annihilator_generators_are_minimal(field):
         bound = max(int(g.degree()) for g in gens) + 1 + k % 3 // 2
         ann = ann_module(gens, degree_bound=bound)
         _assert_locally_minimal(ann.gens, gens, bound)
+
+
+def test_divisor_monomials_counts_the_window_divisors_of_the_surface_diagonal(surface_codim4):
+    # 54 terms cut at bound 5 give 42 exponent vectors, of which only 6 are
+    # maximal; their divisors are the 245 window monomials dividing a term
+    ctx, diagonal = surface_codim4["ctx"], surface_codim4["diagonal"]
+    terms = {l for g in diagonal for l in g.terms}
+    for bound in range(9):
+        window = _packed_monomials(ctx.n, 0, bound)
+        assert divisor_monomials(diagonal, bound) == {m for m in window if any(ctx.divides(m, l) for l in terms)}
+    assert len(divisor_monomials(diagonal, 5)) == 245

@@ -366,7 +366,7 @@ def _reference_socle_dim(ideal):
             image = normal_form(Polynomial._of(ctx, {m + x - ctx.base: ctx.one}), gb)
             for tm, tc in image.terms.items():
                 rows.setdefault((i, pos[tm]), {})[j] = tc
-    return len(std) - rank_of(list(rows.values()))
+    return len(std) - rank_of(list(rows.values()), ctx.one)
 
 
 def _artinian_ideal(rng, ctx):

@@ -6,6 +6,7 @@ from conftest import ctx_of, dual, frac, ideal_of, ring_poly, rng_for, random_po
 from invsys import DPPolynomial, Polynomial, ann_module, membership, perp_ideal, span_intersect, span_reduce
 from invsys import linalg
 from invsys.linalg import kernel_vectors, monomial_columns, rank_of, rref_rows, solve_affine
+from invsys.ring import PrimeFieldElement
 
 
 def _dense_to_rows(grid):
@@ -36,13 +37,13 @@ def _apply(rows, vec):
 
 def test_rref_identity_is_fixed():
     rows = _dense_to_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    reduced, pivots = rref_rows(rows)
+    reduced, pivots = rref_rows(rows, frac(1))
     assert pivots == [0, 1, 2]
     assert reduced == rows
 
 
 def test_rref_zero_matrix():
-    reduced, pivots = rref_rows([{}, {}, {}])
+    reduced, pivots = rref_rows([{}, {}, {}], frac(1))
     assert reduced == [] and pivots == []
 
 
@@ -50,8 +51,8 @@ def test_rref_idempotent_random():
     rng = rng_for("rref-idempotent")
     for _ in range(30):
         rows = _random_rows(rng, 5, 7)
-        once, piv1 = rref_rows(rows)
-        twice, piv2 = rref_rows(once)
+        once, piv1 = rref_rows(rows, frac(1))
+        twice, piv2 = rref_rows(once, frac(1))
         assert once == twice and piv1 == piv2
 
 
@@ -62,7 +63,7 @@ def test_rref_kernel_annihilation_random():
         kernel = kernel_vectors(rows, range(8), frac(1))
         for vec in kernel:
             assert all(v == 0 for v in _apply(rows, vec))
-        reduced, _ = rref_rows(rows)
+        reduced, _ = rref_rows(rows, frac(1))
         for vec in kernel:
             assert all(v == 0 for v in _apply(reduced, vec))
 
@@ -82,7 +83,7 @@ def test_kernel_vectors_come_out_in_reduced_echelon_form(field):
             for _ in range(rng.randint(1, 12))
         ]
         kernel = kernel_vectors(rows, range(ncols), ctx.scalar(1))
-        assert rank_of(rows) + len(kernel) == ncols
+        assert rank_of(rows, ctx.one) + len(kernel) == ncols
         leads = [min(vec) for vec in kernel]
         assert len(set(leads)) == len(leads)
         for vec, lead in zip(kernel, leads):
@@ -97,9 +98,9 @@ def test_graded_perp_runs_one_elimination_per_degree(monkeypatch, curve_codim2):
     eliminations = []
     original = linalg._Echelon.__init__
 
-    def counted(self, lead):
-        eliminations.append(lead)
-        original(self, lead)
+    def counted(self, *args, **kwargs):
+        eliminations.append(args)
+        original(self, *args, **kwargs)
 
     monkeypatch.setattr(linalg._Echelon, "__init__", counted)
     bound = 6
@@ -122,7 +123,7 @@ def test_rank_nullity_random():
     for _ in range(50):
         rows = _random_rows(rng, rng.randint(1, 7), rng.randint(1, 7))
         ncols = max((max(r) for r in rows if r), default=-1) + 1
-        assert rank_of(rows) + len(kernel_vectors(rows, range(ncols), frac(1))) == ncols
+        assert rank_of(rows, frac(1)) + len(kernel_vectors(rows, range(ncols), frac(1))) == ncols
 
 
 def test_full_rank_square_kernel_empty():
@@ -320,44 +321,73 @@ def _holders_of(pivots):
     return held
 
 
-def _check_engine_against_reference(engine, reference, rows, probes):
-    for row in rows:
-        assert engine.insert_row(row) == reference.insert_row(row)
-        assert engine.pivots == reference.pivots
-        assert engine.holders == _holders_of(engine.pivots)
-    for row in probes:
-        assert engine.reduce_row(row) == reference.reduce_row(row)
+# Fp(7) cancels often with small entries; 2^64 + 13 is the least prime above
+# 2^64, which the ring context certifies
+ENGINE_FIELDS = ["Q", "Fp(2)", "Fp(7)", "Fp(32003)", f"Fp({2**64 + 13})"]
+
+
+def _engine_conversions(ctx):
+    """Field-scalar rows to engine rows and back: ints in [1, p) over Fp(p), Fractions over Q."""
+    p = ctx.char
+
+    def to_engine(row):
+        return {c: v.val for c, v in row.items()} if p else dict(row)
+
+    def to_field(row):
+        if p:
+            assert all(type(v) is int and 0 < v < p for v in row.values())
+        return {c: ctx.scalar(v) for c, v in row.items()}
+
+    return to_engine, to_field
+
+
+def _assert_same_state(engine, reference, to_field):
+    assert {key: to_field(row) for key, row in engine.pivots.items()} == reference.pivots
+    assert engine.holders == _holders_of(reference.pivots)
 
 
 def _sparse_int_rows(rng, ctx, count, ncols):
-    return [
+    rows = [
         {j: ctx.scalar(rng.choice([-2, -1, 1, 2])) for j in range(ncols) if rng.random() < 0.3}
         for _ in range(count)
     ]
+    return [{j: v for j, v in row.items() if v} for row in rows]
 
 
-@pytest.mark.parametrize("field", ["Q", "Fp(32003)"])
+@pytest.mark.parametrize("field", ENGINE_FIELDS)
 @pytest.mark.parametrize("lead", [min, max])
 def test_engine_matches_scan_all_reference_on_int_keys(field, lead):
+    # the engine runs on its own rows (ints mod p over Fp), the reference on field scalars
     ctx = ctx_of(f"ring {field}[x,y]")
+    to_engine, to_field = _engine_conversions(ctx)
     rng = rng_for(f"engine-reference-{field}-{lead.__name__}")
     for _ in range(30):
         ncols = rng.randint(4, 14)
         rows = _sparse_int_rows(rng, ctx, rng.randint(2, 16), ncols)
         probes = _sparse_int_rows(rng, ctx, 6, ncols)
-        _check_engine_against_reference(linalg._Echelon(lead), _ScanAllEchelon(lead), rows, probes)
+        engine, reference = linalg._Echelon(lead, ctx.char), _ScanAllEchelon(lead)
+        for row in rows:
+            assert engine.insert_row(to_engine(row)) == reference.insert_row(row)
+            _assert_same_state(engine, reference, to_field)
+        for row in probes:
+            assert to_field(engine.reduce_row(to_engine(row))) == reference.reduce_row(row)
 
 
-@pytest.mark.parametrize("field", ["Q", "Fp(32003)"])
+@pytest.mark.parametrize("field", ENGINE_FIELDS)
 def test_span_builder_matches_scan_all_reference_on_monomial_keys(field):
     ctx = ctx_of(f"ring {field}[x,y,z]")
+    _, to_field = _engine_conversions(ctx)
     rng = rng_for(f"engine-reference-monomials-{field}")
     for _ in range(20):
         polys = [random_poly(rng, ctx, "r", 3, max_terms=6) for _ in range(rng.randint(2, 14))]
-        probes = [random_poly(rng, ctx, "r", 3, max_terms=6).terms for _ in range(6)]
+        probes = [random_poly(rng, ctx, "r", 3, max_terms=6) for _ in range(6)]
         builder = linalg.SpanBuilder()
         reference = _ScanAllEchelon(max)
-        _check_engine_against_reference(builder, reference, [p.terms for p in polys], probes)
+        for p in polys:
+            assert builder.insert(p) == (reference.insert_row(p.terms) is not None)
+            _assert_same_state(builder, reference, to_field)
+        for probe in probes:
+            assert builder.reduce(probe).terms == reference.reduce_row(probe.terms)
         for p in polys:
             assert builder.reduce(p).is_zero()
 
@@ -379,3 +409,106 @@ def test_span_builder_copy_extends_without_changing_the_original(field):
         assert (original.basis(), original.holders) == before
         assert extended.basis() == span_reduce(polys).vectors
         assert extended.holders == _holders_of(extended.pivots)
+
+
+# -- the engine's boundary: field scalars in and out, one field at a time --------
+
+
+def test_span_builder_refuses_a_polynomial_over_another_field():
+    # a PrimeFieldElement product of Fp(7) and Fp(11) scalars raises; the
+    # engine's ints would mix them silently, so the builder refuses first
+    f7, f11, q = (ctx_of(f"ring {k}[x,y]") for k in ("Fp(7)", "Fp(11)", "Q"))
+    for held, other in [(f7, f11), (f7, q), (q, f7)]:
+        builder = linalg.SpanBuilder()
+        builder.insert(ring_poly(held, "x+y"))
+        stranger = ring_poly(other, "x+2*y")
+        for use in (builder.insert, builder.reduce, builder.contains):
+            with pytest.raises(ValueError, match="mixed fields"):
+                use(stranger)
+        assert builder.basis() == [ring_poly(held, "x+y")]
+    # the first polynomial fixes the field, reduced or inserted
+    builder = linalg.SpanBuilder()
+    assert builder.contains(ring_poly(f11, "0"))
+    with pytest.raises(ValueError, match="mixed fields"):
+        builder.insert(ring_poly(f7, "x"))
+
+
+@pytest.mark.parametrize("held, other", [("Fp(7)", "Fp(11)"), ("Fp(7)", "Q"), ("Q", "Fp(7)")])
+def test_eliminations_refuse_a_row_over_another_field(held, other):
+    one, stranger = ctx_of(f"ring {held}[x]").one, ctx_of(f"ring {other}[x]")
+    rows = [{0: stranger.scalar(1), 1: stranger.scalar(3)}]
+    for eliminate in (
+        lambda: rref_rows(rows, one),
+        lambda: rank_of(rows, one),
+        lambda: kernel_vectors(rows, range(2), one),
+        lambda: solve_affine(rows, [stranger.scalar(1)], range(2), one),
+    ):
+        with pytest.raises(ValueError, match="mixed fields"):
+            eliminate()
+    # a row of the held field with one foreign scalar is refused too
+    mixed = [{0: one, 1: stranger.scalar(2)}]
+    with pytest.raises(ValueError, match="mixed fields"):
+        rref_rows(mixed, one)
+
+
+@pytest.mark.parametrize("field", ["Fp(7)", "Fp(32003)"])
+def test_no_engine_int_leaves_linalg_over_a_prime_field(field):
+    ctx = ctx_of(f"ring {field}[x,y,z]")
+    p = ctx.char
+
+    def field_scalars(values):
+        values = list(values)
+        assert values and all(type(v) is PrimeFieldElement and v.p == p and 0 <= v.val < p for v in values)
+
+    rng = rng_for(f"engine-boundary-{field}")
+    polys = [random_poly(rng, ctx, "r", 3, max_terms=6) for _ in range(12)]
+    builder = linalg.SpanBuilder()
+    for f in polys[:8]:
+        builder.insert(f)
+    field_scalars(c for v in builder.basis() for c in v.terms.values())
+    field_scalars(c for f in polys[8:] for c in builder.reduce(f).terms.values())
+    rows = _sparse_int_rows(rng, ctx, 6, 9)
+    reduced, _ = rref_rows(rows, ctx.one)
+    field_scalars(v for row in reduced for v in row.values())
+    field_scalars(v for vec in kernel_vectors(rows, range(9), ctx.one) for v in vec.values())
+    secret = {j: ctx.scalar(rng.randint(-3, 3)) for j in range(9)}
+    particular, kernel = solve_affine(rows, _apply_over(ctx, rows, secret), range(9), ctx.one)
+    field_scalars(list(particular.values()) + [v for vec in kernel for v in vec.values()])
+
+
+def _apply_over(ctx, rows, vec):
+    return [sum((c * vec[j] for j, c in row.items()), ctx.zero) for row in rows]
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+def test_q_kernel_reduces_mod_p_to_the_fp_kernel_when_the_pivots_agree(p):
+    # Rational mode and prime-field mode agree wherever reduction mod p
+    # makes sense: when elimination mod p keeps the pivot columns found
+    # over Q, the reduced echelon kernel over Q is p-integral and reduces
+    # to the one over Fp(p).  Equal ranks alone do not do: the row (1, p)
+    # has rank 1 in both, its kernel over Q is (1, -1/p), over Fp(p) it is
+    # (0, 1).
+    q, fp = ctx_of("ring Q[x]"), ctx_of(f"ring Fp({p})[x]")
+    rng = rng_for(f"q-fp-kernels-{p}")
+    agreeing = 0
+    for _ in range(60):
+        ncols = rng.randint(2, 9)
+        nrows = rng.randint(1, 8)
+        grid = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(ncols)] for _ in range(nrows)]
+        over_q = [{j: q.scalar(a) for j, a in enumerate(row) if a} for row in grid]
+        over_fp = [{j: fp.scalar(a) for j, a in enumerate(row) if a % p} for row in grid]
+        pivots_q = rref_rows(over_q, q.one, lead=max)[1]
+        pivots_fp = rref_rows(over_fp, fp.one, lead=max)[1]
+        if pivots_q != pivots_fp:
+            continue
+        agreeing += 1
+        reduced = [
+            {j: fp.scalar(c.numerator, c.denominator) for j, c in vec.items() if c.numerator % p}
+            for vec in kernel_vectors(over_q, range(ncols), q.one)
+        ]
+        assert reduced == kernel_vectors(over_fp, range(ncols), fp.one)
+    assert agreeing >= 30
+    one_p = [{0: q.scalar(1), 1: q.scalar(p)}]
+    assert rank_of(one_p, q.one) == rank_of([{0: fp.one}], fp.one) == 1
+    assert kernel_vectors(one_p, range(2), q.one) == [{0: q.one, 1: q.scalar(-1, p)}]
+    assert kernel_vectors([{0: fp.one}], range(2), fp.one) == [{1: fp.one}]

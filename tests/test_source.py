@@ -8,10 +8,11 @@ import pytest
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "invsys"
 MODULES = sorted(p.name for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(p.name for p in SOURCE.glob("*.py"))
-# The echelon engine's row format: pivot rows as dicts, the holders index and
-# the row-level insert and reduce.  Only linalg.py may touch them, so a
-# change of row representation stays inside that module.
-ECHELON_INTERNALS = {"pivots", "holders", "insert_row", "reduce_row"}
+# The echelon engine's row format: pivot rows as dicts, the holders index,
+# the row-level insert and reduce and the modulus of the ints mod p that
+# prime-field rows hold.  Only linalg.py may touch them, so a change of row
+# representation stays inside that module.
+ECHELON_INTERNALS = {"pivots", "holders", "insert_row", "reduce_row", "modulus"}
 
 
 def _unused_imports(tree):
