@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from .duality import (
     _slices_from_vectors,
+    _term_divisors,
     ann_cyclic,
     annihilator_window,
     contraction_rows,
-    divisor_monomials,
     flatten,
     module_span,
     span_dim,
@@ -237,7 +237,7 @@ def check_condition_two(fam, mode="annihilator"):
                 else:
                     bound = int(max(H_up.degree(), H_L.degree()))
                     window = annihilator_at(L, bound)
-                    reaching = divisor_monomials([H_up], bound) - window.divisors
+                    reaching = {u for *_, us in _term_divisors([H_up], bound) for u in us} - window.divisors
                     images = [contract(h, H_up) for h in window.multi_term]
                     images += [contract_monomial(u, H_up) for u in sorted(reaching, reverse=True)]
                     span = span_reduce(images)
@@ -426,12 +426,18 @@ def dump_family(fam):
     return "\n".join(lines) + "\n"
 
 
+def _refuse_repeat(previous, lineno, raw):
+    if previous is not None:
+        raise PreconditionError(f"family file line {lineno} repeats an earlier line: {raw!r}")
+
+
 def load_family(text):
     """Parse a family session file; omitted entries are filled by contraction.
 
     The ``d`` line is optional; when present it must equal the number of
     names on the ``z`` line.  A ``z`` line naming nothing is refused by the
-    distinguished-variable rule of ``AdmissibleFamily``.
+    distinguished-variable rule of ``AdmissibleFamily``.  A second ``ring``,
+    ``d``, ``z`` or ``t0`` line, or a second entry at one index, is refused.
     """
     context = None
     d = None
@@ -443,18 +449,23 @@ def load_family(text):
         if not line:
             continue
         if line.startswith("ring "):
+            _refuse_repeat(context, lineno, raw)
             context = parse_ring_decl(line)
         elif line.startswith("d "):
+            _refuse_repeat(d, lineno, raw)
             d = int(line[2:].strip())
         elif line == "z" or line.startswith("z "):  # "z " loses its space to strip()
+            _refuse_repeat(z_names, lineno, raw)
             z_names = line[2:].replace(",", " ").split()
         elif line.startswith("t0 "):
+            _refuse_repeat(t0, lineno, raw)
             t0 = int(line[3:].strip())
         elif line.startswith("H[") and "=" in line:
             head, _, body = line.partition("=")
             idx = tuple(int(tok) for tok in head.strip()[2:-1].split(","))
             if context is None:
                 raise PreconditionError("family file must declare the ring first")
+            _refuse_repeat(given.get(idx), lineno, raw)
             given[idx] = parse_polynomial(body.strip(), context, "dual")
         else:
             raise PreconditionError(f"unrecognized family file line {lineno}: {raw!r}")

@@ -17,7 +17,6 @@ from itertools import accumulate
 from .linalg import (
     SpanBuilder,
     SubspaceBasis,
-    column_count,
     kernel_vectors,
     monomial_columns,
     refuse_column_range,
@@ -200,23 +199,18 @@ def hilbert_function(slices):
 
 
 def contraction_rows(fixed, columns):
-    """Sparse rows of contraction against each fixed element, one column per monomial.
+    """Sparse rows of contraction by each fixed ring element, one column per dual monomial.
 
-    With dual elements F the columns are ring monomials and a column h maps
-    to the contractions h o F; with ring elements g the columns are dual
-    monomials and G maps to g o G.  Rows are keyed by (position of the fixed
-    element, packed monomial of the contraction result) and hold column
-    positions; a key is present whenever some column reaches it, even when
-    its entries cancel.
+    A column G maps to the contractions g o G.  Rows are keyed by (position
+    of the fixed element, packed monomial of the contraction result) and
+    hold column positions; a key is present whenever some column reaches it,
+    even when its entries cancel.
     """
     rows = {}
-    for k, f in enumerate(fixed):
-        base, guard = f.context.base, f.context.guard
-        if isinstance(f, DPPolynomial):  # col + t packs L - col for each term L
-            cols, terms = [-c for c in columns], [(m + base, a) for m, a in f.terms.items()]
-        else:  # col + t packs col - M for each term M
-            cols, terms = columns, [(base - m, a) for m, a in f.terms.items()]
-        for j, col in enumerate(cols):
+    for k, g in enumerate(fixed):
+        base, guard = g.context.base, g.context.guard
+        terms = [(base - m, a) for m, a in g.terms.items()]  # col + t packs col - M for each term M
+        for j, col in enumerate(columns):
             for t, a in terms:
                 d = col + t
                 if not d & guard:  # distinct terms reach distinct rows from one column
@@ -225,7 +219,7 @@ def contraction_rows(fixed, columns):
 
 
 def contraction_kernel(fixed, columns, one):
-    """Canonical kernel basis of contraction against the fixed elements, keyed by column monomial."""
+    """Canonical kernel basis of contraction by the fixed ring elements, keyed by column monomial."""
     return kernel_vectors(list(contraction_rows(fixed, columns).values()), columns, one)
 
 
@@ -233,35 +227,30 @@ def contraction_kernel(fixed, columns, one):
 # annihilators
 
 
-def divisor_monomials(gens, bound):
-    """The packed monomials of degree <= bound that divide a term of some generator.
+def _term_divisors(gens, bound):
+    """Each generator term with its divisors of degree <= bound.
 
-    They form an order ideal: every quotient of one is another.  Each
-    term's exponents are cut at the bound, and only the maximal cut vectors
-    are kept: a vector that divides a vector of higher degree has only
-    shared divisors (two of one degree divide each other only when equal).
-    The divisors of each kept vector are listed variable by variable, so
-    the work is at most the number of nonzero entries of the contraction
-    matrix.
+    Lists (k, L, a, divisors) for every term a*Z^[L] of gens[k], monomials
+    packed.  By Macaulay duality u o Z^[L] is Z^[L-u] when u divides L and 0
+    otherwise, so the pairs (L, u) are exactly the nonzero entries of the
+    contraction matrix of the generators over the window R_{<=bound}: row
+    (k, L/u), column u, value a.  The divisors are listed variable by
+    variable, each once, so the work follows the number of entries.
     """
     ctx = gens[0].context
-    base, shift = ctx.base, ctx.shift
+    base = ctx.base
     steps = [x - base for x in ctx.var_monomials]  # u + step packs u * x
-    by_degree = {}
-    for exponents in {tuple(min(e, bound) for e in ctx.unpack(l)) for g in gens for l in g.terms}:
-        by_degree.setdefault(sum(exponents), []).append(exponents)
-    out, kept = set(), []
-    for degree in sorted(by_degree, reverse=True):
-        higher = tuple(kept)
-        for exponents in by_degree[degree]:
-            if higher and any(all(a <= b for a, b in zip(exponents, top)) for top in higher):
-                continue
-            kept.append(exponents)
+    limit = bound << ctx.shift  # u * x has degree <= bound exactly when u < limit
+    out = []
+    for k, g in enumerate(gens):
+        for l, a in g.terms.items():
             divisors = [base]
-            for step, e in zip(steps, exponents):
-                if e:
-                    divisors = [u + k * step for u in divisors for k in range(min(e, bound - (u >> shift)) + 1)]
-            out.update(divisors)
+            for step, e in zip(steps, ctx.unpack(l)):
+                layer = divisors
+                for _ in range(min(e, bound)):  # the divisors with one more factor x
+                    layer = [u + step for u in layer if u < limit]
+                    divisors += layer
+            out.append((k, l, a, divisors))
     return out
 
 
@@ -316,7 +305,9 @@ def annihilator_window(gens, bound):
     """The joint annihilator of the given dual elements within R_{<=bound}.
 
     Returns an ``AnnihilatorWindow``: the divisor set D and the multi-term
-    kernel vectors, eliminated over the columns in D only.  For homogeneous
+    kernel vectors, eliminated over the columns in D only.  The matrix is
+    built from its nonzero entries, the (term, divisor) pairs of
+    ``_term_divisors``, and D is the set of those divisors.  For homogeneous
     generators the matrix is block-diagonal by degree (a column of degree j
     reaches only rows of degree deg F - j), so the kernel is the union of the
     per-degree kernels.  A negative bound, windows of more than
@@ -325,8 +316,17 @@ def annihilator_window(gens, bound):
     """
     ctx = gens[0].context
     refuse_column_range(ctx.n, 0, bound, "annihilator")
-    divisors = divisor_monomials(gens, bound)
-    kernel = contraction_kernel(gens, sorted(divisors, reverse=True), ctx.one)
+    pairs = _term_divisors(gens, bound)
+    divisors = {u for *_, us in pairs for u in us}
+    columns = sorted(divisors, reverse=True)
+    position = {u: j for j, u in enumerate(columns)}
+    rows = [{} for _ in gens]  # rows[k] maps L/u to row (k, L/u)
+    for k, l, a, us in pairs:
+        l += ctx.base  # so that l - u packs L/u
+        row_at = rows[k].setdefault
+        for u in us:
+            row_at(l - u, {})[position[u]] = a
+    kernel = kernel_vectors([row for by_quotient in rows for row in by_quotient.values()], columns, ctx.one)
     return AnnihilatorWindow(ctx, bound, divisors, [Polynomial._of(ctx, v) for v in kernel])
 
 
@@ -566,11 +566,10 @@ def ideal_window_span(gens, bound, context, span=None):
     exactly the image of the ideal in R modulo degrees above the bound.
     Given ``span``, the window span of other generators, the multiples are
     added to it and it is returned: the span of the sum of the two ideals.
-    Windows of more than ``MAX_ANN_COLUMNS`` monomials are refused.
+    A negative bound, windows of more than ``MAX_ANN_COLUMNS`` monomials
+    and degrees above the packing limit are refused up front, in that order.
     """
-    _check_degree(bound)
-    refuse_negative_bound(bound, "ideal window")
-    refuse_oversized(column_count(context.n, 0, bound), f"ideal window up to degree {bound}")
+    refuse_column_range(context.n, 0, bound, "ideal window")
     if span is None:
         span = SpanBuilder()
     for g in gens:

@@ -120,8 +120,14 @@ def finite_lift(fam, max_gen_degree=None):
 
 
 def _reduction_generator(reduction, window):
-    """Generator of the dual of the Artinian reduction; errors when not cyclic."""
-    basis = flatten(perp_ideal(reduction, window))
+    """Generator of the dual of the Artinian reduction; errors when not cyclic.
+
+    A local window, the dual of reduction + m^(window+1), is the whole dual
+    once its Hilbert function is 0 at some degree <= window (by Nakayama);
+    before that a non-cyclic window only says that the truncation is too low.
+    """
+    slices = perp_ideal(reduction, window)
+    basis = flatten(slices)
     if not basis:
         raise PreconditionError("Artinian reduction has empty dual; unit ideal?")
     mw = SpanBuilder()
@@ -129,13 +135,13 @@ def _reduction_generator(reduction, window):
         for x in reduction.context.var_monomials:
             mw.insert(contract_monomial(x, v))
     if len(basis) - mw.dim() != 1:
+        if reduction.context.mode == "local" and max(s.degree for s in slices) >= window:
+            raise PreconditionError(f"truncation {window} is too low: up to it the reduction's dual is not cyclic")
         raise PreconditionError(
             "dual of the Artinian reduction is not cyclic (quotient is not Gorenstein)"
         )
-    for v in basis:  # canonical: first vector generating modulo the radical part
-        if not mw.contains(v):
-            return v
-    raise PreconditionError("no cyclic generator found in the computed window")
+    # canonical: the first basis vector outside m o (dual), which has codimension 1
+    return next(v for v in basis if not mw.contains(v))
 
 
 def family_from_ideal(I, z_indices, t0, trunc=None):
@@ -177,8 +183,9 @@ def family_from_ideal(I, z_indices, t0, trunc=None):
     for L, D in zip(order, degrees):
         lifted = solve_lift(shell, D, shell.step_down(L) + [(g, zero) for g in I.gens])
         if lifted is None:
+            cause = "" if graded else f"the truncation {trunc} is too low, "
             raise PreconditionError(
-                f"lift at index {L} is infeasible: the sequence is not regular "
+                f"lift at index {L} is infeasible: {cause}the sequence is not regular "
                 "or the quotient is not Gorenstein"
             )
         entries[L] = lifted[0]

@@ -311,7 +311,10 @@ def ring_context(variables, duals=None, char=0, mode="graded"):
 
 
 class _SparsePoly:
-    """Shared machinery for both sides; terms map packed monomials to scalars."""
+    """Shared machinery for both sides; terms map packed monomials to scalars.
+
+    A side prints with the context's names ``_names`` and exponent format ``_power``.
+    """
 
     __slots__ = ("context", "terms")
 
@@ -376,10 +379,6 @@ class _SparsePoly:
     def coeff(self, exps):
         return self.terms.get(self.context.pack(exps), self.context.zero)
 
-    def sorted_terms(self):
-        """Terms in canonical (degrevlex descending) order."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, reverse=True)]
-
     def truncate(self, bound):
         """Drop all terms of total degree > bound."""
         limit = (bound + 1) << self.context.shift
@@ -406,16 +405,7 @@ class _SparsePoly:
         return type(self)._of(self.context, acc)
 
     def __sub__(self, other):
-        self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m)
-            s = -c if s is None else s - c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        return type(self)._of(self.context, acc)
+        return self + -other
 
     def __neg__(self):
         return type(self)._of(self.context, {m: -c for m, c in self.terms.items()})
@@ -441,22 +431,17 @@ class _SparsePoly:
     def __bool__(self):
         return bool(self.terms)
 
-    # -- printing ------------------------------------------------------------
-
-    def _names(self):
-        raise NotImplementedError
-
-    def _exp_str(self, e):
-        raise NotImplementedError
+    # -- printing: canonical (degrevlex descending) term order -----------------
 
     def __str__(self):
         if not self.terms:
             return "0"
-        names = self._names()
+        names = getattr(self.context, self._names)
         parts = []
-        for m, c in self.sorted_terms():
+        for m in sorted(self.terms, reverse=True):
+            c = self.terms[m]
             factors = [
-                name if e == 1 else f"{name}{self._exp_str(e)}"
+                name if e == 1 else f"{name}{self._power.format(e)}"
                 for name, e in zip(names, self.context.unpack(m))
                 if e
             ]
@@ -474,12 +459,7 @@ class Polynomial(_SparsePoly):
     """An element of the ring R (lowercase side); has an internal product."""
 
     __slots__ = ()
-
-    def _names(self):
-        return self.context.var_names
-
-    def _exp_str(self, e):
-        return f"^{e}"
+    _names, _power = "var_names", "^{}"
 
     def __mul__(self, other):
         if isinstance(other, DPPolynomial):
@@ -520,12 +500,7 @@ class DPPolynomial(_SparsePoly):
     """
 
     __slots__ = ()
-
-    def _names(self):
-        return self.context.dual_names
-
-    def _exp_str(self, e):
-        return f"^[{e}]"
+    _names, _power = "dual_names", "^[{}]"
 
 
 # ---------------------------------------------------------------------------

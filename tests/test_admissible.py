@@ -431,3 +431,27 @@ def test_family_file_d_line_must_match_the_z_line(d):
     # without a d line, or with the matching one, the same file loads
     for head in ("", "d 1\n"):
         assert load_family(text.replace(f"d {d}\n", head)).d == 1
+
+
+FAMILY_FILE = "ring Q[x,y] dual [X,Y] mode graded\nd 1\nz x\nt0 2\nH[1] = Y^[2]\nH[2] = X*Y^[2]\n"
+
+
+@pytest.mark.parametrize(
+    "repeat, lineno",
+    [
+        ("ring Fp(7)[x,y] dual [X,Y] mode graded", 2),
+        ("ring Q[x,y] dual [X,Y] mode graded", 7),
+        ("d 1", 7),
+        ("z y", 7),
+        ("t0 3", 7),
+        ("H[1] = Y^[2]+X^[2]", 7),
+        ("H[ 2 ] = X*Y^[2]", 7),
+    ],
+)
+def test_family_file_refuses_a_repeated_line(repeat, lineno):
+    # the last of a repeated line used to win silently
+    assert load_family(FAMILY_FILE).t0 == 2
+    lines = FAMILY_FILE.splitlines()
+    lines.insert(lineno - 1, repeat)
+    with pytest.raises(PreconditionError, match=f"family file line {lineno} repeats an earlier line"):
+        load_family("\n".join(lines))

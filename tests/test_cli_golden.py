@@ -1,11 +1,14 @@
 """Byte-for-byte snapshot of every CLI subcommand: stdout and exit code.
 
-The expected bytes live in ``cli_golden.json`` next to this file.  After an
-intended change of output, rewrite it with ``python tests/test_cli_golden.py``
-and review the diff.
+The expected bytes live in ``cli_golden.json`` next to this file.  Cases are
+added by hand to ``CASES``; ``python tests/test_cli_golden.py`` then writes
+the expected bytes of the cases missing from the file.  It never rewrites an
+existing entry: it lists the cases whose output now differs, and each of
+those is mended in the program or changed by hand with a reason.
 """
 
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -129,12 +132,18 @@ z x
 H[1] = Y^[2]+Z
 H[2] = X*Y^[2]+X*Z+Z^[3]+Y^[4]
 """,
+    "entry-before-ring": "H[1] = Y^[2]\nring Q[x,y] dual [X,Y] mode graded\nz x\n",
+    "no-z": "ring Q[x,y] dual [X,Y] mode graded\nd 1\nH[1] = Y^[2]\n",
+    "two-index-entry": "ring Q[x,y] dual [X,Y] mode graded\nd 1\nz x\nH[1,2] = Y^[2]\n",
+    "repeated-t0": "ring Q[x,y] dual [X,Y] mode graded\nd 1\nz x\nt0 2\nH[1] = Y^[2]\nt0 3\n",
+    "missing": None,  # no file is written
 }
 
 CURVE = "y*z+x*z, y^3+z^3-x*y^2+x^2*y-x^3"
 CODIM4 = "x^2-z^2-x*v+z*v, x*y, y^2-z^2+z*v, x*z, y*z, z^2-t^2-z*v, x*t, y*t, z*t"
 
 # name -> argv; "@name" stands for the path of the family file FAMILIES[name]
+# (a path where no file is, when that is None)
 CASES = {
     "contract": ["contract", "--ring", "Q[x,y]", "--h", "x+2*y", "--F", "X^[2]*Y+Y^[3]"],
     "pair-json": ["pair", "--json", "--ring", "Q[x,y]", "--f", "x*y+y^2", "--F", "X*Y-3Y^[2]"],
@@ -225,22 +234,47 @@ CASES = {
     "parse-error": ["ann", "--ring", "Q[x,y]", "--poly", "Y^["],
     "parse-error-ring": ["ann", "--ring", "Q[x,y", "--poly", "X"],
     "precondition-zero": ["ann", "--ring", "Q[x,y]", "--poly", "0X"],
+    "ann-no-ring": ["ann", "--poly", "X"],
+    "check-admissible-missing-file": ["check-admissible", "--family", "@missing"],
+    "check-admissible-entry-before-ring": ["check-admissible", "--family", "@entry-before-ring"],
+    "check-admissible-no-z-line": ["check-admissible", "--family", "@no-z"],
+    "check-admissible-two-index-entry": ["check-admissible", "--family", "@two-index-entry"],
+    "check-admissible-repeated-line": ["check-admissible", "--family", "@repeated-t0"],
+    "lift-target-too-long": ["lift", "--family", "@curve4", "--target", "4,1"],
+    "gorenstein-check-nonlinear-z": ["gorenstein-check", "--ring", "Q[x,y,z]", "--ideal", CURVE, "--d", "1", "--z", "x^2"],
+    "gorenstein-check-not-artinian": ["gorenstein-check", "--ring", "Q[x,y]", "--ideal", "x^2", "--d", "0"],
+    "family-from-ideal-local-trunc-too-low": ["family-from-ideal", "--ring", "Q[x,y,z] mode local", "--ideal", "y*z-x^3, z^2-y^3", "--z", "x", "--t0", "3", "--trunc", "2"],
+    "parse-error-unclosed-exponent": ["ann", "--ring", "Q[x,y]", "--poly", "X^[3"],
+    "parse-error-ring-exponent-on-dual": ["ann", "--ring", "Q[x,y]", "--poly", "X^3"],
+    "parse-error-coefficient-after-name": ["ann", "--ring", "Q[x,y]", "--poly", "X2"],
+    "parse-error-ring-without-variables": ["ann", "--ring", "Q[]", "--poly", "X"],
+    "parse-error-division": ["pair", "--ring", "Q[x,y]", "--f", "x/7", "--F", "X"],
 }
 
 
 def run_case(argv, tmp_dir):
-    """Run one invocation; family references become files under tmp_dir."""
+    """Run one invocation; family references become files under tmp_dir.
+
+    Returns the golden record (exit code and stdout) and the stderr text.
+    """
     args = []
     for a in argv:
         if a.startswith("@"):
             path = Path(tmp_dir) / f"{a[1:]}.fam"
-            path.write_text(FAMILIES[a[1:]], encoding="utf-8")
+            if FAMILIES[a[1:]] is not None:
+                path.write_text(FAMILIES[a[1:]], encoding="utf-8")
             a = str(path)
         args.append(a)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)
-    return {"exit": code, "stdout": out.getvalue()}
+    return {"exit": code, "stdout": out.getvalue()}, err.getvalue()
+
+
+@functools.cache
+def _outcome(name):
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_case(CASES[name], tmp)
 
 
 def _expected():
@@ -252,11 +286,65 @@ def test_golden_covers_every_case():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, tmp_path):
-    assert run_case(CASES[name], tmp_path) == _expected()[name]
+def test_cli_output_matches_golden(name):
+    assert _outcome(name)[0] == _expected()[name]
+
+
+STDERR_PREFIXES = ("parse error: ", "precondition violated: ", "error: ", "i/o error: ")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_stderr_is_empty_or_one_classified_line(name):
+    record, err = _outcome(name)
+    if err:
+        assert err.startswith(STDERR_PREFIXES) and err.count("\n") == 1 and err.endswith("\n"), err
+    elif record["exit"] in (2, 3):  # a refusal without a message carries its verdict on stdout
+        assert record["stdout"] == "infeasible\n" and CASES[name][0] == "lift"
+
+
+# the refusals whose stdout is empty, with the start of their stderr line
+REFUSALS = {
+    "ann-no-ring": "parse error: a --ring declaration is required",
+    "check-admissible-missing-file": "i/o error: ",
+    "check-admissible-entry-before-ring": "precondition violated: family file must declare the ring first",
+    "check-admissible-no-z-line": "precondition violated: family file needs a ring, a z line",
+    "check-admissible-two-index-entry": "precondition violated: index (1, 2) is not a positive multi-index of length 1",
+    "check-admissible-repeated-line": "precondition violated: family file line 6 repeats an earlier line",
+    "lift-target-too-long": "precondition violated: target must be a positive multi-index",
+    "gorenstein-check-nonlinear-z": "precondition violated: regular sequence test expects linear forms",
+    "family-from-ideal-local-trunc-too-low": "precondition violated: truncation 2 is too low",
+    "parse-error-unclosed-exponent": "parse error: expected ']'",
+    "parse-error-ring-exponent-on-dual": "parse error: dual exponents are written ^[k]",
+    "parse-error-coefficient-after-name": "parse error: coefficient must precede the variables",
+    "parse-error-ring-without-variables": "parse error: ring declaration lists no variables",
+    "parse-error-division": "parse error: expected '+' or '-' between terms",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_names_its_cause(name):
+    assert _outcome(name)[1].startswith(REFUSALS[name])
+
+
+def write_missing_cases():
+    """Add the expected bytes of the cases missing from the golden file; rewrite none.
+
+    Returns the names added and the names of existing cases whose output
+    differs from their entry.
+    """
+    golden = _expected() if GOLDEN.exists() else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = {name: run_case(argv, tmp)[0] for name, argv in CASES.items()}
+    added = sorted(set(fresh) - set(golden))
+    differing = sorted(name for name in golden if name in fresh and fresh[name] != golden[name])
+    golden.update((name, fresh[name]) for name in added)
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return added, differing
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        golden = {name: run_case(argv, tmp) for name, argv in sorted(CASES.items())}
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    added, differing = write_missing_cases()
+    print(f"added {len(added)} case(s): {' '.join(added) or '-'}")
+    if differing:
+        print(f"{len(differing)} existing case(s) differ and were left as they are: {' '.join(differing)}")
+        sys.exit(1)

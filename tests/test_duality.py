@@ -23,9 +23,8 @@ from invsys import (
 from invsys import duality
 from invsys.duality import (
     _slices_from_vectors,
+    _term_divisors,
     annihilator_window,
-    divisor_monomials,
-    contraction_rows,
     flatten,
     ideal_contains_mod,
     ideal_window_span,
@@ -428,13 +427,23 @@ def test_module_span_matches_divisor_enumeration(field, mode):
         assert span and _slice_terms(span) == _slice_terms(_divisor_span(gens, bound))
 
 
+def _contraction_rows_by_brute_force(gens, columns):
+    """Rows of contraction of the dual generators by each column monomial, one column at a time."""
+    rows = {}
+    for j, u in enumerate(columns):
+        for k, g in enumerate(gens):
+            for d, c in contract_monomial(u, g).terms.items():
+                rows.setdefault((k, d), {})[j] = c
+    return list(rows.values())
+
+
 def _per_degree_kernels(gens, bound):
     """Canonical kernel of contraction on each R_j, j = bound down to 0, concatenated."""
     ctx = gens[0].context
     out = []
     for j in range(bound, -1, -1):
         columns = monomial_columns(ctx.n, j, j, "test system", "of")
-        rows = list(contraction_rows(gens, columns).values())
+        rows = _contraction_rows_by_brute_force(gens, columns)
         out.extend(Polynomial._of(ctx, v) for v in kernel_vectors(rows, columns, ctx.one))
     return out
 
@@ -459,7 +468,7 @@ def _full_window_reference(gens, bound):
     """The reduced echelon kernel over every window column, one-term vectors built too."""
     ctx = gens[0].context
     columns = monomial_columns(ctx.n, 0, bound, "reference window")
-    rows = list(contraction_rows(gens, columns).values())
+    rows = _contraction_rows_by_brute_force(gens, columns)
     return [Polynomial._of(ctx, v) for v in kernel_vectors(rows, columns, ctx.one)]
 
 
@@ -592,12 +601,20 @@ def test_local_annihilator_generators_are_minimal(field):
         _assert_locally_minimal(ann.gens, gens, bound)
 
 
-def test_divisor_monomials_counts_the_window_divisors_of_the_surface_diagonal(surface_codim4):
-    # 54 terms cut at bound 5 give 42 exponent vectors, of which only 6 are
-    # maximal; their divisors are the 245 window monomials dividing a term
+def test_term_divisors_list_every_window_entry_of_the_surface_diagonal(surface_codim4):
+    # each (term, divisor) pair is one nonzero entry of the window's contraction
+    # matrix, and the divisors are the 245 window monomials at bound 5 that
+    # divide a term
     ctx, diagonal = surface_codim4["ctx"], surface_codim4["diagonal"]
     terms = {l for g in diagonal for l in g.terms}
     for bound in range(9):
         window = _packed_monomials(ctx.n, 0, bound)
-        assert divisor_monomials(diagonal, bound) == {m for m in window if any(ctx.divides(m, l) for l in terms)}
-    assert len(divisor_monomials(diagonal, 5)) == 245
+        pairs = _term_divisors(diagonal, bound)
+        divisors = [u for *_, us in pairs for u in us]
+        assert set(divisors) == {m for m in window if any(ctx.divides(m, l) for l in terms)}
+        entries = {(k, l - u + ctx.base, u, a) for k, l, a, us in pairs for u in us}
+        assert len(entries) == len(divisors)  # no pair is listed twice
+        assert entries == {
+            (k, d, u, c) for u in window for k, g in enumerate(diagonal) for d, c in contract_monomial(u, g).terms.items()
+        }
+    assert len({u for *_, us in _term_divisors(diagonal, 5) for u in us}) == 245

@@ -78,6 +78,11 @@ def test_invariants_from_base_entry(elliptic_curve, codim4_curve, curve_codim2):
     assert invariants_from_H1(curve_codim2["H"][0]) == (6, 3)
 
 
+def test_invariants_refuse_a_zero_base_entry(curve_codim2):
+    with pytest.raises(PreconditionError, match="base dual element is zero"):
+        invariants_from_H1(DPPolynomial.zero(curve_codim2["ctx"]))
+
+
 # -- certification -----------------------------------------------------------------
 
 
@@ -438,6 +443,44 @@ def test_family_from_ideal_local_semigroup(semigroup_curve):
     assert fam.entries == semigroup_curve["family"].entries
     assert check_family(fam).passed
     assert local_verify(fam, semigroup_curve["ideal"], trunc=7).passed
+
+
+@pytest.mark.parametrize("trunc", [1, 2])
+def test_local_reduction_window_short_of_the_whole_dual_blames_the_truncation(semigroup_curve, trunc):
+    # the reduction's dual has local HF 1 2 1 1, so up to degree 1 or 2 the
+    # window is not the whole dual, and a non-cyclic window says nothing about
+    # the quotient
+    with pytest.raises(PreconditionError, match=f"truncation {trunc} is too low") as info:
+        family_from_ideal(semigroup_curve["ideal"], (0,), 3, trunc=trunc)
+    assert "not Gorenstein" not in str(info.value)
+
+
+@pytest.mark.parametrize("trunc, index", [(3, 2), (4, 3)])
+def test_infeasible_local_lift_names_the_truncation(semigroup_curve, trunc, index):
+    match = rf"lift at index \({index},\) is infeasible: the truncation {trunc} is too low"
+    with pytest.raises(PreconditionError, match=match):
+        family_from_ideal(semigroup_curve["ideal"], (0,), 3, trunc=trunc)
+
+
+def test_local_family_from_ideal_at_the_lowest_sufficient_truncation(semigroup_curve):
+    fam = family_from_ideal(semigroup_curve["ideal"], (0,), 3, trunc=5)
+    assert [str(fam.entry((t,))) for t in (1, 2, 3)] == [
+        "Y^[3]+Z^[2]",
+        "X*Y^[3]+X*Z^[2]",
+        "X^[2]*Y^[3]+X^[2]*Z^[2]",
+    ]
+
+
+@pytest.mark.parametrize(
+    "trunc, match",
+    [(1, "truncation 1 is too low")] + [(t, r"not cyclic \(quotient is not Gorenstein\)") for t in (2, 3, 6)],
+)
+def test_local_reduction_with_a_two_dimensional_socle_is_not_gorenstein(trunc, match):
+    # the reduction by x has local HF 1 2, which the window reaches 0 after at
+    # degree 2: from there on it is the whole dual, and that is not cyclic
+    ctx = ctx_of("ring Q[x,y,z] dual [X,Y,Z] mode local")
+    with pytest.raises(PreconditionError, match=match):
+        family_from_ideal(ideal_of(ctx, "y^2, y*z, z^2"), (0,), 2, trunc=trunc)
 
 
 def test_pipeline_over_prime_field():

@@ -304,6 +304,12 @@ def test_variable_not_regular_on_its_own_ideal():
     assert not is_regular_sequence(ideal_of(ctx, "x"), [ctx.variable(0)])
 
 
+def test_regular_sequence_test_refuses_a_quadric():
+    ctx = ctx_of("ring Q[x,y] dual [X,Y]")
+    with pytest.raises(PreconditionError, match="regular sequence test expects linear forms"):
+        is_regular_sequence(ideal_of(ctx, "x*y"), [ring_poly(ctx, "x^2")])
+
+
 # -- socle ------------------------------------------------------------------------------
 
 
@@ -462,6 +468,12 @@ def test_annihilator_certification_computes_no_normal_form(monkeypatch):
 
 
 # -- minimal generators -------------------------------------------------------------------
+
+
+def test_minimal_generators_refuse_a_nonhomogeneous_generator():
+    ctx = ctx_of("ring Q[x,y] dual [X,Y]")
+    with pytest.raises(PreconditionError, match="minimal_generators expects homogeneous generators"):
+        minimal_generators(ideal_of(ctx, "x^2+y"))
 
 
 def test_minimal_generators_drop_multiples():

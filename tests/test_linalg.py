@@ -234,6 +234,13 @@ def test_span_intersect_self_and_zero():
     assert span_intersect(a, empty).dim == 0
 
 
+def test_span_intersect_refuses_spans_from_different_sides():
+    ctx = ctx_of("ring Q[x,y] dual [X,Y]")
+    ring_side, dual_side = span_reduce([ring_poly(ctx, "x+y")]), span_reduce([dual(ctx, "X+Y")])
+    with pytest.raises(ValueError, match="cannot intersect spans from different sides"):
+        span_intersect(ring_side, dual_side)
+
+
 def test_span_intersect_dimension_formula_random():
     ctx = ctx_of("ring Q[x,y,z] dual [X,Y,Z]")
     rng = rng_for("intersect-dim")

@@ -116,9 +116,13 @@ def test_products_past_the_limit_raise_instead_of_wrapping():
 
 
 def test_window_multiples_and_s_polynomials_past_the_limit_raise():
-    ctx = ctx_of("ring Q[x,y] dual [X,Y] mode local")
-    gens = [ring_poly(ctx, "x^30000")]
+    line = ctx_of("ring Q[x] dual [X] mode local")  # 32769 window monomials: within the size limit
+    gens = [ring_poly(line, "x^30000")]
     with pytest.raises(PreconditionError, match=str(MAX_DEGREE)):
+        ideals_equal_mod(gens, gens, MAX_DEGREE + 2, line)
+    ctx = ctx_of("ring Q[x,y] dual [X,Y] mode local")  # oversized too: the size refusal comes first
+    gens = [ring_poly(ctx, "x^30000")]
+    with pytest.raises(PreconditionError, match="ideal window up to degree 32768 needs 536920065 contraction columns"):
         ideals_equal_mod(gens, gens, MAX_DEGREE + 2, ctx)
     f, g = ring_poly(ctx, "x^20000*y"), ring_poly(ctx, "x*y^20000")
     with pytest.raises(PreconditionError, match=str(MAX_DEGREE)):
