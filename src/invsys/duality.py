@@ -159,11 +159,17 @@ def flatten(slices):
 def module_span(gens, degree_bound=None):
     """Coefficient span of the R-module generated by dual elements.
 
-    R o F is the smallest space holding the generators and closed under
-    contraction by x_1..x_n: every vector that enlarges the span queues its
-    contractions by the variables.  The canonical basis comes out in degree
-    slices.  Inputs whose terms have more than ``MAX_ANN_COLUMNS`` divisors
-    (a bound on the dimension) are refused up front, and so is a negative
+    The span of the images u o F_k over all monomials u, built by a
+    staircase walk per generator: the monomials u in ascending degrevlex
+    order, layer by layer.  Each image goes into one shared echelon span,
+    and u is kept when its image enlarged it; the next layer holds only the
+    products u * x_i whose every quotient by a variable was kept.  The
+    pruning is exact.  The pairs (k, u) in lexicographic order form a module
+    monomial order, and when u o F_k lies in the span of the earlier images,
+    (x * u) o F_k = x o (u o F_k) lies in the span of their x-multiples, all
+    of which come earlier.  The canonical basis comes out in degree slices.
+    Inputs whose terms have more than ``MAX_ANN_COLUMNS`` divisors (a bound
+    on the dimension) are refused up front, and so is a negative
     ``degree_bound``.
     """
     if degree_bound is not None:
@@ -171,11 +177,14 @@ def module_span(gens, degree_bound=None):
     divisors = sum(math.prod(e + 1 for e in g.context.unpack(l)) for g in gens for l in g.terms)
     refuse_oversized(divisors, "module span")
     builder = SpanBuilder()
-    queue = list(gens)
-    while queue:
-        v = queue.pop()
-        if builder.insert(v):
-            queue.extend(contract_monomial(x, v) for x in v.context.var_monomials)
+    for F in gens:
+        base, guard, xs = F.context.base, F.context.guard, F.context.var_monomials
+        layer = [base]
+        while layer:
+            kept = {u for u in layer if builder.insert(contract_monomial(u, F))}
+            # m - x + base packs m / x; a guard bit is set when x does not divide m
+            products = {u - base + x for u in kept for x in xs}
+            layer = sorted(m for m in products if all((q := m - x + base) & guard or q in kept for x in xs))
     return _slices_from_vectors(builder.basis(), degree_bound)
 
 

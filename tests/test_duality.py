@@ -7,6 +7,7 @@ import pytest
 from conftest import ctx_of, dual, exponent_vectors, ideal_of, ring_poly, rng_for, random_poly, window_kernel
 
 from invsys import (
+    ContextMismatchError,
     Ideal,
     PreconditionError,
     ann_cyclic,
@@ -51,6 +52,7 @@ def test_span_of_zero_is_empty():
     from invsys import DPPolynomial
 
     assert module_span([DPPolynomial.zero(ctx)]) == []
+    assert module_span([]) == []
 
 
 def test_span_of_quasihomogeneous_generator_has_multiplicity_five(semigroup_curve):
@@ -397,12 +399,13 @@ def test_rational_inverse_systems_and_lifts_reduce_to_prime_field_results(
 
 def _divisor_span(gens, degree_bound=None):
     """Reference span: every generator contracted by every divisor of every term."""
-    builder = SpanBuilder()
-    for g in gens:
-        for l in g.terms:
-            for m in itertools.product(*(range(e + 1) for e in g.context.unpack(l))):
-                builder.insert(contract_monomial(g.context.pack(m), g))
-    return _slices_from_vectors(builder.basis(), degree_bound)
+    images = [
+        contract_monomial(g.context.pack(m), g)
+        for g in gens
+        for l in g.terms
+        for m in itertools.product(*(range(e + 1) for e in g.context.unpack(l)))
+    ]
+    return _slices_from_vectors(span_reduce(images).vectors, degree_bound)
 
 
 def _slice_terms(slices):
@@ -421,10 +424,40 @@ def test_module_span_matches_divisor_enumeration(field, mode):
     for k in range(16):
         names = "xyzt"[: rng.randint(2, 4)]
         ctx = ctx_of(f"ring {field}[{','.join(names)}] dual [{','.join(names.upper())}] mode {mode}")
-        gens = [_random_dual(rng, ctx, mode == "graded") for _ in range(rng.randint(1, 3))]
+        gens = [_random_dual(rng, ctx, mode == "graded") for _ in range(rng.randint(1, 4))]
         bound = None if k % 2 else rng.randint(1, 3)
-        span = module_span(gens, bound)
-        assert span and _slice_terms(span) == _slice_terms(_divisor_span(gens, bound))
+        # the walk prunes by generator order: zero, repeated and reordered
+        # generators must give the same basis
+        for case in (gens, gens[::-1], [DPPolynomial.zero(ctx)] + gens, gens + [gens[0]]):
+            span = module_span(case, bound)
+            assert span and _slice_terms(span) == _slice_terms(_divisor_span(case, bound))
+
+
+def test_module_span_of_the_surface_diagonal_matches_the_divisor_oracle(surface_codim4):
+    diagonal = surface_codim4["diagonal"]
+    assert flatten(module_span(diagonal)) == flatten(_divisor_span(diagonal))
+
+
+def test_module_span_walk_inserts_little_beyond_the_span(monkeypatch, surface_codim4):
+    # the worklist made about six inserts per basis vector on this diagonal
+    inserts = []
+    insert = SpanBuilder.insert
+
+    def counting(self, poly):
+        inserts.append(poly)
+        return insert(self, poly)
+
+    monkeypatch.setattr(SpanBuilder, "insert", counting)
+    dim = span_dim(module_span(surface_codim4["diagonal"]))
+    assert dim == 1216 and len(inserts) <= 1.25 * dim
+
+
+def test_module_span_refuses_mixed_fields():
+    q = ctx_of("ring Q[x,y] dual [X,Y]")
+    fp = ctx_of(f"ring Fp({P})[x,y,z] dual [X,Y,Z]")
+    for gens in ([dual(q, "X^[2]*Y"), dual(fp, "Z^[3]")], [dual(fp, "Z^[3]"), dual(q, "X^[2]*Y")]):
+        with pytest.raises(ContextMismatchError, match="mixed fields"):
+            module_span(gens)
 
 
 def _contraction_rows_by_brute_force(gens, columns):
