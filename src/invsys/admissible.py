@@ -403,7 +403,7 @@ def solve_lift(fam, degree, constraints):
     for k, (_, T) in enumerate(constraints):
         for m in T.terms:
             rows.setdefault((k, m), {})  # unreached target term: 0 = T_m, infeasible
-    rhs = [constraints[k][1].terms.get(d, ctx.zero) for k, d in rows]
+    rhs = [constraints[k][1].terms.get(d, 0) for k, d in rows]
     solved = solve_affine(list(rows.values()), rhs, columns, ctx.one)
     if solved is None:
         return None

@@ -30,6 +30,7 @@ from .ring import (
     PreconditionError,
     _check_degree,
     _packed_monomials,
+    check_contexts,
     contract_monomial,
 )
 
@@ -169,9 +170,11 @@ def module_span(gens, degree_bound=None):
     (x * u) o F_k = x o (u o F_k) lies in the span of their x-multiples, all
     of which come earlier.  The canonical basis comes out in degree slices.
     Inputs whose terms have more than ``MAX_ANN_COLUMNS`` divisors (a bound
-    on the dimension) are refused up front, and so is a negative
-    ``degree_bound``.
+    on the dimension) are refused up front, and so are a negative
+    ``degree_bound`` and generators from different ring contexts.
     """
+    for g in gens:
+        check_contexts(gens[0].context, g.context)
     if degree_bound is not None:
         refuse_negative_bound(degree_bound, "module span")
     divisors = sum(math.prod(e + 1 for e in g.context.unpack(l)) for g in gens for l in g.terms)
@@ -306,8 +309,7 @@ class AnnihilatorWindow:
         Modulo m^{bound+1} they generate the same ideal as the whole kernel:
         every other kernel vector is a monomial multiple of a border monomial.
         """
-        one = self.context.one
-        return self.multi_term + [Polynomial._of(self.context, {u: one}) for u in self.border]
+        return self.multi_term + [Polynomial._of(self.context, {u: self.context.unit}) for u in self.border]
 
 
 def annihilator_window(gens, bound):
@@ -319,11 +321,13 @@ def annihilator_window(gens, bound):
     ``_term_divisors``, and D is the set of those divisors.  For homogeneous
     generators the matrix is block-diagonal by degree (a column of degree j
     reaches only rows of degree deg F - j), so the kernel is the union of the
-    per-degree kernels.  A negative bound, windows of more than
-    ``MAX_ANN_COLUMNS`` monomials and degrees above the packing limit are
-    refused up front, in that order.
+    per-degree kernels.  Generators from different ring contexts, a
+    negative bound, windows of more than ``MAX_ANN_COLUMNS`` monomials and
+    degrees above the packing limit are refused up front, in that order.
     """
     ctx = gens[0].context
+    for g in gens:
+        check_contexts(ctx, g.context)
     refuse_column_range(ctx.n, 0, bound, "annihilator")
     pairs = _term_divisors(gens, bound)
     divisors = {u for *_, us in pairs for u in us}
@@ -515,7 +519,7 @@ def ann_module(gens, degree_bound=None):
         ideal = Ideal(_minimalize(vectors, bound, ctx, window.divisors.union(window.border)), ctx)
     else:
         one_term = [
-            Polynomial._of(ctx, {m: ctx.one})
+            Polynomial._of(ctx, {m: ctx.unit})
             for m in _packed_monomials(ctx.n, 0, bound)
             if m not in window.divisors
         ]

@@ -32,7 +32,7 @@ def normal_form(f, basis):
 
 def _reduce(f, reducers):
     """normal_form against (leading monomial, element) pairs, tried in order."""
-    base, guard = f.context.base, f.context.guard
+    base, guard, p = f.context.base, f.context.guard, f.context.char
     remainder = {}
     work = dict(f.terms)
     while work:
@@ -41,13 +41,15 @@ def _reduce(f, reducers):
         for lm, g in reducers:
             quot = m - lm  # gm + quot packs gm * (m / lm)
             if not (quot + base) & guard:
-                factor = c / g.terms[lm]
+                factor = c * pow(g.terms[lm], -1, p) if p else c / g.terms[lm]
                 for gm, gc in g.terms.items():
                     if gm == lm:
                         continue
                     tm = gm + quot
                     s = work.get(tm)
                     s = -factor * gc if s is None else s - factor * gc
+                    if p:
+                        s %= p
                     if s:
                         work[tm] = s
                     else:
@@ -62,9 +64,8 @@ def _s_polynomial(f, g):
     lf, lg = f.leading_monomial(), g.leading_monomial()
     ctx = f.context
     l = ctx.lcm(lf, lg) + ctx.base
-    mf = Polynomial._of(ctx, {l - lf: ctx.one})
-    mg = Polynomial._of(ctx, {l - lg: ctx.one})
-    return (mf * f).scale(ctx.one / f.leading_coeff()) - (mg * g).scale(ctx.one / g.leading_coeff())
+    mf, mg = (Polynomial._of(ctx, {l - lm: ctx.unit}) for lm in (lf, lg))
+    return (mf * f).monic() - (mg * g).monic()
 
 
 def _interreduce(polys):
@@ -300,7 +301,7 @@ def _border_walk(gb):
     supports = [[i for i, e in enumerate(ctx.unpack(m)) if e] for m in lead]
     if len({s[0] for s in supports if len(s) == 1}) < ctx.n:  # a pure power of each variable
         raise PreconditionError("quotient is not Artinian")
-    base, xs, one, zero = ctx.base, ctx.var_monomials, ctx.one, ctx.zero
+    base, xs, unit, p = ctx.base, ctx.var_monomials, ctx.unit, ctx.char
     std, border = [], {}
     layer, degree = [base], 0
     while layer:
@@ -311,7 +312,7 @@ def _border_walk(gb):
         for u in candidates:
             g = lead.get(u)
             if g is not None:
-                border[u] = {t: -c for t, c in g.terms.items() if t != u}
+                border[u] = {t: p - c if p else -c for t, c in g.terms.items() if t != u}
                 continue
             for y in xs:  # u - y + base packs u / y; a y not dividing u sets a guard bit
                 image = border.get(u - y + base)
@@ -323,9 +324,9 @@ def _border_walk(gb):
             nf = {}
             for t, c in image.items():
                 w = t + y - base
-                for s, e in border.get(w, {w: one}).items():  # a standard w is its own normal form
-                    nf[s] = nf.get(s, zero) + c * e
-            border[u] = {s: c for s, c in nf.items() if c}
+                for s, e in border.get(w, {w: unit}).items():  # a standard w is its own normal form
+                    nf[s] = nf.get(s, 0) + c * e
+            border[u] = {s: r for s, c in nf.items() if (r := c % p if p else c)}
     return std, border
 
 
@@ -357,6 +358,6 @@ def socle_dim(ideal):
     for j, m in enumerate(std):
         for i, x in enumerate(ctx.var_monomials):
             u = m + x - ctx.base
-            for t, c in border.get(u, {u: ctx.one}).items():
+            for t, c in border.get(u, {u: ctx.unit}).items():
                 rows.setdefault((i, pos[t]), {})[j] = c
     return len(std) - rank_of(list(rows.values()), ctx.one)

@@ -8,9 +8,10 @@ or monomials, degrevlex-largest pivot first.  The columns of a contraction
 system are the monomials of a degree range (``monomial_columns``, which
 sizes them); kernels and affine solutions come back keyed by them.
 
-Over Fp(p) the engine's rows hold plain ints in [0, p), over Q Fractions.
-The ints live inside this module only: field scalars enter and leave at its
-boundary, where a row or polynomial from another field is refused.
+Rows, kernel vectors and solutions hold what polynomial terms hold: ints in
+[1, p) over Fp(p), Fractions over Q, never zero; they go in and come out as
+they are.  ``one`` (``RingContext.one``) names the field of an elimination;
+a ``SpanBuilder`` takes the ring context of the first polynomial it sees.
 
 Coordinate vectors indexed by monomials are just polynomials, so subspaces
 of a degree window are kept as lists of polynomials in reduced echelon form
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ring import ContextMismatchError, PreconditionError, PrimeFieldElement, _check_degree, _packed_monomials
+from .ring import PreconditionError, _check_degree, _packed_monomials, check_contexts
 
 # ---------------------------------------------------------------------------
 # the echelon engine: sparse rows keyed by int columns or by monomials
@@ -41,9 +42,9 @@ class _Echelon:
 
     ``modulus`` is the field's characteristic (None in a ``SpanBuilder``
     that has seen no polynomial yet).  Over Fp(p) the rows hold ints in
-    [0, p), reduced with ``% p`` and normalised by ``pow(lc, -1, p)``; over
-    Q (0) they hold Fractions.  ``rref_rows`` and ``SpanBuilder`` convert
-    field scalars to rows and back, so no int leaves this module.
+    [1, p), reduced with ``% p`` and normalised by ``pow(lc, -1, p)``; over
+    Q (0) they hold Fractions.  Both are the coefficients of polynomial
+    terms, so rows and terms pass in and out unconverted.
     """
 
     def __init__(self, lead, modulus):
@@ -145,49 +146,16 @@ class _Echelon:
         return new
 
 
-def _mixed_fields(what, p):
-    """The refusal of ``what`` (a row, a polynomial) from another field than Fp(p), or Q for p = 0."""
-    return ContextMismatchError(f"mixed fields: {what} not over {f'Fp({p})' if p else 'Q'}")
-
-
-def _engine_rows(rows, p):
-    """Rows of field scalars as the engine holds them, zeros dropped, one at a time.
-
-    A scalar of another field is refused: over Q a PrimeFieldElement has no
-    numerator, over Fp a Fraction has no ``val``, and a PrimeFieldElement of
-    another prime is dropped, which leaves the row short.
-    """
-    try:
-        if not p:
-            for row in rows:
-                yield {c: v for c, v in row.items() if v.numerator}
-            return
-        for row in rows:
-            out = {c: v.val for c, v in row.items() if v.p == p and v.val}
-            if len(out) < len(row) and any(v.p != p for v in row.values()):
-                raise _mixed_fields("a row", p)
-            yield out
-    except AttributeError:
-        raise _mixed_fields("a row", p) from None
-
-
-def _field_row(row, p):
-    """An engine row over Fp(p) with PrimeFieldElements again."""
-    return {c: PrimeFieldElement(v, p) for c, v in row.items()}
-
-
 def rref_rows(rows, one, lead=min):
-    """Reduced row echelon form of sparse rows over the field of ``one``.
+    """Reduced row echelon form of sparse rows over the field of ``one``: Fp(one.p), or Q.
 
     Returns (rows, pivot columns).
     """
-    p = one.p if isinstance(one, PrimeFieldElement) else 0
-    ech = _Echelon(lead, p)
-    for row in _engine_rows(rows, p):
+    ech = _Echelon(lead, getattr(one, "p", 0))
+    for row in rows:
         ech.insert_row(row)
     pivots = sorted(ech.pivots)
-    reduced = [ech.pivots[c] for c in pivots]
-    return [_field_row(row, p) for row in reduced] if p else reduced, pivots
+    return [ech.pivots[c] for c in pivots], pivots
 
 
 def rank_of(rows, one):
@@ -196,12 +164,12 @@ def rank_of(rows, one):
 
 def _free_column_kernel(reduced, pivots, columns, one):
     """Null-space basis of an RREF system, one vector per free column, keyed by ``columns``."""
-    pivot_set = set(pivots)
-    kernel = {c: {columns[c]: one} for c in range(len(columns)) if c not in pivot_set}
+    p, pivot_set = getattr(one, "p", 0), set(pivots)
+    kernel = {c: {columns[c]: 1 if p else one} for c in range(len(columns)) if c not in pivot_set}
     for lead, prow in zip(pivots, reduced):
         for c, v in prow.items():
             if c in kernel:
-                kernel[c][columns[lead]] = -v
+                kernel[c][columns[lead]] = p - v if p else -v
     return list(kernel.values())
 
 
@@ -211,7 +179,7 @@ def kernel_vectors(rows, columns, one):
     Rows are keyed by column position 0..len(columns)-1, vectors by the
     column labels in ``columns``.  Rightmost pivots make the vector of free
     column c, 1 at c, nonzero elsewhere only at pivot columns right of c.
-    ``one`` is the field's unit.
+    ``one`` names the field.
     """
     reduced, pivots = rref_rows(rows, one, lead=max)
     return _free_column_kernel(reduced, pivots, columns, one)
@@ -223,7 +191,7 @@ def solve_affine(rows, rhs, columns, one):
     Returns (particular solution, kernel basis) with all free coordinates of
     the particular solution set to zero, or None when inconsistent.  Rows are
     keyed by column position 0..len(columns)-1, the returned vectors by the
-    column labels in ``columns``; ``one`` is the field's unit.
+    column labels in ``columns``; ``one`` names the field.
     """
     ncols = len(columns)
     aug = []
@@ -308,32 +276,29 @@ class SpanBuilder(_Echelon):
     Keeps one monic vector per leading monomial, fully inter-reduced, so the
     resulting basis is canonical for the subspace: two spans are equal iff
     their bases coincide vector by vector.  The first polynomial it sees
-    fixes its field; a polynomial over another field is refused.
+    fixes its ring context and side; a polynomial from another context is refused.
     """
 
     def __init__(self):
         super().__init__(max, None)
+        self.context = self._side = None
 
-    def _row(self, poly):
-        """The engine row of poly's terms; the first polynomial fixes the field."""
-        p = poly.context.char
-        if p != self.modulus:
-            if self.modulus is not None:
-                raise _mixed_fields("a polynomial", self.modulus)
-            self.modulus = p
-        return {m: c.val for m, c in poly.terms.items()} if p else poly.terms
+    def _adopt(self, poly):
+        """poly's terms, refused unless poly lives in the context, which the first polynomial fixes."""
+        ctx = poly.context
+        if ctx is not self.context:
+            if self.context is None:
+                self.context, self.modulus, self._side = ctx, ctx.char, type(poly)
+            check_contexts(self.context, ctx)
+        return poly.terms
 
     def reduce(self, poly):
         """Remainder of poly after eliminating every basis leading monomial."""
-        row, p = self.reduce_row(self._row(poly)), self.modulus
-        return type(poly)._of(poly.context, _field_row(row, p) if p else row)
+        return type(poly)._of(poly.context, self.reduce_row(self._adopt(poly)))
 
     def insert(self, poly):
         """Add a vector to the span; returns True if it enlarged the span."""
-        if self.insert_row(self._row(poly)) is None:
-            return False
-        self._sample = poly
-        return True
+        return self.insert_row(self._adopt(poly)) is not None
 
     def contains(self, poly):
         return self.reduce(poly).is_zero()
@@ -342,11 +307,7 @@ class SpanBuilder(_Echelon):
         return len(self.pivots)
 
     def basis(self):
-        if not self.pivots:
-            return []
-        cls, ctx, p = type(self._sample), self._sample.context, self.modulus
-        rows = (self.pivots[lm] for lm in sorted(self.pivots, reverse=True))
-        return [cls._of(ctx, _field_row(row, p) if p else dict(row)) for row in rows]
+        return [self._side._of(self.context, dict(self.pivots[lm])) for lm in sorted(self.pivots, reverse=True)]
 
 
 @dataclass

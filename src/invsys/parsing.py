@@ -98,17 +98,13 @@ def parse_polynomial(text, context, side):
             raise ParseError("expected '+' or '-' between terms", text, sc.pos)
         first = False
         coeff, exps = _parse_term(sc, context, names, other, side)
-        if minus:
-            coeff = -coeff
-        prev = terms.get(exps)
-        total = coeff if prev is None else prev + coeff
-        if total:
-            terms[exps] = total
-        else:
-            terms.pop(exps, None)
+        coeff = -coeff if minus else coeff
+        terms[exps] = terms[exps] + coeff if exps in terms else coeff
     if first:
         raise ParseError("empty polynomial", text, 0)
-    return cls._of(context, terms)
+    if context.char:  # terms hold the ints of the field scalars
+        terms = {m: c.val for m, c in terms.items()}
+    return cls._of(context, {m: c for m, c in terms.items() if c})
 
 
 def _parse_term(sc, context, names, other, side):

@@ -5,9 +5,10 @@ polynomial (or power-series) ring R in the lowercase variables, and elements
 of its graded dual, the divided-power module, written in the uppercase dual
 variables with bracketed exponents (``X^[3]``).  A polynomial is a map from
 packed monomials, one int per exponent vector (see ``RingContext``), to
-nonzero field scalars.  Exponent tuples appear only at the boundary: the
-parser, the printer, the constructor, ``monomial``, ``coeff`` and
-``shift_mul``.
+nonzero coefficients: Fractions over Q, ints in [1, p) over Fp(p), never
+field scalars (see ``RingContext``).  Exponent tuples appear only at the
+boundary: the parser, the printer, the constructor, ``monomial``, ``coeff``
+and ``shift_mul``.
 
 The dual side carries no internal product; R acts on it by contraction,
 which sends ``z^M . Z^[L]`` to ``Z^[L-M]`` (zero when any component of L-M is
@@ -202,7 +203,8 @@ class RingContext:
     (power-series ring, degree-truncated computations).  ``char`` picks the
     field: 0 for Q, whose scalars are Fractions, or a prime p certified below
     ``_MR_LIMIT``, whose scalars are PrimeFieldElements.  ``scalar`` makes
-    them; ``one`` and ``zero`` are made once per context.
+    them; ``one``, ``zero`` and ``unit``, the term 1 (terms hold ints over
+    Fp, see ``to_term``), are made once per context.
 
     Monomials are packed ints (see above).  ``pack`` and ``unpack`` convert
     exponent tuples; ``shift`` is the bit position of the total degree,
@@ -236,7 +238,8 @@ class RingContext:
         ones = ((1 << shift) - 1) // _FIELD  # 1 in every field
         base = MAX_DEGREE * ones
         for name, value in (
-            ("zero", self.scalar(0)), ("one", self.scalar(1)), ("shift", shift), ("base", base),
+            ("zero", self.scalar(0)), ("one", self.scalar(1)), ("unit", 1 if self.char else self.scalar(1)),
+            ("shift", shift), ("base", base),
             ("guard", (MAX_DEGREE + 1) * ones),
             ("var_monomials", tuple(base + (1 << shift) - (1 << (i * _BITS)) for i in range(n))),
         ):
@@ -254,6 +257,14 @@ class RingContext:
         if den % p == 0:
             raise ZeroDivisionError("denominator vanishes in the prime field")
         return PrimeFieldElement(num * pow(den, -1, p), p)
+
+    def to_term(self, c):
+        """A field scalar or an int as a term coefficient: a Fraction over Q, an int in [0, p) over Fp(p)."""
+        if not isinstance(c, PrimeFieldElement):
+            c = self.scalar(*Fraction(c).as_integer_ratio())
+        elif c.p != self.char:
+            raise ContextMismatchError(f"mixed fields: a scalar of Fp({c.p}) in {self.decl()}")
+        return c.val if self.char else c
 
     def pack(self, exps):
         """The packed monomial of an exponent vector; degrees above MAX_DEGREE are refused."""
@@ -284,7 +295,7 @@ class RingContext:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def variable(self, i):
-        return Polynomial._of(self, {self.var_monomials[i]: self.one})
+        return Polynomial._of(self, {self.var_monomials[i]: self.unit})
 
     def decl(self):
         """Canonical ring declaration string."""
@@ -293,6 +304,13 @@ class RingContext:
             f"ring {fld}[{','.join(self.var_names)}]"
             f" dual [{','.join(self.dual_names)}] mode {self.mode}"
         )
+
+
+def check_contexts(a, b):
+    """Refuse operands from two different ring contexts; identity is tested first."""
+    if a is not b and a != b:
+        kind = "mixed fields" if a.char != b.char else "mixed ring contexts"
+        raise ContextMismatchError(f"{kind}: {a.decl()} and {b.decl()}")
 
 
 def ring_context(variables, duals=None, char=0, mode="graded"):
@@ -311,7 +329,7 @@ def ring_context(variables, duals=None, char=0, mode="graded"):
 
 
 class _SparsePoly:
-    """Shared machinery for both sides; terms map packed monomials to scalars.
+    """Shared machinery for both sides; terms map packed monomials to coefficients.
 
     A side prints with the context's names ``_names`` and exponent format ``_power``.
     """
@@ -319,15 +337,15 @@ class _SparsePoly:
     __slots__ = ("context", "terms")
 
     def __init__(self, context, terms):
-        """The element with ``terms``, a map from exponent tuples to scalars."""
+        """The element with ``terms``, a map from exponent tuples to field scalars or ints."""
         self.context = context
-        self.terms = {context.pack(m): c for m, c in terms.items() if c}
+        self.terms = {context.pack(m): v for m, c in terms.items() if (v := context.to_term(c))}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def _of(cls, context, terms):
-        """The element whose packed terms are ``terms``, taken as is: no zero scalars."""
+        """The element whose packed terms are ``terms``, taken as is: nonzero coefficients (``to_term``)."""
         p = object.__new__(cls)
         p.context = context
         p.terms = terms
@@ -339,13 +357,11 @@ class _SparsePoly:
 
     @classmethod
     def constant(cls, context, value):
-        c = value if not isinstance(value, int) else context.scalar(value)
-        return cls._of(context, {context.base: c} if c else {})
+        return cls(context, {(0,) * context.n: value})
 
     @classmethod
     def monomial(cls, context, exps, coeff=None):
-        c = context.one if coeff is None else coeff
-        return cls(context, {tuple(exps): context.scalar(c) if isinstance(c, int) else c})
+        return cls(context, {tuple(exps): context.unit if coeff is None else coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -373,11 +389,10 @@ class _SparsePoly:
         return max(self.terms)
 
     def leading_coeff(self):
-        lm = self.leading_monomial()
-        return self.context.zero if lm is None else self.terms[lm]
+        return self.context.scalar(self.terms[max(self.terms)] if self.terms else 0)
 
     def coeff(self, exps):
-        return self.terms.get(self.context.pack(exps), self.context.zero)
+        return self.context.scalar(self.terms.get(self.context.pack(exps), 0))
 
     def truncate(self, bound):
         """Drop all terms of total degree > bound."""
@@ -387,14 +402,21 @@ class _SparsePoly:
     # -- arithmetic (module operations, both sides) -------------------------
 
     def _check(self, other):
-        if self.context is not other.context and self.context != other.context:
-            raise ContextMismatchError("operands live in different ring contexts")
+        check_contexts(self.context, other.context)
         if type(self) is not type(other):
             raise ContextMismatchError("cannot mix ring and dual-module elements")
 
     def __add__(self, other):
         self._check(other)
-        acc = dict(self.terms)
+        acc, p = dict(self.terms), self.context.char
+        if p:
+            for m, c in other.terms.items():
+                s = (acc.get(m, 0) + c) % p
+                if s:
+                    acc[m] = s
+                else:
+                    del acc[m]  # c is nonzero, so s is 0 only where m was
+            return type(self)._of(self.context, acc)
         for m, c in other.terms.items():
             s = acc.get(m)
             s = c if s is None else s + c
@@ -408,20 +430,27 @@ class _SparsePoly:
         return self + -other
 
     def __neg__(self):
-        return type(self)._of(self.context, {m: -c for m, c in self.terms.items()})
+        p, terms = self.context.char, self.terms.items()
+        return type(self)._of(self.context, {m: p - c for m, c in terms} if p else {m: -c for m, c in terms})
 
     def scale(self, c):
-        if isinstance(c, int):
-            c = self.context.scalar(c)
+        """c times self, for a field scalar or an int c."""
+        c, p, terms = self.context.to_term(c), self.context.char, self.terms.items()
         if not c:
             return type(self)._of(self.context, {})
-        return type(self)._of(self.context, {m: c * v for m, v in self.terms.items()})
+        scaled = {m: c * v % p for m, v in terms} if p else {m: c * v for m, v in terms}
+        return type(self)._of(self.context, scaled)
 
     def monic(self):
-        lc = self.leading_coeff()
-        if not lc or lc == self.context.one:
+        """self divided by its leading coefficient, with one inverse over Fp(p)."""
+        lc = self.terms[max(self.terms)] if self.terms else 1
+        if lc == 1:
             return self
-        return type(self)._of(self.context, {m: c / lc for m, c in self.terms.items()})
+        p, terms = self.context.char, self.terms.items()
+        if p:
+            inverse = pow(lc, -1, p)
+            return type(self)._of(self.context, {m: c * inverse % p for m, c in terms})
+        return type(self)._of(self.context, {m: c / lc for m, c in terms})
 
     def __eq__(self, other):
         if type(self) is not type(other):
@@ -468,8 +497,15 @@ class Polynomial(_SparsePoly):
             )
         self._check(other)
         _check_degree(self.degree() + other.degree())
-        base = self.context.base
+        base, p = self.context.base, self.context.char
         acc = {}
+        if p:  # one reduction per accumulated sum
+            for m1, c1 in self.terms.items():
+                m1 -= base
+                for m2, c2 in other.terms.items():
+                    m = m1 + m2
+                    acc[m] = acc.get(m, 0) + c1 * c2
+            return Polynomial._of(self.context, {m: r for m, s in acc.items() if (r := s % p)})
         for m1, c1 in self.terms.items():
             m1 -= base
             for m2, c2 in other.terms.items():
@@ -485,7 +521,7 @@ class Polynomial(_SparsePoly):
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = Polynomial.constant(self.context, self.context.one)
+        out = Polynomial.constant(self.context, 1)
         for _ in range(k):
             out = out * self
         return out
@@ -516,10 +552,17 @@ def contract(h, F):
     """
     if not isinstance(h, Polynomial) or not isinstance(F, DPPolynomial):
         raise ContextMismatchError("contract() takes a ring element and a dual element")
-    if h.context != F.context:
-        raise ContextMismatchError("operands live in different ring contexts")
-    base, guard = F.context.base, F.context.guard
+    check_contexts(h.context, F.context)
+    base, guard, p = F.context.base, F.context.guard, F.context.char
     acc = {}
+    if p:  # one reduction per accumulated sum
+        for m, a in h.terms.items():
+            m -= base
+            for l, b in F.terms.items():
+                d = l - m
+                if not d & guard:
+                    acc[d] = acc.get(d, 0) + a * b
+        return DPPolynomial._of(F.context, {d: r for d, s in acc.items() if (r := s % p)})
     for m, a in h.terms.items():
         m -= base
         for l, b in F.terms.items():
@@ -554,14 +597,8 @@ def pairing(f, F):
     """
     if not isinstance(f, Polynomial) or not isinstance(F, DPPolynomial):
         raise ContextMismatchError("pairing() takes a ring element and a dual element")
-    if f.context != F.context:
-        raise ContextMismatchError("operands live in different ring contexts")
-    s = f.context.zero
-    for m, a in f.terms.items():
-        b = F.terms.get(m)
-        if b is not None:
-            s = s + a * b
-    return s
+    check_contexts(f.context, F.context)
+    return f.context.scalar(sum(a * F.terms[m] for m, a in f.terms.items() if m in F.terms))
 
 
 def shift_mul(exps, F):

@@ -57,7 +57,7 @@ def window_kernel(gens, bound):
     window = annihilator_window(gens, bound)
     ctx = window.context
     one_term = [
-        Polynomial._of(ctx, {m: ctx.one}) for m in _packed_monomials(ctx.n, 0, bound) if m not in window.divisors
+        Polynomial._of(ctx, {m: ctx.unit}) for m in _packed_monomials(ctx.n, 0, bound) if m not in window.divisors
     ]
     vectors = sorted(one_term + window.multi_term, key=lambda v: v.leading_monomial(), reverse=True)
     return SubspaceBasis(vectors)

@@ -369,7 +369,7 @@ def _reference_socle_dim(ideal):
     rows = {}
     for j, m in enumerate(std):
         for i, x in enumerate(ctx.var_monomials):
-            image = normal_form(Polynomial._of(ctx, {m + x - ctx.base: ctx.one}), gb)
+            image = normal_form(Polynomial._of(ctx, {m + x - ctx.base: ctx.unit}), gb)
             for tm, tc in image.terms.items():
                 rows.setdefault((i, pos[tm]), {})[j] = tc
     return len(std) - rank_of(list(rows.values()), ctx.one)
@@ -394,7 +394,7 @@ def _agrees_with_references(ideal):
     assert std == _reference_standard_monomials(gb)
     assert standard_monomials(gb) == std
     for u, nf in border.items():  # each border normal form is the honest one
-        assert normal_form(Polynomial._of(ctx, {u: ctx.one}), gb).terms == nf
+        assert normal_form(Polynomial._of(ctx, {u: ctx.unit}), gb).terms == nf
     socle = socle_dim(ideal)
     assert socle == _reference_socle_dim(ideal)
     return socle

@@ -3,7 +3,19 @@
 import pytest
 from conftest import ctx_of, dual, frac, ideal_of, ring_poly, rng_for, random_poly
 
-from invsys import DPPolynomial, Polynomial, ann_module, membership, perp_ideal, span_intersect, span_reduce
+from invsys import (
+    DPPolynomial,
+    Polynomial,
+    ann_cyclic,
+    ann_module,
+    contract,
+    membership,
+    module_span,
+    pairing,
+    perp_ideal,
+    span_intersect,
+    span_reduce,
+)
 from invsys import linalg
 from invsys.linalg import kernel_vectors, monomial_columns, rank_of, rref_rows, solve_affine
 from invsys.ring import PrimeFieldElement
@@ -16,10 +28,11 @@ def _dense_to_rows(grid):
 
 
 def _random_rows(rng, nrows, ncols):
-    return [
+    rows = [
         {j: frac(rng.randint(-4, 4)) for j in range(ncols) if rng.random() < 0.6}
         for _ in range(nrows)
     ]
+    return [{j: v for j, v in row.items() if v} for row in rows]  # rows carry no zero entries
 
 
 def _apply(rows, vec):
@@ -78,7 +91,7 @@ def test_kernel_vectors_come_out_in_reduced_echelon_form(field):
     rng = rng_for(f"kernel-echelon-{field}")
     for _ in range(40):
         rows = [
-            {j: ctx.scalar(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+            {j: ctx.to_term(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
              for j in range(ncols) if rng.random() < 0.3}
             for _ in range(rng.randint(1, 12))
         ]
@@ -89,7 +102,7 @@ def test_kernel_vectors_come_out_in_reduced_echelon_form(field):
         for vec, lead in zip(kernel, leads):
             assert vec[lead] == 1
             assert not any(other in vec for other in leads if other != lead)
-            assert all(v == 0 for v in _apply(rows, vec))
+            assert all(v == 0 for v in _apply_over(ctx, rows, vec))
         polys = [Polynomial._of(ctx, {columns[j]: c for j, c in vec.items()}) for vec in kernel]
         assert span_reduce(polys).vectors == polys
 
@@ -333,19 +346,16 @@ def _holders_of(pivots):
 ENGINE_FIELDS = ["Q", "Fp(2)", "Fp(7)", "Fp(32003)", f"Fp({2**64 + 13})"]
 
 
-def _engine_conversions(ctx):
-    """Field-scalar rows to engine rows and back: ints in [1, p) over Fp(p), Fractions over Q."""
+def _field_conversion(ctx):
+    """Engine rows and polynomial terms to field scalars; over Fp(p) they must hold ints in [1, p)."""
     p = ctx.char
-
-    def to_engine(row):
-        return {c: v.val for c, v in row.items()} if p else dict(row)
 
     def to_field(row):
         if p:
             assert all(type(v) is int and 0 < v < p for v in row.values())
         return {c: ctx.scalar(v) for c, v in row.items()}
 
-    return to_engine, to_field
+    return to_field
 
 
 def _assert_same_state(engine, reference, to_field):
@@ -354,8 +364,9 @@ def _assert_same_state(engine, reference, to_field):
 
 
 def _sparse_int_rows(rng, ctx, count, ncols):
+    """Random engine rows: ints mod p over Fp(p), Fractions over Q, no zero entries."""
     rows = [
-        {j: ctx.scalar(rng.choice([-2, -1, 1, 2])) for j in range(ncols) if rng.random() < 0.3}
+        {j: ctx.to_term(rng.choice([-2, -1, 1, 2])) for j in range(ncols) if rng.random() < 0.3}
         for _ in range(count)
     ]
     return [{j: v for j, v in row.items() if v} for row in rows]
@@ -366,7 +377,7 @@ def _sparse_int_rows(rng, ctx, count, ncols):
 def test_engine_matches_scan_all_reference_on_int_keys(field, lead):
     # the engine runs on its own rows (ints mod p over Fp), the reference on field scalars
     ctx = ctx_of(f"ring {field}[x,y]")
-    to_engine, to_field = _engine_conversions(ctx)
+    to_field = _field_conversion(ctx)
     rng = rng_for(f"engine-reference-{field}-{lead.__name__}")
     for _ in range(30):
         ncols = rng.randint(4, 14)
@@ -374,16 +385,16 @@ def test_engine_matches_scan_all_reference_on_int_keys(field, lead):
         probes = _sparse_int_rows(rng, ctx, 6, ncols)
         engine, reference = linalg._Echelon(lead, ctx.char), _ScanAllEchelon(lead)
         for row in rows:
-            assert engine.insert_row(to_engine(row)) == reference.insert_row(row)
+            assert engine.insert_row(row) == reference.insert_row(to_field(row))
             _assert_same_state(engine, reference, to_field)
         for row in probes:
-            assert to_field(engine.reduce_row(to_engine(row))) == reference.reduce_row(row)
+            assert to_field(engine.reduce_row(row)) == reference.reduce_row(to_field(row))
 
 
 @pytest.mark.parametrize("field", ENGINE_FIELDS)
 def test_span_builder_matches_scan_all_reference_on_monomial_keys(field):
     ctx = ctx_of(f"ring {field}[x,y,z]")
-    _, to_field = _engine_conversions(ctx)
+    to_field = _field_conversion(ctx)
     rng = rng_for(f"engine-reference-monomials-{field}")
     for _ in range(20):
         polys = [random_poly(rng, ctx, "r", 3, max_terms=6) for _ in range(rng.randint(2, 14))]
@@ -391,10 +402,10 @@ def test_span_builder_matches_scan_all_reference_on_monomial_keys(field):
         builder = linalg.SpanBuilder()
         reference = _ScanAllEchelon(max)
         for p in polys:
-            assert builder.insert(p) == (reference.insert_row(p.terms) is not None)
+            assert builder.insert(p) == (reference.insert_row(to_field(p.terms)) is not None)
             _assert_same_state(builder, reference, to_field)
         for probe in probes:
-            assert builder.reduce(probe).terms == reference.reduce_row(probe.terms)
+            assert to_field(builder.reduce(probe).terms) == reference.reduce_row(to_field(probe.terms))
         for p in polys:
             assert builder.reduce(p).is_zero()
 
@@ -418,7 +429,7 @@ def test_span_builder_copy_extends_without_changing_the_original(field):
         assert extended.holders == _holders_of(extended.pivots)
 
 
-# -- the engine's boundary: field scalars in and out, one field at a time --------
+# -- the boundary: ints mod p in terms and rows, field scalars at the scalar API --
 
 
 def test_span_builder_refuses_a_polynomial_over_another_field():
@@ -440,51 +451,45 @@ def test_span_builder_refuses_a_polynomial_over_another_field():
         builder.insert(ring_poly(f7, "x"))
 
 
-@pytest.mark.parametrize("held, other", [("Fp(7)", "Fp(11)"), ("Fp(7)", "Q"), ("Q", "Fp(7)")])
-def test_eliminations_refuse_a_row_over_another_field(held, other):
-    one, stranger = ctx_of(f"ring {held}[x]").one, ctx_of(f"ring {other}[x]")
-    rows = [{0: stranger.scalar(1), 1: stranger.scalar(3)}]
-    for eliminate in (
-        lambda: rref_rows(rows, one),
-        lambda: rank_of(rows, one),
-        lambda: kernel_vectors(rows, range(2), one),
-        lambda: solve_affine(rows, [stranger.scalar(1)], range(2), one),
-    ):
-        with pytest.raises(ValueError, match="mixed fields"):
-            eliminate()
-    # a row of the held field with one foreign scalar is refused too
-    mixed = [{0: one, 1: stranger.scalar(2)}]
-    with pytest.raises(ValueError, match="mixed fields"):
-        rref_rows(mixed, one)
+@pytest.mark.parametrize("p", [7, 32003, 2**64 + 13], ids=lambda p: f"Fp({p})")
+def test_prime_field_terms_are_ints_and_the_scalar_api_hands_out_field_elements(p):
+    ctx = ctx_of(f"ring Fp({p})[x,y,z]")
 
+    def ints_mod_p(*vectors):
+        for vec in vectors:
+            vec = getattr(vec, "terms", vec)
+            assert vec and all(type(c) is int and 0 < c < p for c in vec.values())
 
-@pytest.mark.parametrize("field", ["Fp(7)", "Fp(32003)"])
-def test_no_engine_int_leaves_linalg_over_a_prime_field(field):
-    ctx = ctx_of(f"ring {field}[x,y,z]")
-    p = ctx.char
+    def field_scalars(*values):
+        assert all(type(v) is PrimeFieldElement and v.p == p for v in values)
 
-    def field_scalars(values):
-        values = list(values)
-        assert values and all(type(v) is PrimeFieldElement and v.p == p and 0 <= v.val < p for v in values)
-
-    rng = rng_for(f"engine-boundary-{field}")
-    polys = [random_poly(rng, ctx, "r", 3, max_terms=6) for _ in range(12)]
-    builder = linalg.SpanBuilder()
-    for f in polys[:8]:
-        builder.insert(f)
-    field_scalars(c for v in builder.basis() for c in v.terms.values())
-    field_scalars(c for f in polys[8:] for c in builder.reduce(f).terms.values())
-    rows = _sparse_int_rows(rng, ctx, 6, 9)
-    reduced, _ = rref_rows(rows, ctx.one)
-    field_scalars(v for row in reduced for v in row.values())
-    field_scalars(v for vec in kernel_vectors(rows, range(9), ctx.one) for v in vec.values())
-    secret = {j: ctx.scalar(rng.randint(-3, 3)) for j in range(9)}
-    particular, kernel = solve_affine(rows, _apply_over(ctx, rows, secret), range(9), ctx.one)
-    field_scalars(list(particular.values()) + [v for vec in kernel for v in vec.values()])
+    rng = rng_for(f"fp-terms-{p}")
+    for _ in range(6):
+        f, g = (random_poly(rng, ctx, "r", 3, max_terms=6) for _ in range(2))
+        F = random_poly(rng, ctx, "dual", 4, max_terms=6)
+        a, b = rng.randint(-p, p), rng.randint(1, 5)
+        parsed = ring_poly(ctx, f"{a}*x^2-{b}/{b + 1}*y*z+x-{p - 1}")
+        assert parsed.terms == {
+            ctx.pack(m): c for m, c in {(2, 0, 0): a % p, (0, 1, 1): -b * pow(b + 1, -1, p) % p,
+                                        (1, 0, 0): 1, (0, 0, 0): 1}.items() if c
+        }
+        ints_mod_p(f, g, F, parsed, ring_poly(ctx, str(f)), dual(ctx, str(F)), f + g, f - g, -f, f * g, f.monic())
+        ints_mod_p(f.scale(b), f.scale(ctx.scalar(-b)), contract(f, F) or F, contract(g, F) or F)
+        ints_mod_p(*(v for s in module_span([F]) for v in s.basis), *ann_cyclic(F).gens)
+        rows = _sparse_int_rows(rng, ctx, 6, 9)
+        ints_mod_p(*rref_rows(rows, ctx.one)[0], *kernel_vectors(rows, range(9), ctx.one))
+        secret = {j: ctx.to_term(rng.randint(-3, 3)) for j in range(9)}
+        rhs = [ctx.to_term(v) for v in _apply_over(ctx, rows, secret)]
+        particular, kernel = solve_affine(rows, rhs, range(9), ctx.one)
+        ints_mod_p(*(vec for vec in [particular, *kernel] if vec))
+        lm = ctx.unpack(f.leading_monomial())
+        field_scalars(f.coeff(lm), f.coeff((5, 5, 5)), f.leading_coeff(), pairing(f, F), ctx.scalar(a, b), ctx.one)
+        assert f.coeff(lm) == f.leading_coeff() == f.terms[f.leading_monomial()]
 
 
 def _apply_over(ctx, rows, vec):
-    return [sum((c * vec[j] for j, c in row.items()), ctx.zero) for row in rows]
+    """Rows times a vector, both of engine entries, as field scalars."""
+    return [sum((c * vec.get(j, 0) for j, c in row.items()), ctx.zero) for row in rows]
 
 
 @pytest.mark.parametrize("p", [7, 32003])
@@ -503,19 +508,19 @@ def test_q_kernel_reduces_mod_p_to_the_fp_kernel_when_the_pivots_agree(p):
         nrows = rng.randint(1, 8)
         grid = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(ncols)] for _ in range(nrows)]
         over_q = [{j: q.scalar(a) for j, a in enumerate(row) if a} for row in grid]
-        over_fp = [{j: fp.scalar(a) for j, a in enumerate(row) if a % p} for row in grid]
+        over_fp = [{j: fp.to_term(a) for j, a in enumerate(row) if a % p} for row in grid]
         pivots_q = rref_rows(over_q, q.one, lead=max)[1]
         pivots_fp = rref_rows(over_fp, fp.one, lead=max)[1]
         if pivots_q != pivots_fp:
             continue
         agreeing += 1
         reduced = [
-            {j: fp.scalar(c.numerator, c.denominator) for j, c in vec.items() if c.numerator % p}
+            {j: fp.to_term(c) for j, c in vec.items() if c.numerator % p}
             for vec in kernel_vectors(over_q, range(ncols), q.one)
         ]
         assert reduced == kernel_vectors(over_fp, range(ncols), fp.one)
     assert agreeing >= 30
     one_p = [{0: q.scalar(1), 1: q.scalar(p)}]
-    assert rank_of(one_p, q.one) == rank_of([{0: fp.one}], fp.one) == 1
+    assert rank_of(one_p, q.one) == rank_of([{0: fp.unit}], fp.one) == 1
     assert kernel_vectors(one_p, range(2), q.one) == [{0: q.one, 1: q.scalar(-1, p)}]
-    assert kernel_vectors([{0: fp.one}], range(2), fp.one) == [{1: fp.one}]
+    assert kernel_vectors([{0: fp.unit}], range(2), fp.one) == [{1: fp.unit}]

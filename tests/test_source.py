@@ -37,6 +37,16 @@ def _echelon_reads(tree):
     )
 
 
+def _field_scalar_constructions(tree):
+    """Line numbers of the calls ``PrimeFieldElement(...)``, by name or attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "PrimeFieldElement" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
 def _function_imports(tree):
     """Line numbers of the imports that sit inside a function body."""
     return sorted(
@@ -99,3 +109,22 @@ def test_echelon_read_check_sees_row_access():
         "holders = span.holders\n"
     )
     assert _echelon_reads(tree) == [(2, "pivots"), (3, "insert_row"), (5, "holders")]
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "ring.py"])
+def test_only_the_ring_module_makes_field_scalars(module):
+    # polynomial terms and echelon rows hold ints mod p; field scalars are
+    # made only where the ring hands them out, so no conversion creeps back
+    # into linalg or another layer
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    assert _field_scalar_constructions(tree) == []
+
+
+def test_field_scalar_check_sees_constructions():
+    tree = ast.parse(
+        "a = PrimeFieldElement(3, 7)\n"
+        "b = ring.PrimeFieldElement(1, p)\n"
+        "isinstance(b, PrimeFieldElement)\n"
+        "c = [PrimeFieldElement(v, p) for v in row]\n"
+    )
+    assert _field_scalar_constructions(tree) == [1, 2, 4]
