@@ -580,12 +580,14 @@ def ideal_window_span(gens, bound, context, span=None):
     Given ``span``, the window span of other generators, the multiples are
     added to it and it is returned: the span of the sum of the two ideals.
     A negative bound, windows of more than ``MAX_ANN_COLUMNS`` monomials
-    and degrees above the packing limit are refused up front, in that order.
+    and degrees above the packing limit are refused up front, in that order;
+    a generator from a context other than ``context``, when met.
     """
     refuse_column_range(context.n, 0, bound, "ideal window")
     if span is None:
         span = SpanBuilder()
     for g in gens:
+        check_contexts(context, g.context)
         if g.is_zero():
             continue
         for m in _packed_monomials(context.n, 0, max(bound - g.order(), 0)):

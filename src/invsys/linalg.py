@@ -9,9 +9,12 @@ system are the monomials of a degree range (``monomial_columns``, which
 sizes them); kernels and affine solutions come back keyed by them.
 
 Rows, kernel vectors and solutions hold what polynomial terms hold: ints in
-[1, p) over Fp(p), Fractions over Q, never zero; they go in and come out as
-they are.  ``one`` (``RingContext.one``) names the field of an elimination;
-a ``SpanBuilder`` takes the ring context of the first polynomial it sees.
+[1, p) over Fp(p), Fractions over Q, never zero.  Over Fp(p) they pass
+through as they are; over Q the engine holds primitive int rows, eliminates
+fraction-free (Bareiss, Math. Comp. 22, 1968) and makes Fractions only at
+its boundary.  ``one`` (``RingContext.one``) names the field of an
+elimination; a ``SpanBuilder`` takes the ring context and side of the first
+polynomial it sees.
 
 Coordinate vectors indexed by monomials are just polynomials, so subspaces
 of a degree window are kept as lists of polynomials in reduced echelon form
@@ -23,15 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .ring import PreconditionError, _check_degree, _packed_monomials, check_contexts
+from .ring import ContextMismatchError, PreconditionError, _check_degree, _packed_monomials, check_contexts
 
 # ---------------------------------------------------------------------------
 # the echelon engine: sparse rows keyed by int columns or by monomials
 
 
 class _Echelon:
-    """Incrementally maintained RREF: pivots[key] is a monic row led by key.
+    """Incrementally maintained RREF: pivots[key] is the row led by key.
 
     ``lead`` picks the pivot key among a row's keys: ``min`` or ``max`` for
     int columns, ``max`` (the degrevlex largest) for packed monomials.  Rows
@@ -42,9 +46,11 @@ class _Echelon:
 
     ``modulus`` is the field's characteristic (None in a ``SpanBuilder``
     that has seen no polynomial yet).  Over Fp(p) the rows hold ints in
-    [1, p), reduced with ``% p`` and normalised by ``pow(lc, -1, p)``; over
-    Q (0) they hold Fractions.  Both are the coefficients of polynomial
-    terms, so rows and terms pass in and out unconverted.
+    [1, p), reduced with ``% p`` and normalised by ``pow(lc, -1, p)``.  Over
+    Q (0) a row is a primitive int row with a positive pivot entry L, which
+    stands for the monic row row / L; rows are cleared of denominators on
+    the way in, reduced by cross-multiplying, and made Fractions only on the
+    way out (``monic_row``, ``SpanBuilder.reduce``, kernels and solutions).
     """
 
     def __init__(self, lead, modulus):
@@ -56,36 +62,53 @@ class _Echelon:
     def reduce_row(self, row):
         """Remainder of a row after eliminating every pivot key (a new dict).
 
-        One pass suffices: each pivot row vanishes at every other pivot key,
-        so subtracting row[c] times pivot row c for each pivot key c of the
-        input clears exactly those keys and creates no new ones.
+        Over Q it comes as the engine holds rows, a positive int multiple of
+        the remainder (``_reduce_integral``).  One pass suffices: each pivot
+        row vanishes at every other pivot key, so subtracting row[c] times
+        pivot row c for each pivot key c of the input clears exactly those
+        keys and creates no new ones.
         """
+        p = self.modulus
+        if not p:
+            return self._reduce_integral(row)[0]
         out = dict(row)
-        pivots, p = self.pivots, self.modulus
-        if p:
-            for c, factor in row.items():
-                prow = pivots.get(c)
-                if prow is None:
-                    continue
-                for pc, pv in prow.items():
-                    s = (out.get(pc, 0) - factor * pv) % p
-                    if s:
-                        out[pc] = s
-                    else:
-                        del out[pc]  # factor * pv is a unit, so s is 0 only where pc was
-            return out
+        pivots = self.pivots
         for c, factor in row.items():
             prow = pivots.get(c)
             if prow is None:
                 continue
             for pc, pv in prow.items():
-                s = out.get(pc)
-                s = -factor * pv if s is None else s - factor * pv
+                s = (out.get(pc, 0) - factor * pv) % p
                 if s:
                     out[pc] = s
                 else:
-                    out.pop(pc, None)
+                    del out[pc]  # factor * pv is a unit, so s is 0 only where pc was
         return out
+
+    def _reduce_integral(self, row):
+        """Over Q: (r, d), r an int row and r / d the remainder of a rational row.
+
+        Cleared of denominators, the row is scaled by the least m that makes
+        each q_c = f_c * m / L_c integral (f_c its entry and L_c the pivot
+        entry at pivot key c); then q_c times pivot row c is subtracted.
+        """
+        d = math.lcm(*[v.denominator for v in row.values()])
+        out = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
+        pivots = self.pivots
+        hits = [(c, f, prow) for c, f in out.items() if (prow := pivots.get(c))]
+        m = math.lcm(*[lc // math.gcd(f, lc) for c, f, prow in hits if (lc := prow[c]) != 1])
+        if m != 1:
+            for c in out:
+                out[c] *= m
+        for c, f, prow in hits:
+            q = f * m // prow[c]
+            for pc, pv in prow.items():
+                s = out.get(pc, 0) - q * pv
+                if s:
+                    out[pc] = s
+                else:
+                    del out[pc]  # q * pv is nonzero, so s is 0 only where pc was
+        return out, d * m
 
     def insert_row(self, row):
         """Reduce and insert; returns the new pivot key or None."""
@@ -99,7 +122,11 @@ class _Echelon:
             inverse = pow(lc, -1, p)
             row = {c: v * inverse % p for c, v in row.items()}
         else:
-            row = {c: v / lc for c, v in row.items()}
+            g = math.gcd(lc, *row.values())
+            g = g if lc > 0 else -g
+            if g != 1:
+                lc //= g
+                row = {c: v // g for c, v in row.items()}
         pivots, holders = self.pivots, self.holders
         for c in row:
             holders.setdefault(c, set()).add(key)
@@ -121,21 +148,35 @@ class _Echelon:
                         del other[c]
                         holders[c].discard(pk)
                 continue
+            # other <- (lc/g) * other - (f/g) * row, then divided by its content
+            g = math.gcd(f, lc)
+            a, f = lc // g, f // g
+            if a != 1:
+                for c in other:
+                    other[c] *= a
             for c, v in row.items():
                 s = other.get(c)
                 if s is None:
                     other[c] = -f * v
                     holders[c].add(pk)
                     continue
-                s = s - f * v
+                s -= f * v
                 if s:
                     other[c] = s
                 else:
                     del other[c]
                     holders[c].discard(pk)
-        row[key] = 1 if p else lc / lc  # the field's one
+            if other[pk] != 1 and (g := math.gcd(*other.values())) != 1:  # the content divides other[pk]
+                for c in other:
+                    other[c] //= g
+        row[key] = 1 if p else lc
         pivots[key] = row
         return key
+
+    def monic_row(self, key):
+        """Pivot row ``key`` divided by its pivot entry: a new dict of field scalars, Fractions over Q."""
+        row = self.pivots[key]
+        return dict(row) if self.modulus else {c: Fraction(v, row[key]) for c, v in row.items()}
 
     def copy(self):
         """An independent copy, to extend without changing this one."""
@@ -146,30 +187,31 @@ class _Echelon:
         return new
 
 
-def rref_rows(rows, one, lead=min):
+def rref_rows(rows, one, lead=min, monic=True):
     """Reduced row echelon form of sparse rows over the field of ``one``: Fp(one.p), or Q.
 
-    Returns (rows, pivot columns).
+    Returns (rows, pivot columns).  With ``monic`` false the rows come as the
+    engine holds them: over Q, primitive int rows with a positive pivot entry.
     """
     ech = _Echelon(lead, getattr(one, "p", 0))
     for row in rows:
         ech.insert_row(row)
     pivots = sorted(ech.pivots)
-    return [ech.pivots[c] for c in pivots], pivots
+    return [ech.monic_row(c) if monic else ech.pivots[c] for c in pivots], pivots
 
 
 def rank_of(rows, one):
-    return len(rref_rows(rows, one)[1])
+    return len(rref_rows(rows, one, monic=False)[1])
 
 
 def _free_column_kernel(reduced, pivots, columns, one):
-    """Null-space basis of an RREF system, one vector per free column, keyed by ``columns``."""
+    """Null-space basis of the engine's RREF rows, one vector per free column, keyed by ``columns``."""
     p, pivot_set = getattr(one, "p", 0), set(pivots)
     kernel = {c: {columns[c]: 1 if p else one} for c in range(len(columns)) if c not in pivot_set}
     for lead, prow in zip(pivots, reduced):
         for c, v in prow.items():
             if c in kernel:
-                kernel[c][columns[lead]] = p - v if p else -v
+                kernel[c][columns[lead]] = p - v if p else Fraction(-v, prow[lead])
     return list(kernel.values())
 
 
@@ -181,7 +223,7 @@ def kernel_vectors(rows, columns, one):
     column c, 1 at c, nonzero elsewhere only at pivot columns right of c.
     ``one`` names the field.
     """
-    reduced, pivots = rref_rows(rows, one, lead=max)
+    reduced, pivots = rref_rows(rows, one, lead=max, monic=False)
     return _free_column_kernel(reduced, pivots, columns, one)
 
 
@@ -200,14 +242,14 @@ def solve_affine(rows, rhs, columns, one):
         if b:
             r[ncols] = b
         aug.append(r)
-    reduced, pivots = rref_rows(aug, one)
+    reduced, pivots = rref_rows(aug, one, monic=False)
     if ncols in pivots:
         return None
-    particular = {}
+    p, particular = getattr(one, "p", 0), {}
     for lead, prow in zip(pivots, reduced):
         b = prow.get(ncols)
         if b:
-            particular[columns[lead]] = b
+            particular[columns[lead]] = b if p else Fraction(b, prow[lead])
     return particular, _free_column_kernel(reduced, pivots, columns, one)
 
 
@@ -276,7 +318,8 @@ class SpanBuilder(_Echelon):
     Keeps one monic vector per leading monomial, fully inter-reduced, so the
     resulting basis is canonical for the subspace: two spans are equal iff
     their bases coincide vector by vector.  The first polynomial it sees
-    fixes its ring context and side; a polynomial from another context is refused.
+    fixes its ring context and side; a polynomial from another context or
+    the other side is refused.
     """
 
     def __init__(self):
@@ -284,30 +327,36 @@ class SpanBuilder(_Echelon):
         self.context = self._side = None
 
     def _adopt(self, poly):
-        """poly's terms, refused unless poly lives in the context, which the first polynomial fixes."""
+        """poly's terms, refused unless poly has the context and side that the first polynomial fixes."""
         ctx = poly.context
-        if ctx is not self.context:
+        if ctx is not self.context or type(poly) is not self._side:
             if self.context is None:
                 self.context, self.modulus, self._side = ctx, ctx.char, type(poly)
             check_contexts(self.context, ctx)
+            if type(poly) is not self._side:
+                raise ContextMismatchError(f"mixed sides: {self._side.__name__} and {type(poly).__name__}")
         return poly.terms
 
     def reduce(self, poly):
         """Remainder of poly after eliminating every basis leading monomial."""
-        return type(poly)._of(poly.context, self.reduce_row(self._adopt(poly)))
+        terms = self._adopt(poly)
+        if self.modulus:
+            return type(poly)._of(poly.context, self.reduce_row(terms))
+        out, d = self._reduce_integral(terms)
+        return type(poly)._of(poly.context, {m: Fraction(v, d) for m, v in out.items()})
 
     def insert(self, poly):
         """Add a vector to the span; returns True if it enlarged the span."""
         return self.insert_row(self._adopt(poly)) is not None
 
     def contains(self, poly):
-        return self.reduce(poly).is_zero()
+        return not self.reduce_row(self._adopt(poly))
 
     def dim(self):
         return len(self.pivots)
 
     def basis(self):
-        return [self._side._of(self.context, dict(self.pivots[lm])) for lm in sorted(self.pivots, reverse=True)]
+        return [self._side._of(self.context, self.monic_row(lm)) for lm in sorted(self.pivots, reverse=True)]
 
 
 @dataclass
@@ -343,9 +392,7 @@ def span_reduce(polys):
 
 def membership(poly, basis):
     """Exact test: does poly lie in the span of the basis?"""
-    if poly.is_zero():
-        return True
-    return basis.builder().reduce(poly).is_zero()
+    return poly.is_zero() or basis.builder().contains(poly)
 
 
 def span_intersect(a, b):

@@ -495,6 +495,22 @@ def test_spans_and_annihilators_refuse_mixed_contexts(held, other):
         assert builder.basis() == [first]
 
 
+def test_ideal_window_spans_refuse_generators_from_another_context():
+    # built in the context argument, the Q[x,y,z] generator x*z+y read its
+    # packed monomials as those of Q[x,y] and gave an empty window span, so
+    # the two ideals compared unequal instead of being refused
+    small, large = ctx_of("ring Q[x,y]"), ctx_of("ring Q[x,y,z]")
+    stranger, own = ring_poly(large, "x*z+y"), ring_poly(small, "x+y")
+    for refused in (
+        lambda: ideal_window_span([stranger], 2, small),
+        lambda: ideal_contains_mod([stranger], [own], 3, small),
+        lambda: ideals_equal_mod([stranger], [own], 3, small),
+        lambda: ideals_equal_mod([own], [stranger], 3, small),
+    ):
+        with pytest.raises(ContextMismatchError, match="mixed ring contexts"):
+            refused()
+
+
 def _compressed_hf(n, s):
     return [min(math.comb(n - 1 + i, i), math.comb(n - 1 + s - i, s - i)) for i in range(s + 1)]
 

@@ -1,5 +1,6 @@
 """Reconstruction pipelines, certification, local verification."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -11,8 +12,10 @@ from invsys import (
     PreconditionError,
     ann_cyclic,
     build_family,
+    check_condition_two,
     check_family,
     cone_family,
+    dump_family,
     family_from_ideal,
     finite_lift,
     gorenstein_check,
@@ -225,6 +228,19 @@ def test_family_from_ideal_matches_cone_spans():
         a = span_reduce(flatten(module_span([fam.entry(L)])))
         b = span_reduce(flatten(module_span([reference.entry(L)])))
         assert a.vectors == b.vectors
+
+
+# SHA-256 of ``dump_family`` of the elliptic surface's family at t0 = 5 over
+# Q, recorded with Fraction rows in the echelon engine; the family's lifts
+# and its condition-two check in intersection mode are the heaviest Q
+# eliminations of the suite.
+ELLIPTIC_T0_5_DIGEST = "e856f412f972b0b68c5cf676526a7e2a677940bf67a4966586c0af2a647ef3be"
+
+
+def test_elliptic_family_at_t0_5_matches_its_pinned_digest(elliptic_curve):
+    fam = family_from_ideal(elliptic_curve["ideal"], (3, 4), 5)
+    assert hashlib.sha256(dump_family(fam).encode()).hexdigest() == ELLIPTIC_T0_5_DIGEST
+    assert check_condition_two(fam, "intersection").passed
 
 
 def test_family_from_ideal_rejects_non_gorenstein():

@@ -1,5 +1,8 @@
 """Exact echelon forms, kernels, affine solving and span operations."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from conftest import ctx_of, dual, frac, ideal_of, ring_poly, rng_for, random_poly
 
@@ -18,7 +21,7 @@ from invsys import (
 )
 from invsys import linalg
 from invsys.linalg import kernel_vectors, monomial_columns, rank_of, rref_rows, solve_affine
-from invsys.ring import PrimeFieldElement
+from invsys.ring import ContextMismatchError, PrimeFieldElement
 
 
 def _dense_to_rows(grid):
@@ -359,8 +362,23 @@ def _field_conversion(ctx):
 
 
 def _assert_same_state(engine, reference, to_field):
-    assert {key: to_field(row) for key, row in engine.pivots.items()} == reference.pivots
+    # over Q the engine holds each pivot row as a primitive int row with a
+    # positive pivot entry; its monic view is the reference's monic row
+    if engine.modulus == 0:
+        for key, row in engine.pivots.items():
+            assert all(type(v) is int for v in row.values())
+            assert row[key] > 0 and math.gcd(*row.values()) == 1
+    assert {key: to_field(engine.monic_row(key)) for key in engine.pivots} == reference.pivots
     assert engine.holders == _holders_of(reference.pivots)
+
+
+def _engine_remainder(engine, row):
+    """The exact remainder of a row; over Q the engine's int row r comes with the d of r / d."""
+    if engine.modulus:
+        return engine.reduce_row(row)
+    out, d = engine._reduce_integral(row)
+    assert out == engine.reduce_row(row)
+    return {c: Fraction(v, d) for c, v in out.items()}
 
 
 def _sparse_int_rows(rng, ctx, count, ncols):
@@ -388,7 +406,7 @@ def test_engine_matches_scan_all_reference_on_int_keys(field, lead):
             assert engine.insert_row(row) == reference.insert_row(to_field(row))
             _assert_same_state(engine, reference, to_field)
         for row in probes:
-            assert to_field(engine.reduce_row(row)) == reference.reduce_row(to_field(row))
+            assert to_field(_engine_remainder(engine, row)) == reference.reduce_row(to_field(row))
 
 
 @pytest.mark.parametrize("field", ENGINE_FIELDS)
@@ -427,6 +445,139 @@ def test_span_builder_copy_extends_without_changing_the_original(field):
         assert (original.basis(), original.holders) == before
         assert extended.basis() == span_reduce(polys).vectors
         assert extended.holders == _holders_of(extended.pivots)
+
+
+# -- Q rows of big entries against the Fraction reference -------------------------
+
+
+def _big_rational(rng):
+    """A nonzero rational, numerator below 2^70 and denominator below 2^35 in size."""
+    return frac(rng.choice([-1, 1]) * rng.randint(1, 2**70), rng.randint(1, 2**35))
+
+
+def _big_q_rows(rng, count, ncols):
+    """Sparse rational rows of big entries; every third row is a combination
+    of two earlier ones, so it cancels to zero in elimination."""
+    rows = []
+    for k in range(count):
+        if k % 3 == 2:
+            a, b = rng.sample(rows, 2)
+            s, t = _big_rational(rng), _big_rational(rng)
+            row = {j: s * a.get(j, 0) + t * b.get(j, 0) for j in a.keys() | b.keys()}
+        else:
+            row = {j: _big_rational(rng) for j in range(ncols) if rng.random() < 0.5}
+        rows.append({j: v for j, v in row.items() if v})
+    return rows
+
+
+def _reference_echelon(rows, lead):
+    reference = _ScanAllEchelon(lead)
+    for row in rows:
+        reference.insert_row(row)
+    return reference
+
+
+def _reference_kernel(reference, ncols):
+    """The free-column kernel basis of a reference RREF over columns 0..ncols-1."""
+    kernel = {c: {c: frac(1)} for c in range(ncols) if c not in reference.pivots}
+    for lead, prow in reference.pivots.items():
+        for c, v in prow.items():
+            if c in kernel:
+                kernel[c][lead] = -v
+    return list(kernel.values())
+
+
+def test_q_elimination_of_big_entries_matches_the_fraction_reference():
+    rng = rng_for("big-q-engine")
+    for _ in range(12):
+        ncols = rng.randint(3, 10)
+        rows = _big_q_rows(rng, rng.randint(2, 12), ncols)
+        for lead in (min, max):
+            reference = _reference_echelon(rows, lead)
+            reduced, pivots = rref_rows(rows, frac(1), lead)
+            assert pivots == sorted(reference.pivots)
+            assert reduced == [reference.pivots[c] for c in pivots]
+            assert all(type(v) is Fraction for row in reduced for v in row.values())
+        assert rank_of(rows, frac(1)) == len(pivots)
+        kernel = kernel_vectors(rows, range(ncols), frac(1))
+        assert kernel == _reference_kernel(_reference_echelon(rows, max), ncols)
+        for vec in kernel:
+            assert all(v == 0 for v in _apply(rows, vec))
+        # consistent: the right-hand side of a known solution
+        secret = {j: _big_rational(rng) for j in range(ncols) if rng.random() < 0.7}
+        rhs = _apply(rows, secret)
+        aug = [{**row, ncols: b} if b else row for row, b in zip(rows, rhs)]
+        reference = _reference_echelon(aug, min)
+        particular, free = solve_affine(rows, rhs, range(ncols), frac(1))
+        assert particular == {lead: prow[ncols] for lead, prow in reference.pivots.items() if ncols in prow}
+        assert free == _reference_kernel(reference, ncols)
+        assert _apply(rows, particular) == rhs
+        # inconsistent: a combination of two rows with its right-hand side off by one
+        i, j = rng.sample(range(len(rows)), 2)
+        s, t = _big_rational(rng), _big_rational(rng)
+        combo = {c: s * rows[i].get(c, 0) + t * rows[j].get(c, 0) for c in rows[i].keys() | rows[j].keys()}
+        bad_rows = rows + [{c: v for c, v in combo.items() if v}]
+        bad_rhs = rhs + [s * rhs[i] + t * rhs[j] + 1]
+        assert solve_affine(bad_rows, bad_rhs, range(ncols), frac(1)) is None
+
+
+def _big_q_polys(rng, ctx, count):
+    """Polynomials of degree at most 3 with big rational coefficients; every
+    third is a combination of two earlier ones."""
+    polys = []
+    for k in range(count):
+        if k % 3 == 2:
+            a, b = rng.sample(polys, 2)
+            polys.append(a.scale(_big_rational(rng)) + b.scale(_big_rational(rng)))
+            continue
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            exps = [0] * ctx.n
+            for _ in range(rng.randint(0, 3)):
+                exps[rng.randrange(ctx.n)] += 1
+            terms[tuple(exps)] = _big_rational(rng)
+        polys.append(Polynomial(ctx, terms))
+    return polys
+
+
+def test_q_span_builder_of_big_entries_matches_the_fraction_reference():
+    ctx = ctx_of("ring Q[x,y,z]")
+    rng = rng_for("big-q-span")
+    for _ in range(12):
+        polys = _big_q_polys(rng, ctx, rng.randint(2, 14))
+        probes = _big_q_polys(rng, ctx, 6)
+        cut = rng.randint(0, len(polys))
+        builder, reference = linalg.SpanBuilder(), _ScanAllEchelon(max)
+        for p in polys[:cut]:
+            assert builder.insert(p) == (reference.insert_row(p.terms) is not None)
+        before = builder.basis()
+        extended = builder.copy()
+        for p in polys[cut:]:
+            assert extended.insert(p) == (reference.insert_row(p.terms) is not None)
+        assert builder.basis() == before
+        assert [v.terms for v in extended.basis()] == [
+            reference.pivots[key] for key in sorted(reference.pivots, reverse=True)
+        ]
+        for probe in probes + polys:
+            remainder = reference.reduce_row(probe.terms)
+            assert extended.reduce(probe).terms == remainder
+            assert extended.contains(probe) == (not remainder)
+
+
+def test_span_builder_refuses_a_polynomial_from_the_other_side():
+    # a dual vector would be read as a ring element, or the reverse: the
+    # first polynomial fixes the side as well as the context
+    ctx = ctx_of("ring Q[x,y] dual [X,Y]")
+    f, F = ring_poly(ctx, "x+y"), dual(ctx, "X^[2]")
+    for first, second in ((f, F), (F, f)):
+        builder = linalg.SpanBuilder()
+        builder.insert(first)
+        for use in (builder.insert, builder.reduce, builder.contains):
+            with pytest.raises(ContextMismatchError, match="mixed sides"):
+                use(second)
+        assert builder.basis() == [first]
+        with pytest.raises(ContextMismatchError, match="mixed sides"):
+            span_reduce([first, second])
 
 
 # -- the boundary: ints mod p in terms and rows, field scalars at the scalar API --

@@ -13,6 +13,9 @@ ALL_MODULES = sorted(p.name for p in SOURCE.glob("*.py"))
 # prime-field rows hold.  Only linalg.py may touch them, so a change of row
 # representation stays inside that module.
 ECHELON_INTERNALS = {"pivots", "holders", "insert_row", "reduce_row", "modulus"}
+# Over Q the echelon engine holds primitive int rows; Fractions are made
+# only where rows leave it, in these functions of linalg.py.
+LINALG_FRACTION_BOUNDARY = {"monic_row", "reduce", "_free_column_kernel", "solve_affine"}
 
 
 def _unused_imports(tree):
@@ -45,6 +48,24 @@ def _field_scalar_constructions(tree):
         if isinstance(node, ast.Call)
         and "PrimeFieldElement" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     )
+
+
+def _fraction_constructions(tree):
+    """(line, enclosing function or None) of the calls ``Fraction(...)``, by name or attribute."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and "Fraction" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            found.append((node.lineno, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return sorted(found)
 
 
 def _function_imports(tree):
@@ -128,3 +149,23 @@ def test_field_scalar_check_sees_constructions():
         "c = [PrimeFieldElement(v, p) for v in row]\n"
     )
     assert _field_scalar_constructions(tree) == [1, 2, 4]
+
+
+def test_linalg_makes_fractions_only_at_the_engine_boundary():
+    # Q rows stay primitive int rows inside the engine, so no Fraction loop
+    # creeps back into the elimination
+    tree = ast.parse((SOURCE / "linalg.py").read_text(encoding="utf-8"))
+    owners = {owner for _, owner in _fraction_constructions(tree)}
+    assert owners and owners <= LINALG_FRACTION_BOUNDARY
+
+
+def test_fraction_construction_check_sees_the_enclosing_function():
+    tree = ast.parse(
+        "half = Fraction(1, 2)\n"
+        "def monic_row(row, lc):\n"
+        "    return {c: fractions.Fraction(v, lc) for c, v in row.items()}\n"
+        "def insert_row(row):\n"
+        "    isinstance(row, Fraction)\n"
+        "    return [Fraction(v) for v in row]\n"
+    )
+    assert _fraction_constructions(tree) == [(1, None), (3, "monic_row"), (6, "insert_row")]
