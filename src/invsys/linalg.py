@@ -9,12 +9,11 @@ system are the monomials of a degree range (``monomial_columns``, which
 sizes them); kernels and affine solutions come back keyed by them.
 
 Rows, kernel vectors and solutions hold what polynomial terms hold: ints in
-[1, p) over Fp(p), Fractions over Q, never zero.  Over Fp(p) they pass
-through as they are; over Q the engine holds primitive int rows, eliminates
-fraction-free (Bareiss, Math. Comp. 22, 1968) and makes Fractions only at
-its boundary.  ``one`` (``RingContext.one``) names the field of an
-elimination; a ``SpanBuilder`` takes the ring context and side of the first
-polynomial it sees.
+[1, p) over Fp(p), Fractions over Q, never zero.  Over Q the engine holds
+primitive int rows (as ``rref_rows`` returns them), eliminates fraction-free
+(Bareiss, Math. Comp. 22, 1968) and makes Fractions only at its boundary.
+``one`` (``RingContext.one``) names the field of an elimination; a
+``SpanBuilder`` takes the ring context and side of the first polynomial.
 
 Coordinate vectors indexed by monomials are just polynomials, so subspaces
 of a degree window are kept as lists of polynomials in reduced echelon form
@@ -122,8 +121,7 @@ class _Echelon:
             inverse = pow(lc, -1, p)
             row = {c: v * inverse % p for c, v in row.items()}
         else:
-            g = math.gcd(lc, *row.values())
-            g = g if lc > 0 else -g
+            g = math.gcd(lc, *row.values()) * (1 if lc > 0 else -1)
             if g != 1:
                 lc //= g
                 row = {c: v // g for c, v in row.items()}
@@ -187,21 +185,20 @@ class _Echelon:
         return new
 
 
-def rref_rows(rows, one, lead=min, monic=True):
+def rref_rows(rows, one, lead=min):
     """Reduced row echelon form of sparse rows over the field of ``one``: Fp(one.p), or Q.
 
-    Returns (rows, pivot columns).  With ``monic`` false the rows come as the
-    engine holds them: over Q, primitive int rows with a positive pivot entry.
+    Returns (rows, pivot columns), the rows as ``_Echelon`` holds them.
     """
     ech = _Echelon(lead, getattr(one, "p", 0))
     for row in rows:
         ech.insert_row(row)
     pivots = sorted(ech.pivots)
-    return [ech.monic_row(c) if monic else ech.pivots[c] for c in pivots], pivots
+    return [ech.pivots[c] for c in pivots], pivots
 
 
 def rank_of(rows, one):
-    return len(rref_rows(rows, one, monic=False)[1])
+    return len(rref_rows(rows, one)[1])
 
 
 def _free_column_kernel(reduced, pivots, columns, one):
@@ -223,7 +220,7 @@ def kernel_vectors(rows, columns, one):
     column c, 1 at c, nonzero elsewhere only at pivot columns right of c.
     ``one`` names the field.
     """
-    reduced, pivots = rref_rows(rows, one, lead=max, monic=False)
+    reduced, pivots = rref_rows(rows, one, lead=max)
     return _free_column_kernel(reduced, pivots, columns, one)
 
 
@@ -242,7 +239,7 @@ def solve_affine(rows, rhs, columns, one):
         if b:
             r[ncols] = b
         aug.append(r)
-    reduced, pivots = rref_rows(aug, one, monic=False)
+    reduced, pivots = rref_rows(aug, one)
     if ncols in pivots:
         return None
     p, particular = getattr(one, "p", 0), {}

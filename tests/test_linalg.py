@@ -496,8 +496,11 @@ def test_q_elimination_of_big_entries_matches_the_fraction_reference():
             reference = _reference_echelon(rows, lead)
             reduced, pivots = rref_rows(rows, frac(1), lead)
             assert pivots == sorted(reference.pivots)
-            assert reduced == [reference.pivots[c] for c in pivots]
-            assert all(type(v) is Fraction for row in reduced for v in row.values())
+            assert [{k: Fraction(v, row[c]) for k, v in row.items()} for c, row in zip(pivots, reduced)] == [
+                reference.pivots[c] for c in pivots
+            ]
+            assert all(type(v) is int for row in reduced for v in row.values())
+            assert all(row[c] > 0 and math.gcd(*row.values()) == 1 for c, row in zip(pivots, reduced))
         assert rank_of(rows, frac(1)) == len(pivots)
         kernel = kernel_vectors(rows, range(ncols), frac(1))
         assert kernel == _reference_kernel(_reference_echelon(rows, max), ncols)
