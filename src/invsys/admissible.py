@@ -290,14 +290,14 @@ def check_family(fam, mode="annihilator"):
 # constructions
 
 
-def cone_family(H, d, t0, context=None, z_indices=None):
+def cone_family(H, d, t0, z_indices=None):
     """The family obtained by pure shifts of one dual element.
 
     The element may only involve dual variables away from the distinguished
     ones; its annihilator then extends the smaller ring's annihilator, so the
     reconstructed ideal is the cone over it.
     """
-    ctx = context or H.context
+    ctx = H.context
     z_indices = tuple(z_indices) if z_indices is not None else tuple(range(d))
     given = {}
     box = AdmissibleFamily(ctx, d, z_indices, given, t0).index_box()

@@ -45,6 +45,8 @@ class Ideal:
     cached_hilbert: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        for g in self.gens:
+            check_contexts(self.context, g.context)
         self.gens = [g for g in self.gens if not g.is_zero()]
         self.gens.sort(key=lambda g: g.leading_monomial())
 

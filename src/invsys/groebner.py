@@ -41,7 +41,7 @@ def _reduce(f, reducers):
         for lm, g in reducers:
             quot = m - lm  # gm + quot packs gm * (m / lm)
             if not (quot + base) & guard:
-                factor = c * pow(g.terms[lm], -1, p) if p else c / g.terms[lm]
+                factor = c * f.context.inverse(g.terms[lm])
                 for gm, gc in g.terms.items():
                     if gm == lm:
                         continue
@@ -301,7 +301,7 @@ def _border_walk(gb):
     supports = [[i for i, e in enumerate(ctx.unpack(m)) if e] for m in lead]
     if len({s[0] for s in supports if len(s) == 1}) < ctx.n:  # a pure power of each variable
         raise PreconditionError("quotient is not Artinian")
-    base, xs, unit, p = ctx.base, ctx.var_monomials, ctx.unit, ctx.char
+    base, xs, unit = ctx.base, ctx.var_monomials, ctx.unit
     std, border = [], {}
     layer, degree = [base], 0
     while layer:
@@ -312,7 +312,7 @@ def _border_walk(gb):
         for u in candidates:
             g = lead.get(u)
             if g is not None:
-                border[u] = {t: p - c if p else -c for t, c in g.terms.items() if t != u}
+                border[u] = ctx.normalize({t: -c for t, c in g.terms.items() if t != u})
                 continue
             for y in xs:  # u - y + base packs u / y; a y not dividing u sets a guard bit
                 image = border.get(u - y + base)
@@ -324,9 +324,10 @@ def _border_walk(gb):
             nf = {}
             for t, c in image.items():
                 w = t + y - base
-                for s, e in border.get(w, {w: unit}).items():  # a standard w is its own normal form
-                    nf[s] = nf.get(s, 0) + c * e
-            border[u] = {s: r for s, c in nf.items() if (r := c % p if p else c)}
+                for v, e in border.get(w, {w: unit}).items():  # a standard w is its own normal form
+                    s = nf.get(v)
+                    nf[v] = c * e if s is None else s + c * e
+            border[u] = ctx.normalize(nf)
     return std, border
 
 

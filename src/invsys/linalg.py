@@ -393,7 +393,7 @@ def membership(poly, basis):
 
 
 def span_intersect(a, b):
-    """Reduced basis of the intersection of two spans on the same side.
+    """Reduced basis of the intersection of two spans on the same side and in the same context.
 
     Solved via the kernel of the stacked system: a combination of a-vectors
     equals a combination of b-vectors iff the joint coefficient vector lies in
@@ -403,6 +403,7 @@ def span_intersect(a, b):
         return SubspaceBasis([])
     if type(a.vectors[0]) is not type(b.vectors[0]):
         raise ValueError("cannot intersect spans from different sides")
+    check_contexts(a.vectors[0].context, b.vectors[0].context)
     cols = list(a.vectors) + [-w for w in b.vectors]
     meet = vanishing_combinations(cols, lambda m: True, len(a.vectors))
     return span_reduce(meet)

@@ -6,9 +6,10 @@ of its graded dual, the divided-power module, written in the uppercase dual
 variables with bracketed exponents (``X^[3]``).  A polynomial is a map from
 packed monomials, one int per exponent vector (see ``RingContext``), to
 nonzero coefficients: Fractions over Q, ints in [1, p) over Fp(p), never
-field scalars (see ``RingContext``).  Exponent tuples appear only at the
-boundary: the parser, the printer, the constructor, ``monomial``, ``coeff``
-and ``shift_mul``.
+field scalars.  ``RingContext.normalize`` and ``inverse`` keep that rule,
+so each ring operation is one loop for both fields.  Exponent tuples appear
+only at the boundary: the parser, the printer, the constructor,
+``monomial``, ``coeff`` and ``shift_mul``.
 
 The dual side carries no internal product; R acts on it by contraction,
 which sends ``z^M . Z^[L]`` to ``Z^[L-M]`` (zero when any component of L-M is
@@ -204,7 +205,8 @@ class RingContext:
     field: 0 for Q, whose scalars are Fractions, or a prime p certified below
     ``_MR_LIMIT``, whose scalars are PrimeFieldElements.  ``scalar`` makes
     them; ``one``, ``zero`` and ``unit``, the term 1 (terms hold ints over
-    Fp, see ``to_term``), are made once per context.
+    Fp, see ``to_term``), are made once per context.  ``normalize`` (sums
+    to terms) and ``inverse`` keep the term rule for the whole module.
 
     Monomials are packed ints (see above).  ``pack`` and ``unpack`` convert
     exponent tuples; ``shift`` is the bit position of the total degree,
@@ -265,6 +267,17 @@ class RingContext:
         elif c.p != self.char:
             raise ContextMismatchError(f"mixed fields: a scalar of Fp({c.p}) in {self.decl()}")
         return c.val if self.char else c
+
+    def normalize(self, sums):
+        """The terms of a dict of accumulated sums: each reduced % p over Fp(p), zeros dropped."""
+        p = self.char
+        if p:
+            return {m: r for m, s in sums.items() if (r := s % p)}
+        return {m: s for m, s in sums.items() if s}
+
+    def inverse(self, c):
+        """The exact inverse of a nonzero term coefficient: an int in [1, p) over Fp(p), a Fraction over Q."""
+        return pow(c, -1, self.char) if self.char else self.unit / c  # unit is Fraction(1) over Q
 
     def pack(self, exps):
         """The packed monomial of an exponent vector; degrees above MAX_DEGREE are refused."""
@@ -408,49 +421,30 @@ class _SparsePoly:
 
     def __add__(self, other):
         self._check(other)
-        acc, p = dict(self.terms), self.context.char
-        if p:
-            for m, c in other.terms.items():
-                s = (acc.get(m, 0) + c) % p
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]  # c is nonzero, so s is 0 only where m was
-            return type(self)._of(self.context, acc)
+        acc = dict(self.terms)
         for m, c in other.terms.items():
             s = acc.get(m)
-            s = c if s is None else s + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        return type(self)._of(self.context, acc)
+            acc[m] = c if s is None else s + c
+        return type(self)._of(self.context, self.context.normalize(acc))
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        p, terms = self.context.char, self.terms.items()
-        return type(self)._of(self.context, {m: p - c for m, c in terms} if p else {m: -c for m, c in terms})
+        return self._times(-1)
 
     def scale(self, c):
         """c times self, for a field scalar or an int c."""
-        c, p, terms = self.context.to_term(c), self.context.char, self.terms.items()
-        if not c:
-            return type(self)._of(self.context, {})
-        scaled = {m: c * v % p for m, v in terms} if p else {m: c * v for m, v in terms}
-        return type(self)._of(self.context, scaled)
+        return self._times(self.context.to_term(c))
 
     def monic(self):
-        """self divided by its leading coefficient, with one inverse over Fp(p)."""
+        """self divided by its leading coefficient, with one inverse."""
         lc = self.terms[max(self.terms)] if self.terms else 1
-        if lc == 1:
-            return self
-        p, terms = self.context.char, self.terms.items()
-        if p:
-            inverse = pow(lc, -1, p)
-            return type(self)._of(self.context, {m: c * inverse % p for m, c in terms})
-        return type(self)._of(self.context, {m: c / lc for m, c in terms})
+        return self if lc == 1 else self._times(self.context.inverse(lc))
+
+    def _times(self, k):
+        """self times the term coefficient k."""
+        return type(self)._of(self.context, self.context.normalize({m: k * c for m, c in self.terms.items()}))
 
     def __eq__(self, other):
         if type(self) is not type(other):
@@ -497,26 +491,14 @@ class Polynomial(_SparsePoly):
             )
         self._check(other)
         _check_degree(self.degree() + other.degree())
-        base, p = self.context.base, self.context.char
-        acc = {}
-        if p:  # one reduction per accumulated sum
-            for m1, c1 in self.terms.items():
-                m1 -= base
-                for m2, c2 in other.terms.items():
-                    m = m1 + m2
-                    acc[m] = acc.get(m, 0) + c1 * c2
-            return Polynomial._of(self.context, {m: r for m, s in acc.items() if (r := s % p)})
+        base, acc = self.context.base, {}
         for m1, c1 in self.terms.items():
             m1 -= base
             for m2, c2 in other.terms.items():
                 m = m1 + m2
                 s = acc.get(m)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        return Polynomial._of(self.context, acc)
+                acc[m] = c1 * c2 if s is None else s + c1 * c2
+        return Polynomial._of(self.context, self.context.normalize(acc))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -553,29 +535,15 @@ def contract(h, F):
     if not isinstance(h, Polynomial) or not isinstance(F, DPPolynomial):
         raise ContextMismatchError("contract() takes a ring element and a dual element")
     check_contexts(h.context, F.context)
-    base, guard, p = F.context.base, F.context.guard, F.context.char
-    acc = {}
-    if p:  # one reduction per accumulated sum
-        for m, a in h.terms.items():
-            m -= base
-            for l, b in F.terms.items():
-                d = l - m
-                if not d & guard:
-                    acc[d] = acc.get(d, 0) + a * b
-        return DPPolynomial._of(F.context, {d: r for d, s in acc.items() if (r := s % p)})
+    base, guard, acc = F.context.base, F.context.guard, {}
     for m, a in h.terms.items():
         m -= base
         for l, b in F.terms.items():
             d = l - m
-            if d & guard:
-                continue
-            s = acc.get(d)
-            s = a * b if s is None else s + a * b
-            if s:
-                acc[d] = s
-            else:
-                acc.pop(d, None)
-    return DPPolynomial._of(F.context, acc)
+            if not d & guard:
+                s = acc.get(d)
+                acc[d] = a * b if s is None else s + a * b
+    return DPPolynomial._of(F.context, F.context.normalize(acc))
 
 
 def contract_monomial(m, F):

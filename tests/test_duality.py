@@ -511,6 +511,22 @@ def test_ideal_window_spans_refuse_generators_from_another_context():
             refused()
 
 
+def test_ideal_refuses_generators_from_another_context():
+    # unchecked, an Fp(7) generator x^2+8*y^2 read as x^2+y^2 over Q gave
+    # perp_ideal degree 2 = [X^[2]-Y^[2]], and a Q[x,y,z] generator x^2 read
+    # its packed monomial in Q[x,y] as one of total degree 32769
+    q, fp, large = ctx_of("ring Q[x,y]"), ctx_of("ring Fp(7)[x,y]"), ctx_of("ring Q[x,y,z]")
+    cases = [
+        (ring_poly(fp, "x^2+8*y^2"), ring_poly(q, "x*y"), "mixed fields"),
+        (ring_poly(large, "x^2"), ring_poly(q, "y^2"), "mixed ring contexts"),
+    ]
+    for stranger, own, cause in cases:
+        for gens in ([stranger, own], [own, stranger]):
+            with pytest.raises(ContextMismatchError, match=cause):
+                Ideal(gens, q)
+    assert Ideal([ring_poly(q, "x*y"), ring_poly(q, "0")], q).gens == [ring_poly(q, "x*y")]
+
+
 def _compressed_hf(n, s):
     return [min(math.comb(n - 1 + i, i), math.comb(n - 1 + s - i, s - i)) for i in range(s + 1)]
 

@@ -583,6 +583,18 @@ def test_span_builder_refuses_a_polynomial_from_the_other_side():
             span_reduce([first, second])
 
 
+def test_span_intersect_refuses_spans_from_another_context():
+    # unchecked, [x+y] over Q[x,y] met [x+8*y] over Fp(7)[x,y] in [x+y], and
+    # met a Q[x,y,z] span in [], its packed monomials read as those of Q[x,y]
+    q = ctx_of("ring Q[x,y]")
+    held = span_reduce([ring_poly(q, "x+y")])
+    for other, cause in (("Fp(7)[x,y]", "mixed fields"), ("Q[x,y,z]", "mixed ring contexts")):
+        stranger = span_reduce([ring_poly(ctx_of(f"ring {other}"), "x+8*y")])
+        for a, b in ((held, stranger), (stranger, held)):
+            with pytest.raises(ContextMismatchError, match=cause):
+                span_intersect(a, b)
+
+
 # -- the boundary: ints mod p in terms and rows, field scalars at the scalar API --
 
 

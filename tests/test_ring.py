@@ -1,6 +1,7 @@
 """Contraction, pairing, shifts, arithmetic and the text grammar."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from conftest import ctx_of, dual, exponent_vectors, ring_poly, rng_for, random_poly
@@ -162,6 +163,127 @@ def test_distributivity_random(ctx3):
         c = random_poly(rng, ctx3, "r", 3)
         assert a * (b + c) == a * b + a * c
         assert a * b == _convolution_oracle(a, b)
+
+
+# A dense reference over exponent tuples: coefficients are Fractions over Q
+# and ints mod p over Fp(p), each result reduced and freed of zeros.
+
+
+def _dense(f):
+    return {f.context.unpack(m): c for m, c in f.terms.items()}
+
+
+def _clean(ctx, terms):
+    p = ctx.char
+    return {e: c % p if p else c for e, c in terms.items() if (c % p if p else c)}
+
+
+def _dense_add(ctx, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _clean(ctx, out)
+
+
+def _dense_scale(ctx, a, k):
+    return _clean(ctx, {e: k * c for e, c in a.items()})
+
+
+def _dense_inverse(ctx, c):
+    return pow(c, -1, ctx.char) if ctx.char else 1 / Fraction(c)
+
+
+def _degrevlex(e):
+    return sum(e), tuple(-x for x in reversed(e))
+
+
+def _dense_monic(ctx, a):
+    return _dense_scale(ctx, a, _dense_inverse(ctx, a[max(a, key=_degrevlex)])) if a else {}
+
+
+def _dense_mul(ctx, a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return _clean(ctx, out)
+
+
+def _dense_contract(ctx, h, F):
+    out = {}
+    for em, a in h.items():
+        for el, b in F.items():
+            if all(x >= y for x, y in zip(el, em)):
+                e = tuple(x - y for x, y in zip(el, em))
+                out[e] = out.get(e, 0) + a * b
+    return _clean(ctx, out)
+
+
+def _random_sparse(rng, ctx, cls):
+    p = ctx.char
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        e = tuple(rng.randint(0, 2) for _ in range(ctx.n))
+        c = rng.randint(-2 * p, 2 * p) if p else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        terms[e] = terms.get(e, 0) + c
+    return cls(ctx, terms)
+
+
+def _assert_clean_terms(f):
+    p = f.context.char
+    for c in f.terms.values():
+        if p:
+            assert type(c) is int and 1 <= c < p
+        else:
+            assert type(c) is Fraction and c != 0
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(7)", "Fp(32003)"])
+def test_ring_operations_match_a_dense_reference(field):
+    ctx = ctx_of(f"ring {field}[x,y] dual [X,Y]")
+    rng = rng_for(f"dense-reference-{field}")
+    for _ in range(300):
+        f, g = (_random_sparse(rng, ctx, Polynomial) for _ in range(2))
+        F = _random_sparse(rng, ctx, DPPolynomial)
+        k = rng.choice([0, -1, 2, 3, 5])
+        results = {
+            "+": (f + g, _dense_add(ctx, _dense(f), _dense(g))),
+            "-": (f - g, _dense_add(ctx, _dense(f), _dense_scale(ctx, _dense(g), -1))),
+            "neg": (-F, _dense_scale(ctx, _dense(F), -1)),
+            "f + (-f)": (f + (-f), {}),
+            "scale": (F.scale(k), _dense_scale(ctx, _dense(F), k)),
+            "scale by 0": (f.scale(0), {}),
+            "scale by -1": (f.scale(-1), _dense_scale(ctx, _dense(f), -1)),
+            "monic": (F.monic(), _dense_monic(ctx, _dense(F))),
+            "*": (f * g, _dense_mul(ctx, _dense(f), _dense(g))),
+            "contract": (contract(f, F), _dense_contract(ctx, _dense(f), _dense(F))),
+        }
+        for name, (got, expected) in results.items():
+            _assert_clean_terms(got)
+            assert _dense(got) == expected, name
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(7)", "Fp(32003)"])
+def test_ring_operations_cancel_through_zero(field):
+    ctx = ctx_of(f"ring {field}[x,y] dual [X,Y]")
+    cases = [
+        (ring_poly(ctx, "x+y") * ring_poly(ctx, "x-y"), ring_poly(ctx, "x^2-y^2")),
+        # x.(X^[2]*Y) and y.(-X*Y^[2]) both land on X*Y, with opposite sums
+        (contract(ring_poly(ctx, "x+y"), dual(ctx, "X^[2]*Y-X*Y^[2]")), dual(ctx, "X^[2]-Y^[2]")),
+        (ring_poly(ctx, "3*x+y") - ring_poly(ctx, "3*x"), ring_poly(ctx, "y")),
+        (dual(ctx, "2*X*Y").scale(0), DPPolynomial.zero(ctx)),
+    ]
+    if field == "Fp(7)":  # sums that wrap to 0 mod 7
+        cases += [
+            (ring_poly(ctx, "3*x+y") + ring_poly(ctx, "4*x"), ring_poly(ctx, "y")),
+            (ring_poly(ctx, "x+3") * ring_poly(ctx, "x+4"), ring_poly(ctx, "x^2+5")),
+            (contract(ring_poly(ctx, "3*x+4*y"), dual(ctx, "X^[2]*Y+X*Y^[2]")), dual(ctx, "4*X^[2]+3*Y^[2]")),
+            (dual(ctx, "6*X+Y").scale(7), DPPolynomial.zero(ctx)),
+        ]
+    for got, expected in cases:
+        _assert_clean_terms(got)
+        assert got == expected
 
 
 def test_no_internal_product_on_dual_side(ctx2):

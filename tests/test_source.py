@@ -16,6 +16,9 @@ ECHELON_INTERNALS = {"pivots", "holders", "insert_row", "reduce_row", "modulus"}
 # Over Q the echelon engine holds primitive int rows; Fractions are made
 # only where rows leave it, in these functions of linalg.py.
 LINALG_FRACTION_BOUNDARY = {"monic_row", "reduce", "_free_column_kernel", "solve_affine"}
+# The field's term rule (ints mod p over Fp(p), Fractions over Q) lives in
+# RingContext; elsewhere only these top-level definitions read ``.char``.
+CHAR_READERS = {"ring.py": {"RingContext", "check_contexts"}, "groebner.py": {"_reduce"}}
 
 
 def _unused_imports(tree):
@@ -66,6 +69,16 @@ def _fraction_constructions(tree):
 
     visit(tree, None)
     return sorted(found)
+
+
+def _char_reads(tree):
+    """(line, enclosing top-level function or class or None) of every read of ``.char``."""
+    return sorted(
+        (node.lineno, getattr(top, "name", None))
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "char"
+    )
 
 
 def _function_imports(tree):
@@ -169,3 +182,26 @@ def test_fraction_construction_check_sees_the_enclosing_function():
         "    return [Fraction(v) for v in row]\n"
     )
     assert _fraction_constructions(tree) == [(1, None), (3, "monic_row"), (6, "insert_row")]
+
+
+@pytest.mark.parametrize("module", sorted(CHAR_READERS))
+def test_only_the_ring_context_holds_the_term_rule(module):
+    # every ring operation is one loop for both fields, so no characteristic
+    # test creeps back into an operator, contract or the border walk
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    owners = {owner for _, owner in _char_reads(tree)}
+    assert owners and owners <= CHAR_READERS[module]
+
+
+def test_char_read_check_sees_the_enclosing_definition():
+    tree = ast.parse(
+        "p = ctx.char\n"
+        "class RingContext:\n"
+        "    def scalar(self):\n"
+        "        return self.char\n"
+        "def contract(h, F):\n"
+        "    def inner():\n"
+        "        return F.context.char\n"
+        "    return inner, char\n"
+    )
+    assert _char_reads(tree) == [(1, None), (4, "RingContext"), (7, "contract")]
