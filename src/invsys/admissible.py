@@ -192,7 +192,7 @@ def check_condition_one(fam):
 # condition two, in both formulations
 
 
-def check_condition_two(fam, mode="annihilator"):
+def check_condition_two(fam, mode="annihilator", windows=None):
     """Verify the annihilator condition over the stored box.
 
     ``annihilator`` mode checks, for every in-box step from L to L+e_i, that
@@ -201,7 +201,10 @@ def check_condition_two(fam, mode="annihilator"):
     The annihilator is the window kernel of ``annihilator_window``: its
     multi-term vectors, and the monomials outside the current entry's
     divisor set, of which only those dividing a term of the next entry
-    contract it to something nonzero.
+    contract it to something nonzero.  Its divisor set and multi-term
+    vectors are the same at every bound from the entry's degree on, so one
+    window per entry serves every step; ``windows`` may hand in such windows
+    by index, and the check computes only the ones it lacks.
     ``intersection`` mode checks the equivalent containment of the cyclic
     span's coordinate-subspace part; both modes return identical verdicts on
     families satisfying condition one.
@@ -215,8 +218,10 @@ def check_condition_two(fam, mode="annihilator"):
         return module_span([fam.entry(K)])
 
     @functools.cache
-    def annihilator_at(L, bound):
-        return annihilator_window([fam.entry(L)], bound)
+    def annihilator_at(L):
+        if windows and L in windows:
+            return windows[L]
+        return annihilator_window([fam.entry(L)], int(fam.entry(L).degree()))
 
     @functools.cache
     def target_at(K):
@@ -236,7 +241,7 @@ def check_condition_two(fam, mode="annihilator"):
                     lhs = span_at(up)
                 else:
                     bound = int(max(H_up.degree(), H_L.degree()))
-                    window = annihilator_at(L, bound)
+                    window = annihilator_at(L)
                     reaching = {u for *_, us in _term_divisors([H_up], bound) for u in us} - window.divisors
                     images = [contract(h, H_up) for h in window.multi_term]
                     images += [contract_monomial(u, H_up) for u in sorted(reaching, reverse=True)]

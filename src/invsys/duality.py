@@ -25,6 +25,7 @@ from .linalg import (
     span_reduce,
 )
 from .ring import (
+    ContextMismatchError,
     DPPolynomial,
     Polynomial,
     PreconditionError,
@@ -47,6 +48,8 @@ class Ideal:
     def __post_init__(self):
         for g in self.gens:
             check_contexts(self.context, g.context)
+            if type(g) is not Polynomial:
+                raise ContextMismatchError(f"mixed sides: Polynomial and {type(g).__name__}")
         self.gens = [g for g in self.gens if not g.is_zero()]
         self.gens.sort(key=lambda g: g.leading_monomial())
 
@@ -384,19 +387,20 @@ def _minimalize(vectors, bound, context, hull=None):
     Nakayama, g is a new generator iff g is not in m*I plus the kept ones.
 
     A ``hull`` (an annihilator window's divisor set with its border) says
-    the vectors, with the window monomials outside the hull, span all of I
-    modulo m^{bound+1}: a graded annihilator at any bound, whose products
-    never cross degrees, or a local one whose bound exceeds every dual
-    generator degree, so m^{bound+1} lies in m*I.  Those monomials are the
-    products x_i * u of the one-term kernel vectors, so they lie in m*I
-    unbuilt, and the candidates need only be the multi-term vectors and the
-    border monomials.  The span starts as m*I modulo m^{bound+1}, held in
-    two parts: the monomials outside the hull plus a set ``units`` of packed
-    monomials (every product or kept generator left with one term once those
-    are stripped), and an echelon span of the other stripped products x_i *
-    v, cut at the bound, and kept generators.  No echelon pivot lies in
-    either, so a candidate stripped, reduced by the echelon span and
-    stripped again is its remainder modulo the whole span, term for term.
+    the vectors are a window kernel that, with the window monomials outside
+    the hull, spans all of I modulo m^{bound+1}: a graded annihilator at any
+    bound, whose products never cross degrees, or a local one whose bound
+    exceeds every dual generator degree, so m^{bound+1} lies in m*I.  Those
+    monomials, products x_i * u of one-term kernel vectors, lie in m*I.
+    Every other kernel vector is monic at its lead, a border monomial or a
+    free column, and elsewhere nonzero only at standard monomials, so the
+    coordinates at the leads in the hull map I modulo the monomials outside
+    it one-to-one.  There a product x_i * w keeps only its terms on a lead,
+    a candidate is the unit vector at its lead, and m*I is a set ``units``
+    of leads (products and kept generators left with one term) plus an
+    echelon span of the rest.  A candidate reduced by the span and stripped
+    is its remainder; made monic, a nonzero one is emitted as the same
+    combination of the window vectors at its leads.
 
     Without a hull a kept candidate brings its honest multiples that fit
     below the bound, so every emitted generator lies exactly in the span of
@@ -404,56 +408,52 @@ def _minimalize(vectors, bound, context, hull=None):
     every candidate is homogeneous the span is graded, and the multiples go
     only into degrees that a later candidate has.
     """
-    candidates = sorted(vectors, key=lambda v: v.leading_monomial(), reverse=True)
-    candidates.sort(key=lambda v: v.order())
-    truncated = hull is not None
-    span = SpanBuilder()
-    units = set()
-
-    def strip(p):
-        return Polynomial._of(context, {m: c for m, c in p.terms.items() if m in hull and m not in units})
-
-    if truncated:
-        xs = context.var_monomials
-        rows = [
-            _monomial_multiple(x, w.terms, context, bound)
-            for w in vectors
-            if len(w.terms) > 1 and w.order() < bound  # else no product below the bound
-            for x in xs
+    candidates = sorted(((v.leading_monomial(), v) for v in vectors), key=lambda p: (p[1].order(), -p[0]))
+    span, gens = SpanBuilder(), []
+    if hull is not None:
+        at = {lm: v for lm, v in candidates if lm in hull}
+        steps = [x - context.base for x in context.var_monomials]  # m + step packs m * x
+        rows = [  # the products of a one-term w lie outside the hull
+            row
+            for _, w in candidates
+            for step in steps
+            if len(w.terms) > 1 and (row := {p: c for m, c in w.terms.items() if (p := m + step) in at})
         ]
-        while True:  # a row left with one monomial joins the set and may strip others
+        units, size = set(), None
+        while size != len(units):  # a row left with one lead joins the set and may strip others
             size = len(units)
-            kept = []
-            for row in map(strip, rows):
-                if len(row.terms) == 1:
-                    units.update(row.terms)
-                elif row.terms:
-                    kept.append(row)
-            rows = kept
-            if len(units) == size:
-                break
+            rows = [{m: c for m, c in row.items() if m not in units} for row in rows]
+            units.update(m for row in rows if len(row) == 1 for m in row)
+            rows = [row for row in rows if len(row) > 1]
         for row in rows:
-            span.insert(row)
-    homogeneous = not truncated and all(v.is_homogeneous() for v in candidates)
-    gens = []
-    for k, v in enumerate(candidates):
-        if v.terms.keys() <= units:
-            continue  # in the span of the set
-        r = strip(span.reduce(strip(v))) if truncated else span.reduce(v)
+            span.insert(Polynomial._of(context, row))
+        pivots = {max(b.terms) for b in span.basis()}
+        for lm, _ in candidates:
+            if lm not in at or lm in units:
+                continue  # in the span of the monomials outside the hull or of the set
+            r = {lm: context.unit}
+            if lm in pivots:  # else the unit vector is its own remainder
+                r = {m: c for m, c in span.reduce(Polynomial._of(context, r)).terms.items() if m not in units}
+            r = Polynomial._of(context, r).monic()
+            if len(r.terms) == 1:
+                units.update(r.terms)
+                gens.append(at[max(r.terms)])
+            elif r.terms:
+                span.insert(r)
+                pivots.add(max(r.terms))
+                gens.append(sum((at[m].scale(c) for m, c in r.terms.items()), Polynomial.zero(context)))
+        return gens
+    homogeneous = all(v.is_homogeneous() for _, v in candidates)
+    for k, (_, v) in enumerate(candidates):
+        r = span.reduce(v)
         if r.is_zero():
             continue
         g = r.monic()
         gens.append(g)
-        if truncated:
-            if len(g.terms) == 1:
-                units.update(g.terms)
-            else:
-                span.insert(g)
-            continue
         d = int(g.degree())
         multiples = _packed_monomials(context.n, 0, bound - d)
         if homogeneous:
-            later = {int(w.degree()) - d for w in candidates[k + 1 :]}
+            later = {int(w.degree()) - d for _, w in candidates[k + 1 :]}
             multiples = [m for m in multiples if m >> context.shift in later]
         for m in multiples:
             span.insert(_monomial_multiple(m, g.terms, context, bound))

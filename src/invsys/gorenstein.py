@@ -17,7 +17,8 @@ from .admissible import (
     AdmissibleFamily,
     CheckReport,
     CheckViolation,
-    check_family,
+    check_condition_one,
+    check_condition_two,
     solve_lift,
 )
 from .duality import (
@@ -36,6 +37,7 @@ from .ring import (
     DPPolynomial,
     Polynomial,
     PreconditionError,
+    _packed_monomials,
     contract,
     contract_monomial,
 )
@@ -256,19 +258,29 @@ def local_verify(fam, I_claim, trunc=None):
     multi-term vectors and border monomials are tested: the claimed side is
     an ideal modulo m^trunc, and every other one-term vector is a monomial
     multiple of a border monomial.  The window span of the claimed ideal is
-    built once; each index adds the multiples of its pure powers to a copy.
+    built once.  The target span only grows as an index falls, so each line
+    of the last index is walked downward on one copy of it: the top index
+    adds the multiples of its pure powers, and each step down from L + e_d
+    to L adds the window monomials whose exponent of z_d is exactly l_d.
+    Violations are reported by index in (total degree, index) order.
     """
     ctx = fam.context
     if trunc is None:
         trunc = max((int(H.degree()) for H in fam.entries.values() if not H.is_zero()), default=0) + 2
     if trunc < 1:
         raise PreconditionError(f"truncation degree must be at least 1, got {trunc}")
-    violations = list(check_family(fam).violations)
-    claim_span = None
-    for L in sorted(fam.entries, key=lambda L: (sum(L), L)):
+    bound, z = trunc - 1, ctx.var_monomials[fam.z_indices[-1]]
+    # condition two reads these too: from an entry's degree on, the bound changes only the border
+    windows = {
+        L: annihilator_window([H], bound) for L, H in fam.entries.items() if not H.is_zero() and H.degree() <= bound
+    }
+    violations = check_condition_one(fam).violations + check_condition_two(fam, windows=windows).violations
+    found, claim_span, span, spanned = {}, None, None, None
+    for L in sorted(fam.entries, key=lambda L: (L[:-1], -L[-1])):
         H = fam.entry(L)
+        found[L] = []
         if H.is_zero():
-            violations.append(CheckViolation(L, "entry", "entry is zero"))
+            found[L].append(CheckViolation(L, "entry", "entry is zero"))
             continue
         powers = [
             Polynomial.monomial(ctx, fam.embed(tuple(0 if k != j else L[j] for k in range(fam.d))))
@@ -276,21 +288,29 @@ def local_verify(fam, I_claim, trunc=None):
         ]
         for g in list(I_claim.gens) + powers:
             if not contract(g, H).is_zero():
-                violations.append(
+                found[L].append(
                     CheckViolation(L, "ideal-into-annihilator", f"{g} does not annihilate the entry")
                 )
-        ann = annihilator_window([H], trunc - 1).generating_vectors()
+        ann = (windows.get(L) or annihilator_window([H], bound)).generating_vectors()
         if claim_span is None:
-            claim_span = ideal_window_span(I_claim.gens, trunc - 1, ctx)
-        span = ideal_window_span(powers, trunc - 1, ctx, claim_span.copy())
-        if not all(span.contains(v.truncate(trunc - 1)) for v in ann):
-            violations.append(
+            claim_span = ideal_window_span(I_claim.gens, bound, ctx)
+        if spanned == L[:-1] + (L[-1] + 1,):  # one step down the line: z_d^l times a monomial free of z_d
+            power = powers[-1].leading_monomial() - ctx.base
+            for m in _packed_monomials(ctx.n, 0, bound - L[-1]):
+                if not ctx.divides(z, m):
+                    span.insert(Polynomial._of(ctx, {m + power: ctx.unit}))
+        else:
+            span = ideal_window_span(powers, bound, ctx, claim_span.copy())
+        spanned = L
+        if not all(span.contains(v.truncate(bound)) for v in ann):
+            found[L].append(
                 CheckViolation(
                     L,
                     "annihilator-into-ideal",
                     f"annihilator generators escape the claimed ideal modulo degree {trunc}",
                 )
             )
+    violations += [v for L in sorted(found, key=lambda L: (sum(L), L)) for v in found[L]]
     return CheckReport.from_violations(violations)
 
 

@@ -123,8 +123,8 @@ def test_condition_two_builds_each_target_and_annihilator_once(
 ):
     # intersection mode needs one target builder per distinct reset entry
     # (semigroup: all four steps reset to H_1; elliptic: five distinct), and
-    # annihilator mode one basis per distinct (entry, degree bound) pair
-    # (elliptic: 12 steps, 8 pairs)
+    # annihilator mode one window per entry it steps up from, whatever the
+    # step's degree bound (elliptic: 12 steps from 8 entries)
     builders, annihilators = [], []
     build, annihilate = admissible.SubspaceBasis.builder, admissible.annihilator_window
 
@@ -144,6 +144,36 @@ def test_condition_two_builds_each_target_and_annihilator_once(
         assert len(builders) == targets
     assert check_condition_two(elliptic_curve["family"], "annihilator").passed
     assert len(annihilators) == len(set(annihilators)) == 8
+
+
+def test_condition_two_reads_windows_handed_in(monkeypatch, semigroup_curve, elliptic_curve):
+    # a window's divisor set and multi-term vectors are the same at every
+    # bound from the entry's degree on, so windows handed in at any such
+    # bound give the check's own verdicts, and it computes none of them
+    ctx = elliptic_curve["ctx"]
+    broken = dict(elliptic_curve["family"].entries)
+    broken[(3, 3)] = broken[(3, 3)] + dual(ctx, "Y^[6]")
+    families = [
+        semigroup_curve["family"],
+        elliptic_curve["family"],
+        build_family(ctx, elliptic_curve["family"].z_indices, broken, elliptic_curve["family"].t0),
+    ]
+    expected = [[(v.index, v.condition, v.detail) for v in check_condition_two(fam).violations] for fam in families]
+    assert expected[0] == expected[1] == [] and expected[2]
+    computed = []
+    annihilate = admissible.annihilator_window
+
+    def counting(H, bound):
+        computed.append(bound)
+        return annihilate(H, bound)
+
+    monkeypatch.setattr(admissible, "annihilator_window", counting)
+    for fam, violations in zip(families, expected):
+        for extra in (0, 1, 3):
+            windows = {L: annihilate([H], int(H.degree()) + extra) for L, H in fam.entries.items()}
+            report = check_condition_two(fam, "annihilator", windows=windows)
+            assert [(v.index, v.condition, v.detail) for v in report.violations] == violations
+    assert computed == []
 
 
 def test_condition_two_contracts_only_by_monomials_that_reach_the_next_entry(monkeypatch, elliptic_curve):

@@ -527,6 +527,15 @@ def test_ideal_refuses_generators_from_another_context():
     assert Ideal([ring_poly(q, "x*y"), ring_poly(q, "0")], q).gens == [ring_poly(q, "x*y")]
 
 
+def test_ideal_refuses_dual_elements():
+    # unchecked, X^[2] was read as x^2: hilbert_data gave numerator [1, 2, 1]
+    # and perp_ideal degree 2 = [X*Y] for the "ideal" X^[2], y^2
+    q = ctx_of("ring Q[x,y]")
+    for gens in ([dual(q, "X^[2]"), ring_poly(q, "y^2")], [ring_poly(q, "y^2"), dual(q, "X^[2]")]):
+        with pytest.raises(ContextMismatchError, match="mixed sides: Polynomial and DPPolynomial"):
+            Ideal(gens, q)
+
+
 def _compressed_hf(n, s):
     return [min(math.comb(n - 1 + i, i), math.comb(n - 1 + s - i, s - i)) for i in range(s + 1)]
 

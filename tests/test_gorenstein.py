@@ -420,9 +420,10 @@ def test_local_verify_window_vectors_give_the_minimal_generators_verdicts(semigr
 
 
 def test_local_verify_extends_one_claimed_span_per_call(monkeypatch, semigroup_curve):
-    # the claimed ideal's window span is built once per call and each index
-    # extends a copy by its pure powers; the verdicts are those of
-    # containment in the whole target ideal
+    # the claimed ideal's window span is built once per call and each line
+    # of the last index extends one copy by its pure powers, walking down
+    # (d = 1 here, so one line); the verdicts are those of containment in
+    # the whole target ideal
     from invsys import gorenstein
 
     fresh = []
@@ -439,7 +440,7 @@ def test_local_verify_extends_one_claimed_span_per_call(monkeypatch, semigroup_c
         for claim, t in itertools.product(claims, range(1, top + 3)):
             fresh.clear()
             report = local_verify(fam, claim, trunc=t)
-            assert fresh.count(True) == 1 and fresh.count(False) == len(fam.entries)
+            assert fresh.count(True) == 1 and fresh.count(False) == len({L[:-1] for L in fam.entries})
             escaped = {v.index for v in report.violations if v.condition == "annihilator-into-ideal"}
             expected = {
                 L
@@ -451,6 +452,82 @@ def test_local_verify_extends_one_claimed_span_per_call(monkeypatch, semigroup_c
             assert escaped == expected, (str(claim), t)
             flagged.append(bool(escaped))
     assert True in flagged and False in flagged
+
+
+def test_local_verify_builds_one_annihilator_window_per_entry(monkeypatch, semigroup_curve):
+    # condition two reads the windows local_verify builds at the truncation,
+    # since from an entry's degree on the bound changes only the border
+    from invsys import admissible, gorenstein
+
+    built = []
+    annihilate = gorenstein.annihilator_window
+
+    def counting(H, bound):
+        built.append((str(H[0]), bound))
+        return annihilate(H, bound)
+
+    monkeypatch.setattr(gorenstein, "annihilator_window", counting)
+    monkeypatch.setattr(admissible, "annihilator_window", counting)
+    fam = semigroup_curve["family"]
+    top = max(int(H.degree()) for H in fam.entries.values())
+    assert local_verify(fam, semigroup_curve["ideal"], trunc=top + 1).passed
+    assert sorted(built) == sorted((str(H), top) for H in fam.entries.values())
+
+
+def _local_verdicts_by_fresh_spans(fam, claim, trunc):
+    """local_verify's (index, condition) list, with a fresh target span per index and the whole window kernel."""
+    ctx, bound = fam.context, trunc - 1
+    found = [(v.index, v.condition) for v in check_family(fam).violations]
+    for L in sorted(fam.entries, key=lambda L: (sum(L), L)):
+        H = fam.entry(L)
+        if H.is_zero():
+            found.append((L, "entry"))
+            continue
+        powers = [fam.z_variable(j) ** L[j] for j in range(fam.d)]
+        found += [(L, "ideal-into-annihilator") for g in list(claim.gens) + powers if not contract(g, H).is_zero()]
+        span = ideal_window_span(list(claim.gens) + powers, bound, ctx)
+        if not all(span.contains(v.truncate(bound)) for v in window_kernel([H], bound).vectors):
+            found.append((L, "annihilator-into-ideal"))
+    return found
+
+
+def _with_zero_entry(fam, L):
+    entries = dict(fam.entries)
+    entries[L] = DPPolynomial.zero(fam.context)
+    return build_family(fam.context, fam.z_indices, entries, fam.t0)
+
+
+def test_local_verify_walk_down_the_lines_matches_fresh_spans(semigroup_curve):
+    # the walk extends one span per line of the last index; a fresh span per
+    # index, over the whole window kernel, must give the same violations in
+    # the same order: d = 1 and 2, zero entries that break a line, true and
+    # perturbed claims, every truncation up to two past the top degree
+    cases = [(fam, claims) for fam, claims in _seeded_local_families(semigroup_curve)]
+    cases.append((_with_zero_entry(semigroup_curve["family"], (3,)), cases[0][1]))
+    for field in ("Q", "Fp(32003)"):
+        rng = rng_for(f"local-verify-walk-{field}")
+        ctx = ctx_of(f"ring {field}[x,y,z,t] dual [X,Y,Z,T] mode local")
+        terms = {}
+        while len(terms) < 3:  # degrees 1 to 3 in Z and T
+            e = [0, 0, 0, 0]
+            for _ in range(rng.randint(1, 3)):
+                e[rng.randrange(2, 4)] += 1
+            terms[tuple(e)] = ctx.scalar(rng.choice([-3, -2, -1, 1, 2, 3]))
+        H = DPPolynomial(ctx, terms)
+        gens = [g for g in ann_cyclic(H).gens if g not in (ctx.variable(0), ctx.variable(1))]
+        claims = [Ideal(gens, ctx), Ideal(gens[:-1] + [gens[-1] * ctx.variable(2)], ctx)]
+        fam = cone_family(H, 2, 3)
+        cases += [(fam, claims), (_with_zero_entry(fam, (2, 2)), claims)]
+    seen = set()
+    for fam, claims in cases:
+        top = max(int(H.degree()) for H in fam.entries.values() if not H.is_zero())
+        for claim, trunc in itertools.product(claims, range(1, top + 3)):
+            expected = _local_verdicts_by_fresh_spans(fam, claim, trunc)
+            report = local_verify(fam, claim, trunc=trunc)
+            assert [(v.index, v.condition) for v in report.violations] == expected, (str(claim), trunc)
+            seen.update(condition for _, condition in expected)
+            seen.add(report.passed)
+    assert {True, False, "entry", "annihilator-into-ideal"} <= seen
 
 
 def test_family_from_ideal_local_semigroup(semigroup_curve):

@@ -79,6 +79,46 @@ def test_minimalize_matches_all_products_reference(field, mode):
             assert [g.terms for g in out] == [g.terms for g in reference], (str(gens), bound)
 
 
+def _benchmark_forms(field, mode, count):
+    """Seeded forms at the scale of the benchmark: 5 or 6 variables, degree 3 or 4, 6 terms.
+
+    Graded forms are homogeneous; a local form has one term of the full
+    degree and the others of degree 1 up to it.
+    """
+    rng = rng_for(f"benchmark-scale-{field}-{mode}")
+    for _ in range(count):
+        names = "xyztuv"[: rng.randint(5, 6)]
+        ctx = ctx_of(f"ring {field}[{','.join(names)}] dual [{','.join(names.upper())}] mode {mode}")
+        degree = rng.randint(3, 4)
+        terms = {}
+        while len(terms) < 6:
+            e = [0] * ctx.n
+            for _ in range(degree if mode == "graded" or not terms else rng.randint(1, degree)):
+                e[rng.randrange(ctx.n)] += 1
+            terms[tuple(e)] = ctx.scalar(rng.choice([-3, -2, -1, 1, 2, 3]))
+        yield DPPolynomial(ctx, terms)
+
+
+@pytest.mark.parametrize("field", ["Q", f"Fp({P})"])
+@pytest.mark.parametrize("mode", ["graded", "local"])
+def test_ann_cyclic_matches_all_products_reference_at_benchmark_scale(field, mode):
+    for F in _benchmark_forms(field, mode, 8):
+        assert len(F.terms) == 6
+        bound = int(F.degree()) + 1
+        reference = _minimalize_all_products(window_kernel([F], bound).vectors, bound, F.context, True)
+        reference.sort(key=lambda g: g.leading_monomial())  # as an Ideal holds its generators
+        assert [g.terms for g in ann_cyclic(F).gens] == [g.terms for g in reference], str(F)
+
+
+def test_projected_span_stays_within_the_generator_count(inserted):
+    # the echelon span holds only the relations among leads that the set of
+    # one-term leads leaves open: here 4 rows for 14 generators, where
+    # stripped whole products inserted 40
+    F = next(_benchmark_forms("Q", "graded", 1))
+    gens = ann_cyclic(F).gens
+    assert inserted and len(inserted) <= len(gens)
+
+
 @pytest.fixture
 def inserted(monkeypatch):
     """Every vector passed to ``SpanBuilder.insert`` while the test runs."""
@@ -97,6 +137,10 @@ def test_no_one_term_vector_enters_the_span(surface_codim4, inserted):
     # almost every window vector of Ann(H) is a monomial; their products are
     # held as a monomial set, never as rows of the echelon engine
     assert ann_cyclic(surface_codim4["H"]).gens
+    assert [str(p) for p in inserted if len(p.terms) == 1] == []
+    # a seeded form whose projected span is not empty: rows enter it, none with one term
+    F = _form(rng_for("projected-span"), ctx_of("ring Q[x,y,z] dual [X,Y,Z] mode graded"), True)
+    assert ann_cyclic(F).gens
     assert inserted and [str(p) for p in inserted if len(p.terms) == 1] == []
 
 
