@@ -25,13 +25,13 @@ from .linalg import (
     span_reduce,
 )
 from .ring import (
-    ContextMismatchError,
     DPPolynomial,
     Polynomial,
     PreconditionError,
     _check_degree,
     _packed_monomials,
     check_contexts,
+    check_side,
     contract_monomial,
 )
 
@@ -47,9 +47,7 @@ class Ideal:
 
     def __post_init__(self):
         for g in self.gens:
-            check_contexts(self.context, g.context)
-            if type(g) is not Polynomial:
-                raise ContextMismatchError(f"mixed sides: Polynomial and {type(g).__name__}")
+            check_side(self.context, g, Polynomial)
         self.gens = [g for g in self.gens if not g.is_zero()]
         self.gens.sort(key=lambda g: g.leading_monomial())
 
@@ -70,7 +68,8 @@ class GroebnerBasis:
     ``groebner.buchberger`` returns it reduced, monic and sorted by ascending
     leading monomial; while it runs, it grows an unreduced one element by
     element with ``add``.  ``ann_module`` attaches the same reduced basis to
-    the graded annihilators it reads off their kernels.  ``reducers`` holds
+    the graded annihilators it reads off their kernels, with the pair that
+    ``groebner._border_walk`` returns as ``staircase``.  ``reducers`` holds
     the (leading monomial, element) pairs that ``normal_form`` divides by,
     computed once per element.
     """
@@ -78,6 +77,7 @@ class GroebnerBasis:
     elements: list
     context: object
     source: Ideal = None
+    staircase: tuple = field(default=None, repr=False, compare=False)
     reducers: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -176,10 +176,10 @@ def module_span(gens, degree_bound=None):
     of which come earlier.  The canonical basis comes out in degree slices.
     Inputs whose terms have more than ``MAX_ANN_COLUMNS`` divisors (a bound
     on the dimension) are refused up front, and so are a negative
-    ``degree_bound`` and generators from different ring contexts.
+    ``degree_bound`` and generators of another ring context or side.
     """
     for g in gens:
-        check_contexts(gens[0].context, g.context)
+        check_side(gens[0].context, g, DPPolynomial)
     if degree_bound is not None:
         refuse_negative_bound(degree_bound, "module span")
     divisors = sum(math.prod(e + 1 for e in g.context.unpack(l)) for g in gens for l in g.terms)
@@ -326,13 +326,13 @@ def annihilator_window(gens, bound):
     ``_term_divisors``, and D is the set of those divisors.  For homogeneous
     generators the matrix is block-diagonal by degree (a column of degree j
     reaches only rows of degree deg F - j), so the kernel is the union of the
-    per-degree kernels.  Generators from different ring contexts, a
+    per-degree kernels.  Generators of another ring context or side, a
     negative bound, windows of more than ``MAX_ANN_COLUMNS`` monomials and
     degrees above the packing limit are refused up front, in that order.
     """
     ctx = gens[0].context
     for g in gens:
-        check_contexts(ctx, g.context)
+        check_side(ctx, g, DPPolynomial)
     refuse_column_range(ctx.n, 0, bound, "annihilator")
     pairs = _term_divisors(gens, bound)
     divisors = {u for *_, us in pairs for u in us}
@@ -356,7 +356,7 @@ def _monomial_multiple(m, terms, context, bound):
     return Polynomial._of(context, {m + e: c for e, c in terms.items() if e < limit})
 
 
-def _reduced_basis(vectors, ideal):
+def _reduced_basis(vectors, divisors, ideal):
     """Reduced degrevlex Groebner basis of a homogeneous ideal read off its window kernel.
 
     Each kernel vector is homogeneous, monic at its leading monomial, a free
@@ -369,14 +369,16 @@ def _reduced_basis(vectors, ideal):
     multi-term vectors and border monomials: a one-term vector off the
     border has a one-term quotient, and the quotients of the others lie in
     the divisor set, so only multi-term leading monomials are looked up.
+    The staircase too: the ``divisors`` minus those leads are standard, and
+    a lead u has normal form u minus its vector.
     """
     ctx = ideal.context
     base, xs = ctx.base, ctx.var_monomials
     lead = sorted(((v.leading_monomial(), v) for v in vectors), key=lambda pair: pair[0])
-    lms = {m for m, v in lead if len(v.terms) > 1}
+    forms = {m: ctx.normalize({t: -c for t, c in v.terms.items() if t != m}) for m, v in lead if len(v.terms) > 1}
     # m - x + base packs m / x; an x not dividing m sets a guard bit, which no monomial has
-    kept = [v for m, v in lead if not any(m - x + base in lms for x in xs)]
-    return GroebnerBasis(kept, ctx, ideal)
+    kept = [v for m, v in lead if not any(m - x + base in forms for x in xs)]
+    return GroebnerBasis(kept, ctx, ideal, (sorted(divisors.difference(forms)), forms))
 
 
 def _minimalize(vectors, bound, context, hull=None):
@@ -502,11 +504,12 @@ def ann_module(gens, degree_bound=None):
     bound exceeds the degree of every generator (the default), the window
     holds the whole ideal through a degree it contains entirely, so the
     returned ideal arrives with its reduced Groebner basis (``cached_gb``)
-    read off the kernel and ``groebner.buchberger`` does no work on it.  It
-    also arrives with its Hilbert data (``cached_hilbert``): by Macaulay
-    duality the quotient is Artinian of socle degree top, and its Hilbert
-    function in degree d is the number of kernel columns of degree d, the
-    divisor monomials, minus the number of multi-term vectors of degree d.
+    read off the kernel, with the staircase that ``groebner.socle_dim``
+    reads, and neither ``groebner.buchberger`` nor the border walk does
+    work on it.  It also arrives with its Hilbert data (``cached_hilbert``):
+    by Macaulay duality the quotient is Artinian of socle degree top, and
+    its Hilbert function in degree d counts the standard monomials of
+    degree d, the divisor monomials that lead no multi-term vector.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -527,14 +530,10 @@ def ann_module(gens, degree_bound=None):
         ]
         ideal = Ideal(_minimalize(window.multi_term + one_term, bound, ctx), ctx)
     if graded and bound > top:
-        ideal.cached_gb = _reduced_basis(vectors, ideal)
+        ideal.cached_gb = _reduced_basis(vectors, window.divisors, ideal)
         hf = [0] * (top + 1)
-        for m in window.divisors:
-            if (d := m >> ctx.shift) <= top:
-                hf[d] += 1
-        for v in window.multi_term:
-            if (d := v.leading_monomial() >> ctx.shift) <= top:
-                hf[d] -= 1
+        for m in ideal.cached_gb.staircase[0]:
+            hf[m >> ctx.shift] += 1
         ideal.cached_hilbert = HilbertData(hf, 0, sum(hf), top)
     return ideal
 

@@ -3,10 +3,10 @@
 Enough Groebner machinery to certify Gorenstein-ness of graded quotients:
 reduced bases under degrevlex, normal forms, Hilbert series by the monomial
 inclusion-exclusion recursion, Krull dimension, multiplicities, regular
-sequence tests, and standard monomials and socle dimensions read off one
-walk over the border of the standard monomials.  Local ideals are
-deliberately not handled here; the duality layer treats them by degree
-truncation.
+sequence tests, and standard monomials and socle dimensions read off a
+walk over the border of the standard monomials or off an annihilator
+window.  Local ideals are deliberately not handled here; the duality layer
+treats them by degree truncation.
 """
 
 from __future__ import annotations
@@ -293,7 +293,14 @@ def _border_walk(gb):
     c*NF(y*t) over the terms c*t of NF(u/y), each y*t a candidate below u;
     else u is standard.  Returns the ascending standard monomials and a dict
     from each border monomial to its normal form as {monomial: coefficient}.
+
+    A basis that ``ann_module`` read off a window carries the pair as its
+    ``staircase``, not walked: the dict holds the normal forms of the
+    non-standard monomials of the window's divisor set, and any other
+    non-standard monomial has normal form 0.
     """
+    if gb.staircase is not None:
+        return gb.staircase
     ctx = gb.context
     lead = dict(gb.reducers)
     if ctx.base in lead:
@@ -332,7 +339,7 @@ def _border_walk(gb):
 
 
 def standard_monomials(gb):
-    """Monomials outside the leading-term ideal, ascending, from the border walk.
+    """Monomials outside the leading-term ideal, ascending, from ``_border_walk``.
 
     None for the unit ideal; an error when R/I is not Artinian.
     """
@@ -342,23 +349,28 @@ def standard_monomials(gb):
 def socle_dim(ideal):
     """Dimension of the socle (0 : m) / I of an Artinian quotient; 0 for the unit ideal.
 
-    The kernel of joint multiplication by all the variables, read off the
-    border walk: each product x*m of a standard monomial is standard or in
-    the border, so no normal form is computed.  The matrix has one column
-    per standard monomial, the multiplicity, so a quotient whose cached
-    Hilbert data put it above ``MAX_ANN_COLUMNS`` is refused before the walk.
+    The kernel of joint multiplication by all the variables, read off
+    ``_border_walk`` without a normal form and ranked transposed: one row
+    per standard monomial m, NF(x_i*m) at key (position of t, i) for each
+    term t, zero rows skipped.  The refusal counts the standard monomials,
+    the multiplicity, as "multiplication columns" though they index the
+    rows: a quotient whose cached Hilbert data put it above
+    ``MAX_ANN_COLUMNS`` is refused before the walk.
     """
     gb = buchberger(ideal)
     ctx = ideal.context
     data = hilbert_data(ideal)
     if data.dimension == 0:
         refuse_oversized(data.multiplicity, "socle of the Artinian quotient", "multiplication")
-    std, border = _border_walk(gb)
+    std, forms = _border_walk(gb)
     pos = {m: j for j, m in enumerate(std)}
-    rows = {}
-    for j, m in enumerate(std):
+    rows = []
+    for m in std:
+        row = {}
         for i, x in enumerate(ctx.var_monomials):
             u = m + x - ctx.base
-            for t, c in border.get(u, {u: ctx.unit}).items():
-                rows.setdefault((i, pos[t]), {})[j] = c
-    return len(std) - rank_of(list(rows.values()), ctx.one)
+            for t, c in forms.get(u, {u: ctx.unit} if u in pos else {}).items():
+                row[pos[t] * ctx.n + i] = c
+        if row:
+            rows.append(row)
+    return len(std) - rank_of(rows, ctx.one)

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import ContextMismatchError, PreconditionError, _check_degree, _packed_monomials, check_contexts
+from .ring import PreconditionError, _check_degree, _packed_monomials, check_contexts, check_side
 
 # ---------------------------------------------------------------------------
 # the echelon engine: sparse rows keyed by int columns or by monomials
@@ -259,7 +259,8 @@ def solve_affine(rows, rhs, columns, one):
 # (C(n + bound, n) up to a bound, fewer for one degree), the window of
 # ``ideal_window_span``, all the lifts of a
 # ``family_from_ideal`` box, the divisors of ``module_span``'s generator
-# terms and the standard monomials (the multiplicity) of ``socle_dim``.
+# terms and the standard monomials (the multiplicity) of ``socle_dim``,
+# called "multiplication columns" in its refusal though they index its rows.
 # Tests and benchmarks need at most 3003 columns (2569 for a family box) and
 # 9100 divisors; ``ann`` of X^[250]*Y^[250] (126253 columns) took 4.6 s on one
 # core of a shared 2-core Xeon VM, and the cost grows faster than linearly.
@@ -329,9 +330,7 @@ class SpanBuilder(_Echelon):
         if ctx is not self.context or type(poly) is not self._side:
             if self.context is None:
                 self.context, self.modulus, self._side = ctx, ctx.char, type(poly)
-            check_contexts(self.context, ctx)
-            if type(poly) is not self._side:
-                raise ContextMismatchError(f"mixed sides: {self._side.__name__} and {type(poly).__name__}")
+            check_side(self.context, poly, self._side)
         return poly.terms
 
     def reduce(self, poly):

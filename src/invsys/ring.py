@@ -326,6 +326,13 @@ def check_contexts(a, b):
         raise ContextMismatchError(f"{kind}: {a.decl()} and {b.decl()}")
 
 
+def check_side(context, g, side):
+    """Refuse an element from another ring context or from the other side of the duality."""
+    check_contexts(context, g.context)
+    if type(g) is not side:
+        raise ContextMismatchError(f"mixed sides: {side.__name__} and {type(g).__name__}")
+
+
 def ring_context(variables, duals=None, char=0, mode="graded"):
     """Build a RingContext from name lists; duals default to the uppercased names."""
     if isinstance(variables, str):

@@ -536,6 +536,23 @@ def test_ideal_refuses_dual_elements():
             Ideal(gens, q)
 
 
+@pytest.mark.parametrize("entry", ["module_span", "annihilator_window", "ann_module", "ann_cyclic"])
+def test_dual_entry_points_refuse_ring_elements(entry):
+    # unchecked, the ring element x^2 was read as X^[2]: module_span gave
+    # 1, X, X^[2] and ann_cyclic gave y, x^3
+    q = ctx_of("ring Q[x,y]")
+    f, F = ring_poly(q, "x^2"), dual(q, "Y^[2]")
+    call = {
+        "module_span": module_span,
+        "annihilator_window": lambda gens: annihilator_window(gens, 3),
+        "ann_module": ann_module,
+        "ann_cyclic": lambda gens: ann_cyclic(*gens),
+    }[entry]
+    for gens in ([f],) if entry == "ann_cyclic" else ([f], [F, f], [f, F]):
+        with pytest.raises(ContextMismatchError, match="mixed sides: DPPolynomial and Polynomial"):
+            call(gens)
+
+
 def _compressed_hf(n, s):
     return [min(math.comb(n - 1 + i, i), math.comb(n - 1 + s - i, s - i)) for i in range(s + 1)]
 

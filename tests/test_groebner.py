@@ -19,13 +19,14 @@ from invsys import (
     parse_polynomial,
     perp_ideal,
     socle_dim,
+    span_dim,
     span_reduce,
 )
 from invsys import groebner
 from invsys.duality import flatten
 from invsys.groebner import _s_polynomial, standard_monomials
 from invsys.linalg import rank_of
-from invsys.ring import Polynomial, _packed_monomials
+from invsys.ring import Polynomial, _packed_monomials, contract
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +418,29 @@ def test_socle_and_standard_monomials_match_references(field):
     assert 1 in socles and max(socles) >= 2
 
 
+@pytest.mark.parametrize("field", ["Q", "Fp(32003)", "Fp(7)"])
+def test_window_socle_matches_matlis_duality(field):
+    # by Matlis duality the socle of R/Ann(M) is dual to M / m o M, whose
+    # dimension is the number of minimal generators of the dual module M
+    rng = rng_for(f"matlis-socle-{field}")
+    socles = []
+    for _ in range(5):
+        n = rng.randint(2, 4)
+        ctx = ctx_of(f"ring {field}[{','.join('xyzt'[:n])}]")
+        gens = [random_poly(rng, ctx, "dual", 4, homogeneous=True) for _ in range(rng.randint(1, 3))]
+        xs = [Polynomial._of(ctx, {x: ctx.unit}) for x in ctx.var_monomials]
+        products = [p for p in (contract(x, F) for x in xs for F in gens) if not p.is_zero()]
+        matlis = span_dim(module_span(gens)) - span_dim(module_span(products))
+        top = max(int(g.degree()) for g in gens)
+        for bound in (top + 1, top + 2):
+            ideal = ann_module(gens, bound)
+            assert ideal.cached_gb.staircase is not None
+            socle = socle_dim(ideal)
+            assert socle == socle_dim(Ideal(list(ideal.gens), ctx)) == _reference_socle_dim(ideal) == matlis
+            socles.append(socle)
+    assert min(socles) >= 1 and max(socles) >= 2
+
+
 def test_socle_walk_matches_references_on_nonhomogeneous_bases():
     # a local-mode ideal is not checked for homogeneity; the walk needs only
     # a reduced basis, whose tails may then drop in degree
@@ -457,14 +481,22 @@ def test_annihilator_certification_computes_no_normal_form(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(groebner, name, counting)
+    walked, walk = [], groebner._border_walk
+
+    def recording(gb):  # a staircase read off the window comes back as it is
+        out = walk(gb)
+        walked.append(out is not gb.staircase)
+        return out
+
+    monkeypatch.setattr(groebner, "_border_walk", recording)
     ctx = ctx_of("ring Q[x,y,z,t]")
     F = dual(ctx, "X*Y*Z+Z*T^[2]-2X^[3]+Y^[2]*T")
     report = gorenstein_check(ann_cyclic(F), 0, [])
     assert report.is_gorenstein and report.multiplicity == len(flatten(module_span([F])))
-    assert calls == {"normal_form": 0, "_numerator": 0}
-    # the counters see the calls of an ideal without attached data
+    assert calls == {"normal_form": 0, "_numerator": 0} and walked == [False]
+    # the counters see the calls and the walk of an ideal without attached data
     gorenstein_check(Ideal(list(ann_cyclic(F).gens), ctx), 0, [])
-    assert calls["normal_form"] > 0 and calls["_numerator"] > 0
+    assert calls["normal_form"] > 0 and calls["_numerator"] > 0 and walked == [False, True]
 
 
 # -- minimal generators -------------------------------------------------------------------
