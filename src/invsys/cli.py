@@ -96,7 +96,7 @@ def cmd_span(args):
     ctx = _ring(args)
     gens = [parse_polynomial(s.strip(), ctx, "dual") for s in args.F.split(";") if s.strip()]
     slices = module_span(gens, args.bound)
-    text = _slices_text(slices) + f"\ntotal dimension {span_dim(slices)}"
+    text = "\n".join(filter(None, [_slices_text(slices), f"total dimension {span_dim(slices)}"]))
     _emit(args, text, {"slices": _slices_payload(slices), "dimension": span_dim(slices)})
 
 
@@ -104,8 +104,7 @@ def cmd_ann(args):
     ctx = _ring(args)
     F = parse_polynomial(args.poly, ctx, "dual")
     ideal = ann_cyclic(F, args.bound)
-    text = ", ".join(str(g) for g in ideal.gens)
-    _emit(args, text, {"generators": [str(g) for g in ideal.gens]})
+    _emit(args, str(ideal), {"generators": [str(g) for g in ideal.gens]})
 
 
 def cmd_perp(args):

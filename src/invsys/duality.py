@@ -30,6 +30,7 @@ from .ring import (
     PreconditionError,
     _check_degree,
     _packed_monomials,
+    _staircase_step,
     check_contexts,
     check_side,
     contract_monomial,
@@ -138,15 +139,14 @@ class GradedSlice:
 
 
 def _slices_from_vectors(vectors, degree_bound=None):
+    """Degree slices of nonzero vectors that come by descending lead, as ``SpanBuilder.basis()`` gives them."""
     by_degree = {}
     for v in vectors:
-        d = int(v.degree())
-        if degree_bound is not None and d > degree_bound:
-            continue
-        by_degree.setdefault(d, []).append(v)
+        by_degree.setdefault(max(v.terms) >> v.context.shift, []).append(v)
     return [
-        GradedSlice(d, SubspaceBasis(sorted(vs, key=lambda v: v.leading_monomial(), reverse=True)))
+        GradedSlice(d, SubspaceBasis(vs))
         for d, vs in sorted(by_degree.items())
+        if degree_bound is None or d <= degree_bound
     ]
 
 
@@ -169,11 +169,13 @@ def module_span(gens, degree_bound=None):
     staircase walk per generator: the monomials u in ascending degrevlex
     order, layer by layer.  Each image goes into one shared echelon span,
     and u is kept when its image enlarged it; the next layer holds only the
-    products u * x_i whose every quotient by a variable was kept.  The
-    pruning is exact.  The pairs (k, u) in lexicographic order form a module
-    monomial order, and when u o F_k lies in the span of the earlier images,
-    (x * u) o F_k = x o (u o F_k) lies in the span of their x-multiples, all
-    of which come earlier.  The canonical basis comes out in degree slices.
+    products u * x_i whose every quotient by a variable was kept, which
+    ``_staircase_step`` finds by counting how often the kept set reaches
+    each product.  The pruning is exact.  The pairs (k, u) in lexicographic
+    order form a module monomial order, and when u o F_k lies in the span of
+    the earlier images, (x * u) o F_k = x o (u o F_k) lies in the span of
+    their x-multiples, all of which come earlier.  The canonical basis comes
+    out in degree slices.
     Inputs whose terms have more than ``MAX_ANN_COLUMNS`` divisors (a bound
     on the dimension) are refused up front, and so are a negative
     ``degree_bound`` and generators of another ring context or side.
@@ -186,13 +188,10 @@ def module_span(gens, degree_bound=None):
     refuse_oversized(divisors, "module span")
     builder = SpanBuilder()
     for F in gens:
-        base, guard, xs = F.context.base, F.context.guard, F.context.var_monomials
-        layer = [base]
+        layer = [F.context.base]
         while layer:
             kept = {u for u in layer if builder.insert(contract_monomial(u, F))}
-            # m - x + base packs m / x; a guard bit is set when x does not divide m
-            products = {u - base + x for u in kept for x in xs}
-            layer = sorted(m for m in products if all((q := m - x + base) & guard or q in kept for x in xs))
+            layer = sorted(_staircase_step(kept, F.context.n))
     return _slices_from_vectors(builder.basis(), degree_bound)
 
 
@@ -298,15 +297,11 @@ class AnnihilatorWindow:
 
     @functools.cached_property
     def border(self):
-        ctx, inside = self.context, self.divisors
-        base, guard, xs = ctx.base, ctx.guard, ctx.var_monomials
-        limit = (self.bound + 1) << ctx.shift
-        outside = ({base} | {u - base + x for u in inside for x in xs}) - inside
-        # m - x + base packs m / x; a guard bit is set when x does not divide m
-        return sorted(
-            (m for m in outside if m < limit and all((q := m - x + base) & guard or q in inside for x in xs)),
-            reverse=True,
-        )
+        """The border, descending: the products u * x_i of members of D reached from D as often as
+        they have variables dividing them (``_staircase_step``), cut at the bound, with 1, minus D."""
+        limit = (self.bound + 1) << self.context.shift
+        step = {m for m in _staircase_step(self.divisors, self.context.n) if m < limit}
+        return sorted((step | {self.context.base}) - self.divisors, reverse=True)
 
     def generating_vectors(self):
         """The multi-term vectors and the border monomials as one-term vectors.

@@ -19,6 +19,7 @@ over a prime field as well as over the rationals.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -188,6 +189,22 @@ def _packed_monomials(n, low, high):
             layer = [(m + steps[i], i) for m, top in layer for i in range(top + 1)]
         out.extend(m for m, _ in layer)
     return out
+
+
+def _staircase_step(monomials, n):
+    """The products u * x_i of members u of a set of packed monomials whose every quotient by a variable is a member.
+
+    A product is counted once per quotient in the set, and it passes when
+    that count equals the number of variables dividing it: adding 1 to every
+    field sets the guard bit of exactly the variables of exponent 0.  The
+    products come in no particular order.
+    """
+    shift = n * _BITS
+    ones = ((1 << shift) - 1) // _FIELD
+    guard = (MAX_DEGREE + 1) * ones
+    steps = [(1 << shift) - (1 << (i * _BITS)) for i in range(n)]  # u + steps[i] packs u * x_i
+    hits = Counter(u + step for u in monomials for step in steps)
+    return [m for m, c in hits.items() if c + ((m + ones) & guard).bit_count() == n]
 
 
 # ---------------------------------------------------------------------------

@@ -426,7 +426,7 @@ def test_negative_bounds_are_refused(capsys, argv, what):
 
 
 def test_bound_zero_keeps_its_output(capsys):
-    assert run(capsys, "ann", "--ring", "Q[x,y,z]", "--poly", "X^[2]*Y+Z^[3]", "--bound", "0") == (0, "\n", "")
+    assert run(capsys, "ann", "--ring", "Q[x,y,z]", "--poly", "X^[2]*Y+Z^[3]", "--bound", "0") == (0, "0\n", "")
     assert run(capsys, "perp", "--ring", "Q[x,y]", "--ideal", "x^2, y^2", "--bound", "0")[:2] == (0, "degree 0: 1\n")
     assert run(capsys, "span", "--ring", "Q[x,y]", "--F", "X^[2]*Y", "--bound", "0")[:2] == (
         0,

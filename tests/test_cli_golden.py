@@ -157,9 +157,11 @@ CASES = {
     "ann-fp-graded-constant": ["ann", "--ring", "Fp(7)[x,y]", "--poly", "3"],
     "ann-fp-local": ["ann", "--ring", "Fp(101)[x,y] mode local", "--poly", "X^[4]+Y^[3]+5X*Y"],
     "ann-mode-override": ["ann", "--ring", "Q[x,y]", "--mode", "local", "--poly", "X^[3]+Y^[2]"],
+    "ann-empty-window": ["ann", "--ring", "Q[x,y]", "--poly", "X^[3]", "--bound", "0"],
     "span-graded": ["span", "--ring", "Q[x,y,z]", "--F", "X^[2]*Y+Z^[3]; Y^[2]"],
     "span-local": ["span", "--ring", "Q[x,y] mode local", "--F", "X^[3]+Y^[2]"],
     "span-local-bound-json": ["span", "--json", "--ring", "Fp(5)[x,y] mode local", "--F", "X^[4]+2X*Y", "--bound", "2"],
+    "span-zero": ["span", "--ring", "Q[x,y]", "--F", "0"],
     "perp-graded": ["perp", "--ring", "Q[x,y,z]", "--ideal", CURVE, "--bound", "4"],
     "perp-graded-default": ["perp", "--ring", "Q[x,y]", "--ideal", "x^2, y^2"],
     "perp-fp-graded-empty": ["perp", "--ring", "Fp(7)[x,y]", "--ideal", "", "--bound", "1"],

@@ -7,8 +7,9 @@ from conftest import ctx_of, dual, ring_poly, rng_for
 
 from invsys import Ideal, Polynomial, buchberger, ideals_equal_mod, shift_mul
 from invsys.cli import main
+from invsys.duality import AnnihilatorWindow
 from invsys.groebner import _s_polynomial
-from invsys.ring import MAX_DEGREE, PreconditionError, _packed_monomials, ring_context
+from invsys.ring import MAX_DEGREE, PreconditionError, _packed_monomials, _staircase_step, ring_context
 
 # Reference definitions on exponent tuples: what the packed int expressions
 # used by the kernels must agree with.
@@ -161,3 +162,51 @@ def test_degree_range_starts_at_its_lowest_layer():
         shift = ring_context([f"x{i}" for i in range(n)]).shift
         window = _packed_monomials(n, 0, high)
         assert _packed_monomials(n, low, high) == [m for m in window if m >> shift >= low]
+
+
+# -- one staircase step over a set of packed monomials -------------------------
+
+
+def _tuple_window(n, top):
+    return [e for e in itertools.product(range(top + 1), repeat=n) if sum(e) <= top]
+
+
+def _quotients(e):
+    """The quotients of a monomial by the variables dividing it."""
+    return [e[:i] + (x - 1,) + e[i + 1 :] for i, x in enumerate(e) if x]
+
+
+def _monomial_sets(rng, n):
+    """Exponent sets to step from: order ideals over several degrees, arbitrary sets (often without 1), none."""
+    sets = [set()]
+    for _ in range(6):
+        tops = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        sets.append({d for t in tops for d in itertools.product(*(range(x + 1) for x in t))})
+        sets.append({e for e in _tuple_window(n, 4) if rng.random() < 0.3})
+    return sets
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_staircase_step_matches_its_definition(n):
+    # the products of members whose every quotient by a variable is a member,
+    # each once, against a scan of every monomial up to one degree past the set
+    ctx = ring_context([f"v{i}" for i in range(n)])
+    for members in _monomial_sets(rng_for(f"staircase-step-{n}"), n):
+        top = max(map(sum, members), default=0) + 1
+        want = {e for e in _tuple_window(n, top) if _quotients(e) and set(_quotients(e)) <= members}
+        step = _staircase_step({ctx.pack(e) for e in members}, n)
+        assert len(step) == len(set(step)) and set(step) == {ctx.pack(e) for e in want}
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_window_border_matches_its_definition(n):
+    # the window monomials outside D whose every quotient lies in D, 1 among
+    # them when D lacks it, descending; bounds below, at and past D's top
+    ctx = ring_context([f"v{i}" for i in range(n)])
+    for members in _monomial_sets(rng_for(f"window-border-{n}"), n):
+        top = max(map(sum, members), default=0)
+        divisors = {ctx.pack(e) for e in members}
+        for bound in range(top + 3):
+            want = [e for e in _tuple_window(n, bound) if e not in members and set(_quotients(e)) <= members]
+            border = AnnihilatorWindow(ctx, bound, divisors, []).border
+            assert border == sorted((ctx.pack(e) for e in want), reverse=True)
