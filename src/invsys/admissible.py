@@ -29,9 +29,11 @@ from .duality import (
 from .linalg import SubspaceBasis, monomial_columns, solve_affine, span_reduce, vanishing_combinations
 from .parsing import parse_polynomial, parse_ring_decl
 from .ring import (
+    MAX_DEGREE,
     DPPolynomial,
     Polynomial,
     PreconditionError,
+    _BITS,
     contract,
     contract_monomial,
     shift_mul,
@@ -355,16 +357,16 @@ def lift_space(fam, L_target, deg_bound=None):
     predecessor entry (or vanishing where the target coordinate is 1), and
     with G orthogonal to the annihilator products required by the admissible
     condition, in degree ``deg_bound`` (default: one above the largest
-    predecessor degree) for a graded family, up to it otherwise.  Returns
-    (particular solution, kernel basis) with the particular solution taken at
-    kernel coordinates zero, or None when the system is infeasible at this
-    degree bound; ``solve_lift`` refuses a negative or oversized bound.
+    predecessor degree) for a graded family, up to it otherwise: G is read off
+    the predecessors where a z_i divides, and only the rest is eliminated.
+    Returns (particular solution, kernel basis) with the particular solution
+    taken at kernel coordinates zero, or None when the system is infeasible at
+    this degree bound; ``solve_lift`` refuses a negative or oversized bound.
     """
     L_target = tuple(L_target)
     if len(L_target) != fam.d or any(l < 1 for l in L_target):
         raise PreconditionError("target must be a positive multi-index")
-    constraints = fam.step_down(L_target)
-    max_pred = max((int(T.degree()) for _, T in constraints if not T.is_zero()), default=0)
+    max_pred = max((int(T.degree()) for _, T in fam.step_down(L_target) if not T.is_zero()), default=0)
     bound = deg_bound if deg_bound is not None else max_pred + 1
 
     @functools.cache
@@ -372,7 +374,7 @@ def lift_space(fam, L_target, deg_bound=None):
         H = fam.entry(idx)
         return [] if H.is_zero() else ann_cyclic(H).gens
 
-    zero = DPPolynomial.zero(fam.context)
+    zero, constraints = DPPolynomial.zero(fam.context), []
     for i in range(fam.d):
         L = tuple(l - (1 if k == i else 0) for k, l in enumerate(L_target))
         if not all(l >= 1 for l in L):
@@ -381,39 +383,53 @@ def lift_space(fam, L_target, deg_bound=None):
         for p in ann_gens(back):
             for q in ann_gens(L):
                 constraints.append((p * q, zero))
-    solved = solve_lift(fam, bound, constraints)
+    solved = solve_lift(fam, L_target, bound, constraints)
     if solved is None:
         return None
     particular, kernel = solved
     return particular, span_reduce(kernel)
 
 
-def solve_lift(fam, degree, constraints):
-    """Next entries G of the family with g o G = T for every pair (g, T).
+def solve_lift(fam, L, degree, constraints):
+    """Entries G at index L with z_i o G = H_{L-e_i} (``fam.step_down(L)``) and g o G = T for every pair (g, T).
 
     The columns are the monomials of the given degree for a graded family
     (graded ring, every entry homogeneous), of degree up to it otherwise; a
-    negative degree or more than ``MAX_ANN_COLUMNS`` columns is refused
-    before they are built.  Returns (particular solution, kernel vectors)
-    with the particular solution taken at kernel coordinates zero, or None
-    when the system is infeasible.  The result does not depend on the order
-    of the pairs, but the cost does: contraction by a variable gives unit
-    rows on distinct columns, and listing those pairs first keeps the
-    elimination sparse.
+    negative degree or more than ``MAX_ANN_COLUMNS`` columns, all counted, is
+    refused before they are built.  G = K + G_free: K[z_i*m] = H_{L-e_i}[m]
+    fixes every column a z_i divides, which holds iff the shifts are columns
+    and z_i o K = H_{L-e_i} for each i (the predecessors agree).  Only the
+    free columns, killed by every z_i, are eliminated, against T - g o K; the
+    whole system's RREF holds K as unit rows, so the particular solution
+    (kernel coordinates zero) and the kernel vectors are its own, term for
+    term.  Returns them, or None when the system is infeasible.
     """
     ctx = fam.context
     graded = ctx.mode == "graded" and all(H.is_homogeneous() for H in fam.entries.values())
     columns = monomial_columns(ctx.n, degree if graded else 0, degree, "lifting system", "of")
-    rows = contraction_rows([g for g, _ in constraints], columns)
-    for k, (_, T) in enumerate(constraints):
-        for m in T.terms:
-            rows.setdefault((k, m), {})  # unreached target term: 0 = T_m, infeasible
-    rhs = [constraints[k][1].terms.get(d, 0) for k, d in rows]
-    solved = solve_affine(list(rows.values()), rhs, columns, ctx.one)
+    # a predecessor term m shifts onto a column iff low <= m < high
+    low, high = (degree - 1 if graded else -1) << ctx.shift, degree << ctx.shift
+    fixed, step_down = {}, fam.step_down(L)
+    for (z, H), pos in zip(step_down, fam.z_indices):
+        if any(not low <= m < high for m in H.terms):
+            return None
+        fixed.update((m + ctx.var_monomials[pos] - ctx.base, a) for m, a in H.terms.items())
+    K = DPPolynomial._of(ctx, fixed)
+    if any(contract(z, K) != H for z, H in step_down):
+        return None
+    zmask = sum(MAX_DEGREE << (pos * _BITS) for pos in fam.z_indices)  # z_i's field holds MAX_DEGREE - e_i
+    free = [c for c in columns if c & zmask == zmask]
+    rows = contraction_rows([g for g, _ in constraints], free)
+    residuals = [T - contract(g, K) for g, T in constraints]
+    for k, R in enumerate(residuals):
+        for m in R.terms:
+            rows.setdefault((k, m), {})  # unreached residual term: 0 = R_m, infeasible
+    rhs = [residuals[k].terms.get(m, 0) for k, m in rows]
+    solved = solve_affine(list(rows.values()), rhs, free, ctx.one)
     if solved is None:
         return None
     particular, kernel = solved
-    return DPPolynomial._of(ctx, particular), [DPPolynomial._of(ctx, v) for v in kernel]
+    return DPPolynomial._of(ctx, fixed | particular), [DPPolynomial._of(ctx, v) for v in kernel]
 
 
 # ---------------------------------------------------------------------------

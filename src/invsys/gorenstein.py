@@ -154,9 +154,12 @@ def family_from_ideal(I, z_indices, t0, trunc=None):
     (kernel coordinates zero) of the affine system that contracts correctly
     onto its predecessors and is annihilated by the ideal: in degree
     r + |L| - d (r the base degree) when graded, up to degree trunc
-    otherwise.  The distinguished variables and t0 are checked first, by
+    otherwise.  ``solve_lift`` reads the entry off the predecessors where a
+    distinguished variable divides and eliminates only the other columns.
+    The distinguished variables and t0 are checked first, by
     ``AdmissibleFamily``; a box whose lifting systems need more than
-    ``MAX_ANN_COLUMNS`` columns in all is refused before the first lift.
+    ``MAX_ANN_COLUMNS`` columns in all, every column counted, is refused
+    before the first lift.
     """
     ctx = I.context
     z_indices = tuple(z_indices)
@@ -182,8 +185,9 @@ def family_from_ideal(I, z_indices, t0, trunc=None):
     columns = sum(column_count(ctx.n, D if graded else 0, D) for D in degrees)
     refuse_oversized(columns, f"lifting the family box to t0 = {t0}")
     zero = DPPolynomial.zero(ctx)
+    annihilated = [(g, zero) for g in I.gens]
     for L, D in zip(order, degrees):
-        lifted = solve_lift(shell, D, shell.step_down(L) + [(g, zero) for g in I.gens])
+        lifted = solve_lift(shell, L, D, annihilated)
         if lifted is None:
             cause = "" if graded else f"the truncation {trunc} is too low, "
             raise PreconditionError(

@@ -14,6 +14,7 @@ from invsys import (
     check_condition_two,
     check_family,
     cone_family,
+    contract,
     diagonal_decompose,
     dump_family,
     is_zero_family,
@@ -26,7 +27,8 @@ from invsys import (
     shift_mul,
 )
 from invsys import admissible
-from invsys.duality import flatten, ideals_equal_mod
+from invsys.duality import contraction_rows, flatten, ideals_equal_mod
+from invsys.linalg import monomial_columns, solve_affine
 
 
 # -- construction and auto-fill -------------------------------------------------
@@ -330,6 +332,19 @@ def test_lift_space_infeasible():
     assert out is None
 
 
+def test_lift_space_two_parameter_inconsistent():
+    # x o H_(2,1) = 2Z and y o H_(1,2) = Z: no G at (2,2) contracts onto both,
+    # since x and y would have to agree on X*Y*Z; only that check sees it, as
+    # the annihilator products vanish on either choice there
+    ctx = ctx_of("ring Q[x,y,z,w] dual [X,Y,Z,W] mode graded")
+    entries = {(1, 1): dual(ctx, "Z"), (1, 2): dual(ctx, "Y*Z"), (2, 1): dual(ctx, "2X*Z")}
+    fam = admissible.AdmissibleFamily(ctx, 2, (0, 1), entries, 2)
+    assert lift_space(fam, (2, 2)) is None
+    assert admissible.solve_lift(fam, (2, 2), 3, []) is None
+    entries[(2, 1)] = dual(ctx, "X*Z")
+    assert lift_space(fam, (2, 2))[0] == dual(ctx, "X*Y*Z")
+
+
 def test_oversized_graded_lift_is_refused_up_front(curve_codim2):
     # a graded lift solves in one degree: C(2 + 446, 2) = 100128 columns,
     # just over the limit (the window up to 446 would hold C(449, 3))
@@ -347,6 +362,125 @@ def test_lift_extends_family_admissibly(curve_codim2):
         ctx, (0,), {(l,): fam.entry((l,)) for l in range(1, 6)} | {(6,): H6}
     )
     assert check_family(extended).passed
+
+
+def _full_system_lift(fam, L, degree, constraints):
+    """``solve_lift`` as one elimination over every column: the step-down rows, then the constraint rows."""
+    ctx = fam.context
+    constraints = fam.step_down(L) + list(constraints)
+    graded = ctx.mode == "graded" and all(H.is_homogeneous() for H in fam.entries.values())
+    columns = monomial_columns(ctx.n, degree if graded else 0, degree, "lifting system", "of")
+    rows = contraction_rows([g for g, _ in constraints], columns)
+    for k, (_, T) in enumerate(constraints):
+        for m in T.terms:
+            rows.setdefault((k, m), {})
+    rhs = [constraints[k][1].terms.get(m, 0) for k, m in rows]
+    solved = solve_affine(list(rows.values()), rhs, columns, ctx.one)
+    if solved is None:
+        return None
+    particular, kernel = solved
+    return DPPolynomial._of(ctx, particular), [DPPolynomial._of(ctx, v) for v in kernel]
+
+
+def _same_lift(a, b):
+    if a is None or b is None:
+        return a is b
+    (pa, ka), (pb, kb) = a, b
+    ka, kb = (getattr(k, "vectors", k) for k in (ka, kb))  # a SubspaceBasis from lift_space
+    return pa == pb and [v.terms for v in ka] == [v.terms for v in kb]
+
+
+def _lift_both_ways(monkeypatch, fam, L, bound=None):
+    """``lift_space`` as it is and with the full-system reference in place of ``solve_lift``."""
+    fast = lift_space(fam, L, bound)
+    with monkeypatch.context() as m:
+        m.setattr(admissible, "solve_lift", _full_system_lift)
+        slow = lift_space(fam, L, bound)
+    return fast, slow
+
+
+def _random_dual(rng, ctx, degrees, positions, terms):
+    """A sum of random dual monomials in the variables at ``positions``, their degrees drawn from ``degrees``."""
+    out = {}
+    for _ in range(terms):
+        exps = [0] * ctx.n
+        for _ in range(rng.choice(degrees)):
+            exps[rng.choice(positions)] += 1
+        out[tuple(exps)] = ctx.scalar(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return DPPolynomial(ctx, out)
+
+
+def _random_lift_case(rng, field, mode, d):
+    """A family at t0 = 2 from one random entry, maybe perturbed, with a target and a degree bound.
+
+    Half the families are cones, which are admissible, and half are derived
+    by contraction from a random top entry.
+    """
+    ctx = ctx_of(f"ring {field}[{','.join('xyzw'[: d + 2])}] mode {mode}")
+    top = rng.randint(1, 4)
+    degrees = [top] if mode == "graded" else range(top + 1)
+    cone = rng.random() < 0.5
+    F = _random_dual(rng, ctx, degrees, range(d if cone else 0, ctx.n), rng.randint(1, 5))
+    fam = cone_family(F, d, 2) if cone else build_family(ctx, tuple(range(d)), {(2,) * d: F}, 2)
+    L = rng.choice([(3,), (2,)] if d == 1 else [(3, 1), (1, 3), (2, 2)])
+    if rng.random() < 0.4:  # perturb one predecessor by a term, of its own degree in graded mode
+        idx = rng.choice([tuple(l - (j == i) for j, l in enumerate(L)) for i in range(d) if L[i] > 1])
+        H = fam.entries[idx]
+        degrees = [int(H.degree())] if mode == "graded" and not H.is_zero() else range(5)
+        fam.entries[idx] = H + _random_dual(rng, ctx, degrees, range(ctx.n), 1)
+    top = max((int(T.degree()) for _, T in fam.step_down(L) if not T.is_zero()), default=0)
+    return fam, L, rng.choice([None, None, top, top + 2])
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(7)", "Fp(32003)"])
+def test_lift_space_matches_the_full_system(monkeypatch, field):
+    # seeded draws, graded and local, d = 1 and 2; particular solutions and
+    # kernels agree term for term, and so do the infeasible verdicts
+    rng = rng_for(f"full-system-lift-{field}")
+    verdicts = []
+    for mode in ("graded", "local"):
+        for d in (1, 2):
+            for _ in range(10):
+                fam, L, bound = _random_lift_case(rng, field, mode, d)
+                fast, slow = _lift_both_ways(monkeypatch, fam, L, bound)
+                assert _same_lift(fast, slow), (mode, d, L, bound, dump_family(fam))
+                verdicts.append(fast is None)
+    assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(7)", "Fp(32003)"])
+@pytest.mark.parametrize("mode", ["graded", "local"])
+def test_lift_mutants_agree_with_the_full_system(monkeypatch, field, mode):
+    ctx = ctx_of(f"ring {field}[x,y,z,w] mode {mode}")
+    # the complete intersection z^2+w^2-x*y, z*w-x^2+y*w with z = x, y
+    given = {
+        (1, 2): dual(ctx, "Y*Z^[2]-Z^[3]-Y*W^[2]+Z*W^[2]"),
+        (2, 2): dual(ctx, "X*Y*Z^[2]-X*Z^[3]+Z^[4]-X*Y*W^[2]+X*Z*W^[2]-W^[4]"),
+    }
+    fam = build_family(ctx, (0, 1), given, 2)
+    assert _same_lift(*_lift_both_ways(monkeypatch, fam, (2, 2)))
+    assert lift_space(fam, (2, 2)) is not None
+    # a predecessor perturbed by Y*Z^[2], whose shift by x is the column
+    # X*Y*Z^[2] that x*y divides: the predecessors disagree at (1,1)
+    bent = admissible.AdmissibleFamily(ctx, 2, (0, 1), dict(fam.entries), 2)
+    bent.entries[(1, 2)] = fam.entry((1, 2)) + dual(ctx, "Y*Z^[2]")
+    fast, slow = _lift_both_ways(monkeypatch, bent, (2, 2))
+    assert fast is None and slow is None
+    assert admissible.solve_lift(bent, (2, 2), 4, []) is None
+    # a predecessor term shifted past the degree bound
+    for L in ((2, 2), (3, 1)):
+        top = max(int(T.degree()) for _, T in fam.step_down(L) if not T.is_zero())
+        fast, slow = _lift_both_ways(monkeypatch, fam, L, top)
+        assert fast is None and slow is None
+    # a constraint whose residual lands on monomials that x or y divides: y o K
+    # is X-divisible, so the constraint holds only for the right-hand side y o G
+    G = fam.entry((2, 2))
+    y = ring_poly(ctx, "y")
+    zero = DPPolynomial.zero(ctx)
+    for T, feasible in ((contract(y, G), True), (zero, False)):
+        fast = admissible.solve_lift(fam, (2, 2), 4, [(y, T)])
+        assert _same_lift(fast, _full_system_lift(fam, (2, 2), 4, [(y, T)]))
+        assert (fast is not None) == feasible
 
 
 # -- diagonal decomposition -------------------------------------------------------------------

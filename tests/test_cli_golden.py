@@ -87,6 +87,16 @@ H[1,2] = Y*Z^[2]-Z^[3]-Y*W^[2]+Z*W^[2]
 H[2,1] = X*Z^[2]-X*W^[2]
 H[2,2] = X*Y*Z^[2]-X*Z^[3]+Z^[4]-X*Y*W^[2]+X*Z*W^[2]-W^[4]
 """,
+    "ci2-inconsistent": """\
+ring Q[x,y,z,w] dual [X,Y,Z,W] mode graded
+d 2
+z x y
+t0 2
+# x o H[2,1] = 2*Z but y o H[1,2] = Z
+H[1,2] = Y*Z
+H[2,1] = 2*X*Z
+H[2,2] = X*Y*Z
+""",
     "curve-fp": """\
 ring Fp(7)[x,y,z] dual [X,Y,Z] mode graded
 d 1
@@ -184,6 +194,7 @@ CASES = {
     "lift-two-parameter": ["lift", "--family", "@ci2", "--target", "3,1"],
     "lift-two-parameter-json": ["lift", "--json", "--family", "@ci2", "--target", "1,3"],
     "lift-missing-predecessor": ["lift", "--family", "@ci2", "--target", "3,2"],
+    "lift-two-parameter-inconsistent": ["lift", "--family", "@ci2-inconsistent", "--target", "2,2"],
     "family-from-ideal-graded": ["family-from-ideal", "--ring", "Q[x,y,z]", "--ideal", CURVE, "--z", "x", "--t0", "4"],
     "family-from-ideal-fp": ["family-from-ideal", "--ring", "Fp(7)[x,y,z]", "--ideal", CURVE, "--z", "x", "--t0", "3"],
     "family-from-ideal-two-parameter": ["family-from-ideal", "--ring", "Q[x,y,z,w]", "--ideal", "z^2+w^2-x*y, z*w-x^2+y*w", "--z", "x,y", "--t0", "2"],

@@ -26,7 +26,7 @@ from invsys import (
     perp_ideal,
     span_dim,
 )
-from invsys import groebner, linalg
+from invsys import admissible, groebner, linalg
 from invsys.duality import flatten, ideal_contains_mod, ideal_window_span, ideals_equal_mod
 from invsys.gorenstein import second_difference
 from invsys.groebner import hilbert_data, is_regular_sequence
@@ -232,8 +232,7 @@ def test_family_from_ideal_matches_cone_spans():
 
 # SHA-256 of ``dump_family`` of the elliptic surface's family at t0 = 5 over
 # Q, recorded with Fraction rows in the echelon engine; the family's lifts
-# and its condition-two check in intersection mode are the heaviest Q
-# eliminations of the suite.
+# and its condition-two check in intersection mode run Q eliminations.
 ELLIPTIC_T0_5_DIGEST = "e856f412f972b0b68c5cf676526a7e2a677940bf67a4966586c0af2a647ef3be"
 
 
@@ -241,6 +240,24 @@ def test_elliptic_family_at_t0_5_matches_its_pinned_digest(elliptic_curve):
     fam = family_from_ideal(elliptic_curve["ideal"], (3, 4), 5)
     assert hashlib.sha256(dump_family(fam).encode()).hexdigest() == ELLIPTIC_T0_5_DIGEST
     assert check_condition_two(fam, "intersection").passed
+
+
+def test_local_lifts_eliminate_only_the_free_columns(monkeypatch):
+    # the semigroup ideal of the local benchmark (there with scaled
+    # coefficients) at t0 = 6 and the default truncation 10: each lift reads
+    # its 220 columns that x divides off the predecessor and eliminates over
+    # the 66 monomials in y, z alone, not over all 286 of the window
+    ctx = ctx_of("ring Fp(32003)[x,y,z] dual [X,Y,Z] mode local")
+    widths = []
+    solve = admissible.solve_affine
+
+    def counting(rows, rhs, columns, one):
+        widths.append(len(columns))
+        return solve(rows, rhs, columns, one)
+
+    monkeypatch.setattr(admissible, "solve_affine", counting)
+    fam = family_from_ideal(ideal_of(ctx, "y*z-x^3, z^2-y^3"), (0,), 6)
+    assert len(fam.entries) == 6 and widths == [66] * 5
 
 
 def test_family_from_ideal_rejects_non_gorenstein():
