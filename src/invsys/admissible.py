@@ -29,11 +29,9 @@ from .duality import (
 from .linalg import SubspaceBasis, monomial_columns, solve_affine, span_reduce, vanishing_combinations
 from .parsing import parse_polynomial, parse_ring_decl
 from .ring import (
-    MAX_DEGREE,
     DPPolynomial,
     Polynomial,
     PreconditionError,
-    _BITS,
     contract,
     contract_monomial,
     shift_mul,
@@ -399,14 +397,16 @@ def solve_lift(fam, L, degree, constraints):
     refused before they are built.  G = K + G_free: K[z_i*m] = H_{L-e_i}[m]
     fixes every column a z_i divides, which holds iff the shifts are columns
     and z_i o K = H_{L-e_i} for each i (the predecessors agree).  Only the
-    free columns, killed by every z_i, are eliminated, against T - g o K; the
-    whole system's RREF holds K as unit rows, so the particular solution
-    (kernel coordinates zero) and the kernel vectors are its own, term for
-    term.  Returns them, or None when the system is infeasible.
+    free columns, the monomials in the other variables, which every z_i
+    kills, are built and eliminated, against T - g o K; the whole system's
+    RREF holds K as unit rows, so the particular solution (kernel
+    coordinates zero) and the kernel vectors are its own, term for term.
+    Returns them, or None when the system is infeasible.
     """
     ctx = fam.context
     graded = ctx.mode == "graded" and all(H.is_homogeneous() for H in fam.entries.values())
-    columns = monomial_columns(ctx.n, degree if graded else 0, degree, "lifting system", "of")
+    others = [i for i in range(ctx.n) if i not in fam.z_indices]
+    free = monomial_columns(ctx.n, degree if graded else 0, degree, "lifting system", "of", others)
     # a predecessor term m shifts onto a column iff low <= m < high
     low, high = (degree - 1 if graded else -1) << ctx.shift, degree << ctx.shift
     fixed, step_down = {}, fam.step_down(L)
@@ -417,8 +417,6 @@ def solve_lift(fam, L, degree, constraints):
     K = DPPolynomial._of(ctx, fixed)
     if any(contract(z, K) != H for z, H in step_down):
         return None
-    zmask = sum(MAX_DEGREE << (pos * _BITS) for pos in fam.z_indices)  # z_i's field holds MAX_DEGREE - e_i
-    free = [c for c in columns if c & zmask == zmask]
     rows = contraction_rows([g for g, _ in constraints], free)
     residuals = [T - contract(g, K) for g, T in constraints]
     for k, R in enumerate(residuals):

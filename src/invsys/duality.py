@@ -253,6 +253,8 @@ def _term_divisors(gens, bound):
     (k, L/u), column u, value a.  The divisors are listed variable by
     variable, each once, so the work follows the number of entries.
     """
+    if not gens:  # every generator was zero
+        return []
     ctx = gens[0].context
     base = ctx.base
     steps = [x - base for x in ctx.var_monomials]  # u + step packs u * x
@@ -312,23 +314,57 @@ class AnnihilatorWindow:
         return self.multi_term + [Polynomial._of(self.context, {u: self.context.unit}) for u in self.border]
 
 
+def _top_generators(gens):
+    """The nonzero generators that no other one reaches by a monomial contraction, in order.
+
+    A generator G is dropped when G = c * (m o F) for another generator F, a
+    monomial m and a unit c; for m = 1, proportional generators, only when F
+    comes earlier.  Contraction by m keeps the degrevlex order of the terms
+    that m divides, so the lead t of G is L/m for a term L of F: only those
+    m are tried, each by comparing monic term dicts.  Each drop lowers the
+    degree or the list position, so every dropped generator traces back to a
+    kept one, and Ann(F) lies in Ann(m o F).
+    """
+    ctx = gens[0].context
+    base, guard = ctx.base, ctx.guard
+    kept = []
+    for j, g in enumerate(gens):
+        if not g.terms:
+            continue
+        t = max(g.terms)
+        tries = (
+            contract_monomial(m, f).terms
+            for i, f in enumerate(gens)
+            if i != j
+            for l in f.terms
+            if not (m := l - t + base) & guard and (m != base or i < j)  # m packs L/t
+        )
+        if not any(h.keys() == g.terms.keys() and DPPolynomial._of(ctx, h).monic() == g.monic() for h in tries):
+            kept.append(g)
+    return kept
+
+
 def annihilator_window(gens, bound):
     """The joint annihilator of the given dual elements within R_{<=bound}.
 
     Returns an ``AnnihilatorWindow``: the divisor set D and the multi-term
-    kernel vectors, eliminated over the columns in D only.  The matrix is
-    built from its nonzero entries, the (term, divisor) pairs of
-    ``_term_divisors``, and D is the set of those divisors.  For homogeneous
-    generators the matrix is block-diagonal by degree (a column of degree j
-    reaches only rows of degree deg F - j), so the kernel is the union of the
-    per-degree kernels.  Generators of another ring context or side, a
-    negative bound, windows of more than ``MAX_ANN_COLUMNS`` monomials and
-    degrees above the packing limit are refused up front, in that order.
+    kernel vectors, eliminated over the columns in D only.  A generator that
+    another one reaches by a monomial contraction adds no rows: its divisors
+    and its rows, scalar multiples of the other's, are already there
+    (``_top_generators``).  The matrix is built from its nonzero entries, the
+    (term, divisor) pairs of ``_term_divisors``, and D is the set of those
+    divisors.  For homogeneous generators the matrix is block-diagonal by
+    degree (a column of degree j reaches only rows of degree deg F - j), so
+    the kernel is the union of the per-degree kernels.  Generators of
+    another ring context or side, a negative bound, windows of more than
+    ``MAX_ANN_COLUMNS`` monomials and degrees above the packing limit are
+    refused up front, in that order, before any generator is dropped.
     """
     ctx = gens[0].context
     for g in gens:
         check_side(ctx, g, DPPolynomial)
     refuse_column_range(ctx.n, 0, bound, "annihilator")
+    gens = _top_generators(gens)
     pairs = _term_divisors(gens, bound)
     divisors = {u for *_, us in pairs for u in us}
     columns = sorted(divisors, reverse=True)

@@ -296,14 +296,16 @@ def refuse_column_range(n, low, high, what, scope="up to"):
     _check_degree(high)
 
 
-def monomial_columns(n, low, high, what, scope="up to"):
+def monomial_columns(n, low, high, what, scope="up to", variables=None):
     """The packed monomials of degree low..high in n variables, degrevlex descending.
 
     Column 0 is the largest monomial, so leftmost pivots are canonical
-    leading monomials.  ``refuse_column_range`` runs before any is built.
+    leading monomials.  ``refuse_column_range`` runs before any is built and
+    counts all of them, also when only the monomials in the listed
+    ``variables`` (positions) are built.
     """
     refuse_column_range(n, low, high, what, scope)
-    return sorted(_packed_monomials(n, low, high), reverse=True)
+    return sorted(_packed_monomials(n, low, high, variables), reverse=True)
 
 
 # ---------------------------------------------------------------------------

@@ -158,30 +158,37 @@ def _check_degree(degree):
         raise PreconditionError(f"total degree {degree} exceeds the limit {MAX_DEGREE} of packed monomials")
 
 
-def _packed_monomials(n, low, high):
+def _packed_monomials(n, low, high, variables=None):
     """Packed monomials of degree low..high in n variables, each once: factor indices never rise.
 
-    A monomial of degree d is the non-increasing sequence of its d factor
-    indices, and each layer lists them in ascending lexicographic order,
-    the order in which stepping up from degree 0 (appending any index up to
-    the last one, ``top``) produces them.  Layer ``low`` > 0 starts at
-    x_0^low and walks that order directly: the successor replaces the c
-    trailing factors equal to the least index ``top`` by one factor
-    top + 1 and c - 1 factors 0.  ``low`` is at least 0.
+    Only the listed ``variables`` (positions, all n by default) occur as
+    factors, and an index is a position in that list.  A monomial of degree
+    d is the non-increasing sequence of its d factor indices, and each layer
+    lists them in ascending lexicographic order, the order in which stepping
+    up from degree 0 (appending any index up to the last one, ``top``)
+    produces them.  Layer ``low`` > 0 starts at x_0^low and walks that order
+    directly: the successor replaces the c trailing factors equal to the
+    least index ``top`` by one factor top + 1 and c - 1 factors 0.  ``low``
+    is at least 0.
     """
     _check_degree(high)
     shift = n * _BITS
-    steps = [(1 << shift) - (1 << (i * _BITS)) for i in range(n)]
-    m = MAX_DEGREE * (((1 << shift) - 1) // _FIELD) + low * steps[0]
-    top, c = (0, low) if low else (n - 1, 0)  # c factors equal the least index top
+    variables = range(n) if variables is None else variables
+    steps = [(1 << shift) - (1 << (i * _BITS)) for i in variables]
+    m = MAX_DEGREE * (((1 << shift) - 1) // _FIELD)
+    if not steps:  # no variable: the monomial 1 alone
+        return [m] if low == 0 else []
+    k = len(steps)
+    m += low * steps[0]
+    top, c = (0, low) if low else (k - 1, 0)  # c factors equal the least index top
     layer = [(m, top)]
-    while top < n - 1:
+    while top < k - 1:
         m += steps[top + 1] - c * steps[top] + (c - 1) * steps[0]
         if c > 1:
             top, c = 0, c - 1
         else:
             top += 1
-            c = MAX_DEGREE - (m >> (top * _BITS) & _FIELD)
+            c = MAX_DEGREE - (m >> (variables[top] * _BITS) & _FIELD)
         layer.append((m, top))
     out = []
     for d in range(low, high + 1):

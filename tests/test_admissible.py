@@ -448,6 +448,34 @@ def test_lift_space_matches_the_full_system(monkeypatch, field):
     assert set(verdicts) == {True, False}
 
 
+@pytest.mark.parametrize("mode", ["graded", "local"])
+def test_lift_columns_are_the_window_columns_no_z_divides(monkeypatch, mode):
+    # the free columns are built from the other variables alone; they are the
+    # window's columns that no distinguished variable divides, in its order
+    rng = rng_for(f"lift-columns-{mode}")
+    seen, calls = [], 0
+    solve = admissible.solve_affine
+
+    def capturing(rows, rhs, columns, one):
+        seen.append(columns)
+        return solve(rows, rhs, columns, one)
+
+    monkeypatch.setattr(admissible, "solve_affine", capturing)
+    for d in (1, 2):
+        for _ in range(8):
+            fam, L, _ = _random_lift_case(rng, "Fp(7)", mode, d)
+            ctx = fam.context
+            graded = mode == "graded" and all(H.is_homogeneous() for H in fam.entries.values())
+            for degree in range(6):
+                seen.clear()
+                admissible.solve_lift(fam, L, degree, [])
+                window = monomial_columns(ctx.n, degree if graded else 0, degree, "lifting system", "of")
+                free = [c for c in window if not any(ctx.unpack(c)[pos] for pos in fam.z_indices)]
+                assert seen in ([], [free])
+                calls += bool(seen)
+    assert calls > 8
+
+
 @pytest.mark.parametrize("field", ["Q", "Fp(7)", "Fp(32003)"])
 @pytest.mark.parametrize("mode", ["graded", "local"])
 def test_lift_mutants_agree_with_the_full_system(monkeypatch, field, mode):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import time
 
 import pytest
@@ -32,8 +33,16 @@ from invsys.duality import (
     ideal_window_span,
     ideals_equal_mod,
 )
-from invsys.linalg import SpanBuilder, kernel_vectors, monomial_columns
-from invsys.ring import DPPolynomial, Polynomial, _packed_monomials, contract, contract_monomial, shift_mul
+from invsys.linalg import SpanBuilder, kernel_vectors, monomial_columns, refuse_column_range
+from invsys.ring import (
+    DPPolynomial,
+    Polynomial,
+    _packed_monomials,
+    check_side,
+    contract,
+    contract_monomial,
+    shift_mul,
+)
 
 
 # -- module spans --------------------------------------------------------------
@@ -542,6 +551,29 @@ def test_spans_and_annihilators_refuse_mixed_contexts(held, other):
         assert builder.basis() == [first]
 
 
+@pytest.mark.parametrize(
+    "other", [f"ring Fp({P})[x,y] dual [X,Y]", "ring Q[x,y] dual [X,Y] mode local", "ring side"]
+)
+def test_generators_from_another_context_are_refused_not_dropped(other):
+    # X*Y is x o F; written in another field, another mode or on the ring side
+    # it has the same packed terms and coefficients, so a window that dropped
+    # reached generators before checking them would drop it silently
+    a = ctx_of("ring Q[x,y] dual [X,Y]")
+    F = dual(a, "X^[2]*Y+Y^[3]")
+    G = ring_poly(a, "x*y") if other == "ring side" else dual(ctx_of(other), "X*Y")
+    assert G.terms == contract_monomial(a.pack((1, 0)), F).terms
+    for gens in ([F, G], [G, F]):
+        first, second = gens[0].context, gens[1].context
+        if other == "ring side":
+            message = "mixed sides: DPPolynomial and Polynomial"
+        else:
+            kind = "mixed fields" if first.char != second.char else "mixed ring contexts"
+            message = f"{kind}: {first.decl()} and {second.decl()}"
+        for refused in (lambda: annihilator_window(gens, 3), lambda: ann_module(gens)):
+            with pytest.raises(ContextMismatchError, match=f"^{re.escape(message)}$"):
+                refused()
+
+
 def test_ideal_window_spans_refuse_generators_from_another_context():
     # built in the context argument, the Q[x,y,z] generator x*z+y read its
     # packed monomials as those of Q[x,y] and gave an empty window span, so
@@ -810,3 +842,125 @@ def test_term_divisors_list_every_window_entry_of_the_surface_diagonal(surface_c
             (k, d, u, c) for u in window for k, g in enumerate(diagonal) for d, c in contract_monomial(u, g).terms.items()
         }
     assert len({u for *_, us in _term_divisors(diagonal, 5) for u in us}) == 245
+
+
+# -- windows over the top generators ------------------------------------------------
+
+
+def _stacked_window(gens, bound):
+    """``annihilator_window`` with one contraction row block per generator, none dropped."""
+    ctx = gens[0].context
+    for g in gens:
+        check_side(ctx, g, DPPolynomial)
+    refuse_column_range(ctx.n, 0, bound, "annihilator")
+    pairs = _term_divisors(gens, bound)
+    divisors = {u for *_, us in pairs for u in us}
+    columns = sorted(divisors, reverse=True)
+    position = {u: j for j, u in enumerate(columns)}
+    rows = [{} for _ in gens]
+    for k, l, a, us in pairs:
+        l += ctx.base
+        row_at = rows[k].setdefault
+        for u in us:
+            row_at(l - u, {})[position[u]] = a
+    kernel = kernel_vectors([row for by_quotient in rows for row in by_quotient.values()], columns, ctx.one)
+    return duality.AnnihilatorWindow(ctx, bound, divisors, [Polynomial._of(ctx, v) for v in kernel])
+
+
+def _random_unit(rng, ctx):
+    return ctx.scalar(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 5))
+
+
+def _reached(rng, F):
+    """c * (m o F) for a unit c and a monomial m dividing a term of F, m = 1 included."""
+    ctx = F.context
+    m = tuple(rng.randint(0, e) for e in ctx.unpack(rng.choice(list(F.terms))))
+    return contract_monomial(ctx.pack(m), F).scale(_random_unit(rng, ctx))
+
+
+def _bent(rng, G):
+    """G with the coefficient of one term other than its lead moved: not a unit multiple of G."""
+    ctx = G.context
+    m = rng.choice(sorted(G.terms)[:-1])
+    return G + DPPolynomial._of(ctx, {m: ctx.to_term(ctx.scalar(rng.choice([-1, 1])))})
+
+
+def _pruning_case(rng, ctx, homogeneous):
+    """Dual generators, some reached from others: chains of contractions by random
+    monomials scaled by random units, a proportional duplicate on either side of
+    its original, near misses with one coefficient bent, unrelated generators and
+    zeros, shuffled."""
+    F = _random_dual(rng, ctx, homogeneous)
+    gens = [F]
+    for _ in range(rng.randint(1, 3)):  # each one reached from an earlier one
+        gens.append(_reached(rng, rng.choice(gens)))
+    twin = rng.choice(gens)
+    gens.insert(gens.index(twin) + rng.randint(0, 1), twin.scale(_random_unit(rng, ctx)))
+    near = [G for G in gens if len(G.terms) > 1]
+    if near and rng.random() < 0.6:
+        gens.append(_bent(rng, rng.choice(near)))
+    for _ in range(rng.randint(0, 1)):
+        gens.append(_random_dual(rng, ctx, homogeneous))
+    for _ in range(rng.randint(0, 1)):
+        gens.append(DPPolynomial.zero(ctx))
+    if rng.random() < 0.5:
+        rng.shuffle(gens)
+    return gens
+
+
+def _annihilator_parts(gens, bound):
+    J = ann_module(gens, bound)
+    gb = J.cached_gb
+    return (
+        [g.terms for g in J.gens],
+        gb and ([g.terms for g in gb.elements], gb.staircase),
+        J.cached_hilbert,
+    )
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(7)", f"Fp({P})"])
+@pytest.mark.parametrize("mode", ["graded", "local"])
+def test_top_generator_windows_match_the_stacked_window(monkeypatch, field, mode):
+    # a generator that another reaches by a monomial contraction adds no rows;
+    # the window, the annihilator's generators, its Groebner basis with the
+    # staircase and its Hilbert data come out term for term as when every
+    # generator stacks its rows
+    rng = rng_for(f"top-generators-{field}-{mode}")
+    dropped = 0
+    for k in range(12):
+        names = "xyzt"[: rng.randint(2, 4)]
+        ctx = ctx_of(f"ring {field}[{','.join(names)}] dual [{','.join(names.upper())}] mode {mode}")
+        gens = _pruning_case(rng, ctx, mode == "graded")
+        top = max(int(g.degree()) for g in gens if g.terms)
+        dropped += len(gens) - len(duality._top_generators(gens))
+        for bound in (rng.randint(0, max(top - 1, 0)), top, top + 1 + k % 2):
+            window, stacked = annihilator_window(gens, bound), _stacked_window(gens, bound)
+            assert window.divisors == stacked.divisors
+            assert [v.terms for v in window.multi_term] == [v.terms for v in stacked.multi_term]
+            fast = _annihilator_parts(gens, bound)
+            with monkeypatch.context() as m:
+                m.setattr(duality, "annihilator_window", _stacked_window)
+                assert fast == _annihilator_parts(gens, bound), (k, bound, [str(g) for g in gens])
+    assert dropped > 12
+    zero = DPPolynomial.zero(ctx)
+    for gens in ([zero], [zero, zero]):
+        window, stacked = annihilator_window(gens, 2), _stacked_window(gens, 2)
+        assert window.divisors == stacked.divisors == set() and window.multi_term == stacked.multi_term == []
+
+
+def test_surface_diagonal_window_stacks_the_top_entry_alone(monkeypatch, surface_codim4):
+    # each entry of the diagonal is x*y o the next up to a unit, so the window
+    # eliminates 479 rows of the top entry over the 245 divisors, not the 2627
+    # of all eight entries
+    diagonal = surface_codim4["diagonal"]
+    assert duality._top_generators(diagonal) == [diagonal[-1]]
+    sizes = []
+    kernel = duality.kernel_vectors
+
+    def counting(rows, columns, one):
+        sizes.append((len(rows), len(columns)))
+        return kernel(rows, columns, one)
+
+    monkeypatch.setattr(duality, "kernel_vectors", counting)
+    ann_module(diagonal, degree_bound=5)
+    assert sizes == [(479, 245)]

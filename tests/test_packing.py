@@ -164,6 +164,21 @@ def test_degree_range_starts_at_its_lowest_layer():
         assert _packed_monomials(n, low, high) == [m for m in window if m >> shift >= low]
 
 
+def test_degree_range_in_some_variables_is_the_window_without_the_others():
+    # listed variables only, none at all included: the monomials of the
+    # window in which no other variable occurs, in the window's order
+    rng = rng_for("packed-variables")
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        high = rng.randint(0, 9)
+        low = rng.randint(0, high)
+        variables = sorted(rng.sample(range(n), rng.randint(0, n)))
+        ctx = ring_context([f"x{i}" for i in range(n)])
+        window = _packed_monomials(n, low, high)
+        expected = [m for m in window if not any(e for i, e in enumerate(ctx.unpack(m)) if i not in variables)]
+        assert _packed_monomials(n, low, high, variables) == expected
+
+
 # -- one staircase step over a set of packed monomials -------------------------
 
 
