@@ -111,7 +111,7 @@ def cmd_perp(args):
     ctx = _ring(args)
     ideal = Ideal(parse_ideal_gens(args.ideal, ctx), ctx)
     slices = perp_ideal(ideal, args.bound)
-    _emit(args, _slices_text(slices), {"slices": _slices_payload(slices)})
+    _emit(args, _slices_text(slices) or "0", {"slices": _slices_payload(slices)})
 
 
 def cmd_hilbert(args):
@@ -119,7 +119,7 @@ def cmd_hilbert(args):
     ideal = Ideal(parse_ideal_gens(args.ideal, ctx), ctx)
     if ctx.mode == "local":
         hf = hilbert_function(perp_ideal(ideal, args.bound))
-        _emit(args, " ".join(str(v) for v in hf), {"hilbert_function": hf})
+        _emit(args, " ".join(str(v) for v in hf) or "0", {"hilbert_function": hf})
         return
     data = hilbert_data(ideal)
     text = (

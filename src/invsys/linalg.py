@@ -43,6 +43,11 @@ class _Echelon:
     only those rows; a pivot column needs no entry, since RREF leaves it in
     its own row only.
 
+    Most rows of contraction systems are monomials, so a remainder with one
+    key is a unit pivot: it is stored as ``{key: 1}`` with no lead search,
+    inverse or holders entry, and its back substitution deletes ``key`` from
+    the rows holding it (over Q such a row is then divided by its content).
+
     ``modulus`` is the field's characteristic (None in a ``SpanBuilder``
     that has seen no polynomial yet).  Over Fp(p) the rows hold ints in
     [1, p), reduced with ``% p`` and normalised by ``pow(lc, -1, p)``.  Over
@@ -114,9 +119,20 @@ class _Echelon:
         row = self.reduce_row(row)
         if not row:
             return None
+        p, pivots, holders = self.modulus, self.pivots, self.holders
+        if len(row) == 1:
+            # a unit pivot: back substitution deletes its key, over Q followed by the content division
+            (key,) = row
+            for pk in holders.pop(key, ()):
+                other = pivots[pk]
+                del other[key]
+                if not p and other[pk] != 1 and (g := math.gcd(*other.values())) != 1:
+                    for c in other:
+                        other[c] //= g
+            pivots[key] = {key: 1}
+            return key
         key = self.lead(row)
         lc = row.pop(key)
-        p = self.modulus
         if p:
             inverse = pow(lc, -1, p)
             row = {c: v * inverse % p for c, v in row.items()}
@@ -125,7 +141,6 @@ class _Echelon:
             if g != 1:
                 lc //= g
                 row = {c: v // g for c, v in row.items()}
-        pivots, holders = self.pivots, self.holders
         for c in row:
             holders.setdefault(c, set()).add(key)
         # every set touched below also holds key, so none becomes empty

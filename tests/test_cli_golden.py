@@ -178,10 +178,12 @@ CASES = {
     "perp-local": ["perp", "--ring", "Q[x,y] mode local", "--ideal", "x*y, y^2-x^3"],
     "perp-local-json": ["perp", "--json", "--ring", "Fp(3)[x,y] mode local", "--ideal", "x*y+x^2, y^2-x^3", "--bound", "4"],
     "perp-graded-nonhomogeneous": ["perp", "--ring", "Q[x,y]", "--ideal", "x*y-x"],
+    "perp-local-unit": ["perp", "--ring", "Q[x,y] mode local", "--ideal", "1+x", "--bound", "2"],
     "hilbert-graded": ["hilbert", "--ring", "Q[x,y,z]", "--ideal", CURVE],
     "hilbert-graded-json": ["hilbert", "--json", "--ring", "Q[x,y,z,t,v]", "--ideal", CODIM4],
     "hilbert-local": ["hilbert", "--ring", "Q[x,y] mode local", "--ideal", "x*y, y^2-x^3"],
     "hilbert-local-bound": ["hilbert", "--ring", "Q[x,y,z] mode local", "--ideal", "y*z-x^3, z^2-y^3, x^4", "--bound", "6"],
+    "hilbert-local-unit": ["hilbert", "--ring", "Q[x,y] mode local", "--ideal", "1"],
     "lift-graded": ["lift", "--family", "@curve4", "--target", "5"],
     "lift-graded-bound-infeasible": ["lift", "--family", "@curve4", "--target", "5", "--bound", "5"],
     "lift-fp": ["lift", "--family", "@curve-fp", "--target", "4"],

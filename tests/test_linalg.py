@@ -428,6 +428,87 @@ def test_span_builder_matches_scan_all_reference_on_monomial_keys(field):
             assert builder.reduce(p).is_zero()
 
 
+def _unit_heavy_rows(rng, ctx, count, ncols):
+    """Engine rows of which about half have one or two entries, over few columns."""
+    rows = []
+    for _ in range(count):
+        size = rng.choice([1, 2]) if rng.random() < 0.5 else rng.randint(3, ncols)
+        row = {j: ctx.to_term(rng.choice([-3, -2, -1, 1, 2, 3])) for j in rng.sample(range(ncols), size)}
+        rows.append({j: v for j, v in row.items() if v})
+    return rows
+
+
+def _insert_watching_unit_pivots(engine, row, insert, seen):
+    """insert(), after which every row that held the key of a one-term remainder
+    has lost that entry (and over Q been divided by its new content); ``seen``
+    counts such unit inserts and, over Q, the rows whose content was > 1."""
+    rest = engine.reduce_row(row)
+    held = {}
+    if len(rest) == 1:
+        (key,) = rest
+        held = {pk: {c: v for c, v in engine.pivots[pk].items() if c != key} for pk in engine.holders.get(key, ())}
+    result = insert()
+    for pk, before in held.items():
+        g = 1 if engine.modulus else math.gcd(*before.values())
+        assert engine.pivots[pk] == {c: v // g for c, v in before.items()}
+        seen["redivided"] += g != 1
+    seen["held"] += bool(held)
+    return result
+
+
+@pytest.mark.parametrize("field", ENGINE_FIELDS)
+@pytest.mark.parametrize("keys", ["min", "max", "monomials"])
+def test_unit_pivots_match_scan_all_reference(field, keys):
+    # one-term remainders become pivots {key: 1}; those arriving after rows that
+    # already hold their key back-substitute by deleting it from those rows
+    ctx = ctx_of(f"ring {field}[x,y,z]")
+    to_field = _field_conversion(ctx)
+    rng = rng_for(f"unit-pivots-{field}-{keys}")
+    seen = {"held": 0, "redivided": 0}
+    for _ in range(30):
+        if keys == "monomials":
+            polys = [random_poly(rng, ctx, "r", 2, max_terms=rng.choice([1, 2, 5])) for _ in range(rng.randint(2, 14))]
+            builder, reference = linalg.SpanBuilder(), _ScanAllEchelon(max)
+            for p in polys:
+                terms = builder._adopt(p)
+                added = _insert_watching_unit_pivots(builder, terms, lambda: builder.insert(p), seen)
+                assert added == (reference.insert_row(to_field(terms)) is not None)
+                _assert_same_state(builder, reference, to_field)
+            continue
+        lead = {"min": min, "max": max}[keys]
+        ncols = rng.randint(3, 10)
+        engine, reference = linalg._Echelon(lead, ctx.char), _ScanAllEchelon(lead)
+        for row in _unit_heavy_rows(rng, ctx, rng.randint(2, 16), ncols):
+            key = _insert_watching_unit_pivots(engine, row, lambda: engine.insert_row(row), seen)
+            assert key == reference.insert_row(to_field(row))
+            _assert_same_state(engine, reference, to_field)
+    assert seen["held"] >= 10
+    if field == "Q":
+        assert seen["redivided"] >= 5
+
+
+def test_unit_pivots_take_no_inverse(monkeypatch, surface_codim4):
+    # only a pivot row of two or more terms is normalised by an inverse: 896 of
+    # the diagonal span's 1216 pivots and every pivot of a monomial ideal's
+    # perp are unit pivots
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(linalg, "pow", counting, raising=False)  # a module global shadows the builtin
+    ctx = ctx_of(surface_codim4["ctx"].decl().replace("ring Q", "ring Fp(32003)", 1))
+    diagonal = [dual(ctx, str(g)) for g in surface_codim4["diagonal"]]
+    assert sum(s.dim for s in module_span(diagonal)) == 1216
+    assert len(calls) == 320
+    for mode in ("graded", "local"):
+        calls.clear()
+        ctx = ctx_of(f"ring Fp(32003)[x,y,z] dual [X,Y,Z] mode {mode}")
+        slices = perp_ideal(ideal_of(ctx, "x^3, x*y^2, z^4, y^3*z"), 7)
+        assert sum(s.dim for s in slices) == 33 and calls == []
+
+
 @pytest.mark.parametrize("field", ["Q", "Fp(32003)"])
 def test_span_builder_copy_extends_without_changing_the_original(field):
     ctx = ctx_of(f"ring {field}[x,y,z]")
