@@ -125,20 +125,23 @@ def _reduction_generator(reduction, window):
     """Generator of the dual of the Artinian reduction; errors when not cyclic.
 
     A local window, the dual of reduction + m^(window+1), is the whole dual
-    once its Hilbert function is 0 at some degree <= window (by Nakayama);
-    before that a non-cyclic window only says that the truncation is too low.
+    once its Hilbert function is 0 at some degree <= window (by Nakayama).
+    A window whose dual reaches degree ``window`` is not known to be whole,
+    cyclic or not, so it is refused here, before any lift is solved.
     """
     slices = perp_ideal(reduction, window)
     basis = flatten(slices)
     if not basis:
         raise PreconditionError("Artinian reduction has empty dual; unit ideal?")
+    if reduction.context.mode == "local" and (top := max(s.degree for s in slices)) >= window:
+        raise PreconditionError(
+            f"truncation {window} is too low: the reduction's dual is nonzero in degree {top}"
+        )
     mw = SpanBuilder()
     for v in basis:
         for x in reduction.context.var_monomials:
             mw.insert(contract_monomial(x, v))
     if len(basis) - mw.dim() != 1:
-        if reduction.context.mode == "local" and max(s.degree for s in slices) >= window:
-            raise PreconditionError(f"truncation {window} is too low: up to it the reduction's dual is not cyclic")
         raise PreconditionError(
             "dual of the Artinian reduction is not cyclic (quotient is not Gorenstein)"
         )

@@ -5,8 +5,11 @@ reduced bases under degrevlex, normal forms, Hilbert series by the monomial
 inclusion-exclusion recursion, Krull dimension, multiplicities, regular
 sequence tests, and standard monomials and socle dimensions read off a
 walk over the border of the standard monomials or off an annihilator
-window.  Local ideals are deliberately not handled here; the duality layer
-treats them by degree truncation.
+window.  Every socle element is led by a corner, a standard monomial with
+no standard successor x_i*m; the rows of the other standard monomials are
+unit-triangular at relabelled keys, so the socle ranks only the corner rows
+and the rows they reach.  Local ideals are deliberately not handled here;
+the duality layer treats them by degree truncation.
 """
 
 from __future__ import annotations
@@ -350,12 +353,20 @@ def socle_dim(ideal):
     """Dimension of the socle (0 : m) / I of an Artinian quotient; 0 for the unit ideal.
 
     The kernel of joint multiplication by all the variables, read off
-    ``_border_walk`` without a normal form and ranked transposed: one row
-    per standard monomial m, NF(x_i*m) at key (position of t, i) for each
-    term t, zero rows skipped.  The refusal counts the standard monomials,
-    the multiplicity, as "multiplication columns" though they index the
-    rows: a quotient whose cached Hilbert data put it above
-    ``MAX_ANN_COLUMNS`` is refused before the walk.
+    ``_border_walk`` without a normal form and ranked transposed: the row of
+    a standard monomial m holds NF(x_i*m) at key (position of t, i) for each
+    term t.  A corner is a standard m with no standard successor x_i*m.  The
+    row of any other m holds 1 at the key (x_i*m, i) of its first one, and a
+    row m' nonzero there has m' > m, as NF(x_i*m') has no term above x_i*m'.
+    That key is relabelled -1 - (position of m), below every other key, so
+    ``rank_of`` pivots on it: these rows are independent, unit-triangular
+    there, and every socle element is led by a corner.  Only the corner rows
+    and the rows they reach through relabelled keys, transitively, are
+    built, and the socle dimension is their number less their rank (zero
+    rows skipped).  The refusal counts the standard monomials, the
+    multiplicity, as "multiplication columns" though they index the rows: a
+    quotient whose cached Hilbert data put it above ``MAX_ANN_COLUMNS`` is
+    refused before the walk.
     """
     gb = buchberger(ideal)
     ctx = ideal.context
@@ -363,14 +374,27 @@ def socle_dim(ideal):
     if data.dimension == 0:
         refuse_oversized(data.multiplicity, "socle of the Artinian quotient", "multiplication")
     std, forms = _border_walk(gb)
+    n, base, xs = ctx.n, ctx.base, ctx.var_monomials
     pos = {m: j for j, m in enumerate(std)}
-    rows = []
-    for m in std:
-        row = {}
-        for i, x in enumerate(ctx.var_monomials):
-            u = m + x - ctx.base
+    relabel, todo = {}, []
+    for j, m in enumerate(std):
+        for i, x in enumerate(xs):
+            if (u := m + x - base) in pos:
+                relabel[pos[u] * n + i] = -1 - j
+                break
+        else:
+            todo.append(j)
+    rows = dict.fromkeys(todo)  # the corners, then the rows they reach
+    while todo:
+        j = todo.pop()
+        row = rows[j] = {}
+        for i, x in enumerate(xs):
+            u = std[j] + x - base
             for t, c in forms.get(u, {u: ctx.unit} if u in pos else {}).items():
-                row[pos[t] * ctx.n + i] = c
-        if row:
-            rows.append(row)
-    return len(std) - rank_of(rows, ctx.one)
+                key = pos[t] * n + i
+                row[relabel.get(key, key)] = c
+        for k in row:
+            if k < 0 and -1 - k not in rows:
+                rows[-1 - k] = None
+                todo.append(-1 - k)
+    return len(rows) - rank_of([row for row in rows.values() if row], ctx.one)

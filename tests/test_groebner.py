@@ -25,7 +25,7 @@ from invsys import (
 from invsys import groebner
 from invsys.duality import flatten
 from invsys.groebner import _s_polynomial, standard_monomials
-from invsys.linalg import rank_of
+from invsys.linalg import kernel_vectors, rank_of, rref_rows
 from invsys.ring import Polynomial, _packed_monomials, contract
 
 
@@ -361,19 +361,34 @@ def _reference_standard_monomials(gb):
         degree += 1
 
 
-def _reference_socle_dim(ideal):
-    """One normal form per product x*m of a variable and a standard monomial, then a rank."""
+def _reference_rows(ideal):
+    """Standard monomials and, for each, its row of NF(x_i*m) at keys (position of t, i)."""
     gb = buchberger(ideal)
     ctx = ideal.context
     std = _reference_standard_monomials(gb)
-    pos = {m: i for i, m in enumerate(std)}
-    rows = {}
+    pos = {m: j for j, m in enumerate(std)}
+    rows = [{} for _ in std]
     for j, m in enumerate(std):
         for i, x in enumerate(ctx.var_monomials):
             image = normal_form(Polynomial._of(ctx, {m + x - ctx.base: ctx.unit}), gb)
             for tm, tc in image.terms.items():
-                rows.setdefault((i, pos[tm]), {})[j] = tc
-    return len(std) - rank_of(list(rows.values()), ctx.one)
+                rows[j][pos[tm], i] = tc
+    return std, rows
+
+
+def _stacked_matrix(rows):
+    """The multiplication matrix itself: one row per key, keyed by standard monomial position."""
+    stacked = {}
+    for j, row in enumerate(rows):
+        for key, c in row.items():
+            stacked.setdefault(key, {})[j] = c
+    return list(stacked.values())
+
+
+def _reference_socle_dim(ideal):
+    """One normal form per product x*m of a variable and a standard monomial, then a rank."""
+    std, rows = _reference_rows(ideal)
+    return len(std) - rank_of(_stacked_matrix(rows), ideal.context.one)
 
 
 def _artinian_ideal(rng, ctx):
@@ -418,6 +433,14 @@ def test_socle_and_standard_monomials_match_references(field):
     assert 1 in socles and max(socles) >= 2
 
 
+def _matlis_count(gens):
+    """Minimal generators of the dual module M = R o gens: dim M / m o M."""
+    ctx = gens[0].context
+    xs = [Polynomial._of(ctx, {x: ctx.unit}) for x in ctx.var_monomials]
+    products = [p for p in (contract(x, F) for x in xs for F in gens) if not p.is_zero()]
+    return span_dim(module_span(gens)) - span_dim(module_span(products))
+
+
 @pytest.mark.parametrize("field", ["Q", "Fp(32003)", "Fp(7)"])
 def test_window_socle_matches_matlis_duality(field):
     # by Matlis duality the socle of R/Ann(M) is dual to M / m o M, whose
@@ -428,9 +451,7 @@ def test_window_socle_matches_matlis_duality(field):
         n = rng.randint(2, 4)
         ctx = ctx_of(f"ring {field}[{','.join('xyzt'[:n])}]")
         gens = [random_poly(rng, ctx, "dual", 4, homogeneous=True) for _ in range(rng.randint(1, 3))]
-        xs = [Polynomial._of(ctx, {x: ctx.unit}) for x in ctx.var_monomials]
-        products = [p for p in (contract(x, F) for x in xs for F in gens) if not p.is_zero()]
-        matlis = span_dim(module_span(gens)) - span_dim(module_span(products))
+        matlis = _matlis_count(gens)
         top = max(int(g.degree()) for g in gens)
         for bound in (top + 1, top + 2):
             ideal = ann_module(gens, bound)
@@ -447,6 +468,110 @@ def test_socle_walk_matches_references_on_nonhomogeneous_bases():
     ctx = ctx_of("ring Q[x,y] mode local")
     for text in ("x^2-y, y^3", "x^3+x*y, y^2-x^2, x*y^2"):
         _agrees_with_references(ideal_of(ctx, text))
+
+
+# -- the socle ranks only the corners and the rows they reach ----------------------------
+
+
+def _socle_cases(field):
+    """Seeded window staircases with their Matlis counts, Buchberger bases, two local bases."""
+    rng = rng_for(f"socle-corners-{field}")
+    cases = []
+    for k in range(16):
+        n = rng.randint(2, 4)
+        ctx = ctx_of(f"ring {field}[{','.join('xyzt'[:n])}]")
+        if k % 2:  # a window staircase of one to three generators
+            gens = [random_poly(rng, ctx, "dual", 4, homogeneous=True) for _ in range(rng.randint(1, 3))]
+            ideal = ann_module(gens, max(int(g.degree()) for g in gens) + 1)
+            assert ideal.cached_gb.staircase is not None
+            cases.append((ideal, _matlis_count(gens)))
+        else:
+            cases.append((_artinian_ideal(rng, ctx), None))
+    local = ctx_of(f"ring {field}[x,y] mode local")
+    return cases + [(ideal_of(local, text), None) for text in ("x^2-y, y^3", "x^3+x*y, y^2-x^2, x*y^2")]
+
+
+def _lemma_rows(ideal):
+    """Corners, and the rows ``socle_dim`` should rank, from the reference rows.
+
+    The first standard successor x_i*m of a standard monomial m that is not a
+    corner gives its key (position of x_i*m, i), relabelled -1 - (position of
+    m); every other key (p, i) is p*n + i.  Returns the corners, the nonzero
+    corner rows and the rows those reach through relabelled keys,
+    transitively, and the number of standard monomials with a nonzero row.
+    """
+    ctx = ideal.context
+    std, rows = _reference_rows(ideal)
+    pos = {m: j for j, m in enumerate(std)}
+    relabel = {}
+    for j, m in enumerate(std):
+        successors = [i for i, x in enumerate(ctx.var_monomials) if m + x - ctx.base in pos]
+        if successors:
+            i = successors[0]
+            relabel[pos[m + ctx.var_monomials[i] - ctx.base], i] = -1 - j
+    corners = [j for j in range(len(std)) if -1 - j not in relabel.values()]
+    keyed = [{relabel.get((p, i), p * ctx.n + i): c for (p, i), c in row.items()} for row in rows]
+    reached, todo = set(), list(corners)
+    while todo:
+        for k in keyed[todo.pop()]:
+            if k < 0 and -1 - k not in reached:
+                reached.add(-1 - k)
+                todo.append(-1 - k)
+    corner_rows = [keyed[j] for j in corners if keyed[j]]
+    return [std[j] for j in corners], corner_rows, [keyed[j] for j in sorted(reached)], sum(map(bool, rows))
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(32003)", "Fp(7)"])
+def test_corner_socle_matches_references(field):
+    socles, reaching = [], []
+    for ideal, matlis in _socle_cases(field):
+        socle = socle_dim(ideal)
+        assert socle == _reference_socle_dim(ideal)
+        if matlis is not None:
+            assert socle == matlis
+        socles.append(socle)
+        reaching.append(bool(_lemma_rows(ideal)[2]))  # a corner row holds a relabelled key
+    assert max(socles) >= 2 and any(reaching)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(32003)", "Fp(7)"])
+def test_socle_elements_are_led_by_corners(field):
+    # the socle is the left kernel of the rows; put in echelon form by the
+    # degrevlex largest monomial, every basis element is led by a corner
+    for ideal, _ in _socle_cases(field):
+        ctx = ideal.context
+        std, rows = _reference_rows(ideal)
+        socle = kernel_vectors(_stacked_matrix(rows), std, ctx.one)
+        leads = rref_rows(socle, ctx.one, lead=max)[1]
+        corners = _lemma_rows(ideal)[0]
+        assert set(leads) <= set(corners)
+        assert len(leads) == socle_dim(ideal) <= len(corners)
+
+
+@pytest.mark.parametrize(
+    "decl, form, counts",
+    [
+        ("ring Q[x,y,z,t]", "X*Y*Z+Z*T^[2]-2X^[3]+Y^[2]*T", (3, 0, 9)),
+        ("ring Q[x,y,z,t,u,w]", "X^[2]*Y*Z+Y*Z*T*U-X*U^[2]*W+3Y^[2]*T^[2]+2Z*W^[3]-T*U^[2]*W", (10, 2, 29)),
+    ],
+    ids=["cubic-4", "quartic-6"],
+)
+def test_socle_ranks_only_the_corner_rows_and_the_rows_they_reach(monkeypatch, decl, form, counts):
+    # (nonzero corner rows, rows they reach, standard monomials with a nonzero
+    # row): a return to the whole matrix ranks the last number of rows
+    passed = []
+
+    def recording(rows, one):
+        passed.append(sorted(sorted(row.items()) for row in rows))
+        return rank_of(rows, one)
+
+    monkeypatch.setattr(groebner, "rank_of", recording)
+    ideal = ann_cyclic(dual(ctx_of(decl), form))
+    assert socle_dim(ideal) == 1
+    _, corner_rows, reached_rows, nonzero = _lemma_rows(ideal)
+    assert passed == [sorted(sorted(row.items()) for row in corner_rows + reached_rows)]
+    assert len(passed[0]) < nonzero
+    assert (len(corner_rows), len(reached_rows), nonzero) == counts
 
 
 # -- Hilbert data read off the annihilator kernel -----------------------------------------

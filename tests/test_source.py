@@ -16,6 +16,8 @@ ECHELON_INTERNALS = {"pivots", "holders", "insert_row", "reduce_row", "modulus"}
 # Over Q the echelon engine holds primitive int rows; Fractions are made
 # only where rows leave it, in these functions of linalg.py.
 LINALG_FRACTION_BOUNDARY = {"monic_row", "reduce", "_free_column_kernel", "solve_affine"}
+# Elsewhere only the ring's RingContext, which hands out Q scalars, makes them.
+FRACTION_MAKERS = {"ring.py": {"RingContext"}}
 # The field's term rule (ints mod p over Fp(p), Fractions over Q) lives in
 # RingContext; elsewhere only these top-level definitions read ``.char``.
 CHAR_READERS = {"ring.py": {"RingContext", "check_contexts"}, "groebner.py": {"_reduce"}}
@@ -69,6 +71,11 @@ def _fraction_constructions(tree):
 
     visit(tree, None)
     return sorted(found)
+
+
+def _top_level_names(tree, lines):
+    """Names of the top-level definitions holding the given lines, None for other statements."""
+    return {getattr(top, "name", None) for top in tree.body for line in lines if top.lineno <= line <= top.end_lineno}
 
 
 def _char_reads(tree):
@@ -164,12 +171,30 @@ def test_field_scalar_check_sees_constructions():
     assert _field_scalar_constructions(tree) == [1, 2, 4]
 
 
-def test_linalg_makes_fractions_only_at_the_engine_boundary():
-    # Q rows stay primitive int rows inside the engine, so no Fraction loop
-    # creeps back into the elimination
-    tree = ast.parse((SOURCE / "linalg.py").read_text(encoding="utf-8"))
-    owners = {owner for _, owner in _fraction_constructions(tree)}
-    assert owners and owners <= LINALG_FRACTION_BOUNDARY
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_module_makes_fractions_only_at_the_engine_boundary_or_the_ring_context(module):
+    # Q rows stay primitive int rows inside the engine and every other Q
+    # scalar comes from the ring's context, so no Fraction loop creeps back
+    # into the elimination, the border walk or the socle
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    found = _fraction_constructions(tree)
+    if module == "linalg.py":
+        owners = {owner for _, owner in found}
+        assert owners and owners <= LINALG_FRACTION_BOUNDARY
+    else:
+        assert _top_level_names(tree, [line for line, _ in found]) == FRACTION_MAKERS.get(module, set())
+
+
+def test_top_level_name_check_sees_the_enclosing_definition():
+    tree = ast.parse(
+        "half = Fraction(1, 2)\n"
+        "class RingContext:\n"
+        "    def scalar(self, a, b):\n"
+        "        return Fraction(a, b)\n"
+        "def contract(h, F):\n"
+        "    return h\n"
+    )
+    assert _top_level_names(tree, [line for line, _ in _fraction_constructions(tree)]) == {None, "RingContext"}
 
 
 def test_fraction_construction_check_sees_the_enclosing_function():
