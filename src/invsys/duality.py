@@ -31,7 +31,6 @@ from .ring import (
     _check_degree,
     _packed_monomials,
     _staircase_step,
-    check_contexts,
     check_side,
     contract_monomial,
 )
@@ -47,8 +46,7 @@ class Ideal:
     cached_hilbert: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        for g in self.gens:
-            check_side(self.context, g, Polynomial)
+        check_side(Polynomial, self.gens, self.context)
         self.gens = [g for g in self.gens if not g.is_zero()]
         self.gens.sort(key=lambda g: g.leading_monomial())
 
@@ -180,8 +178,7 @@ def module_span(gens, degree_bound=None):
     on the dimension) are refused up front, and so are a negative
     ``degree_bound`` and generators of another ring context or side.
     """
-    for g in gens:
-        check_side(gens[0].context, g, DPPolynomial)
+    check_side(DPPolynomial, gens)
     if degree_bound is not None:
         refuse_negative_bound(degree_bound, "module span")
     divisors = sum(math.prod(e + 1 for e in g.context.unpack(l)) for g in gens for l in g.terms)
@@ -360,9 +357,7 @@ def annihilator_window(gens, bound):
     ``MAX_ANN_COLUMNS`` monomials and degrees above the packing limit are
     refused up front, in that order, before any generator is dropped.
     """
-    ctx = gens[0].context
-    for g in gens:
-        check_side(ctx, g, DPPolynomial)
+    ctx = check_side(DPPolynomial, gens)
     refuse_column_range(ctx.n, 0, bound, "annihilator")
     gens = _top_generators(gens)
     pairs = _term_divisors(gens, bound)
@@ -514,6 +509,7 @@ def ann_cyclic(F, gen_bound=None):
     the default bound deg F + 1 the result generates the full annihilator,
     and the quotient by it is Artinian Gorenstein.
     """
+    check_side(DPPolynomial, (F,))
     if F.is_zero():
         raise PreconditionError("annihilator of 0 is the unit ideal")
     return ann_module([F], gen_bound)
@@ -542,10 +538,10 @@ def ann_module(gens, degree_bound=None):
     its Hilbert function in degree d counts the standard monomials of
     degree d, the divisor monomials that lead no multi-term vector.
     """
+    ctx = check_side(DPPolynomial, gens)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise PreconditionError("annihilator of the zero module is the unit ideal")
-    ctx = gens[0].context
     top = max(int(g.degree()) for g in gens)
     bound = degree_bound if degree_bound is not None else top + 1
     graded = ctx.mode == "graded" and all(g.is_homogeneous() for g in gens)
@@ -611,15 +607,15 @@ def ideal_window_span(gens, bound, context, span=None):
     exactly the image of the ideal in R modulo degrees above the bound.
     Given ``span``, the window span of other generators, the multiples are
     added to it and it is returned: the span of the sum of the two ideals.
-    A negative bound, windows of more than ``MAX_ANN_COLUMNS`` monomials
-    and degrees above the packing limit are refused up front, in that order;
-    a generator from a context other than ``context``, when met.
+    A negative bound, windows of more than ``MAX_ANN_COLUMNS`` monomials,
+    degrees above the packing limit and generators that are not ring
+    elements of ``context`` are refused up front, in that order.
     """
     refuse_column_range(context.n, 0, bound, "ideal window")
+    check_side(Polynomial, gens, context)
     if span is None:
         span = SpanBuilder()
     for g in gens:
-        check_contexts(context, g.context)
         if g.is_zero():
             continue
         for m in _packed_monomials(context.n, 0, max(bound - g.order(), 0)):
@@ -632,6 +628,7 @@ def ideal_window_span(gens, bound, context, span=None):
 def ideal_contains_mod(gens, candidates, trunc, context):
     """Do all candidates lie in (gens) + m^trunc?  Works in R_{< trunc}."""
     span = ideal_window_span(gens, trunc - 1, context)
+    check_side(Polynomial, candidates, context)
     return all(span.contains(c.truncate(trunc - 1)) for c in candidates)
 
 

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import PreconditionError, _check_degree, _packed_monomials, check_contexts, check_side
+from .ring import PreconditionError, _check_degree, _packed_monomials, check_side
 
 # ---------------------------------------------------------------------------
 # the echelon engine: sparse rows keyed by int columns or by monomials
@@ -342,12 +342,11 @@ class SpanBuilder(_Echelon):
         self.context = self._side = None
 
     def _adopt(self, poly):
-        """poly's terms, refused unless poly has the context and side that the first polynomial fixes."""
-        ctx = poly.context
-        if ctx is not self.context or type(poly) is not self._side:
-            if self.context is None:
-                self.context, self.modulus, self._side = ctx, ctx.char, type(poly)
-            check_side(self.context, poly, self._side)
+        """poly's terms, refused (``check_side``) unless poly has the side and context the first one fixed."""
+        if type(poly) is not self._side or poly.context is not self.context:
+            if self._side is None:
+                self.context, self.modulus, self._side = poly.context, poly.context.char, type(poly)
+            check_side(self._side, (poly,), self.context)
         return poly.terms
 
     def reduce(self, poly):
@@ -417,9 +416,7 @@ def span_intersect(a, b):
     """
     if not a.vectors or not b.vectors:
         return SubspaceBasis([])
-    if type(a.vectors[0]) is not type(b.vectors[0]):
-        raise ValueError("cannot intersect spans from different sides")
-    check_contexts(a.vectors[0].context, b.vectors[0].context)
+    check_side(type(a.vectors[0]), [*a.vectors, *b.vectors])
     cols = list(a.vectors) + [-w for w in b.vectors]
     meet = vanishing_combinations(cols, lambda m: True, len(a.vectors))
     return span_reduce(meet)

@@ -27,7 +27,7 @@ NEG_INF = float("-inf")  # degree of the zero polynomial (sentinel)
 
 
 class ContextMismatchError(ValueError):
-    """Operands belong to different ring contexts."""
+    """Operands belong to different sides, fields or ring contexts."""
 
 
 class PreconditionError(ValueError):
@@ -50,7 +50,7 @@ class PrimeFieldElement:
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElement):
             if other.p != self.p:
-                raise ValueError("mixed prime fields")
+                raise ContextMismatchError(f"mixed fields: Fp({self.p}) and Fp({other.p})")
             return other.val
         if isinstance(other, int):
             return other
@@ -343,18 +343,23 @@ class RingContext:
         )
 
 
-def check_contexts(a, b):
-    """Refuse operands from two different ring contexts; identity is tested first."""
-    if a is not b and a != b:
-        kind = "mixed fields" if a.char != b.char else "mixed ring contexts"
-        raise ContextMismatchError(f"{kind}: {a.decl()} and {b.decl()}")
+def check_side(side, operands, context=None):
+    """The one operand check of every boundary: operands of class ``side`` in one ring context, which it returns.
 
-
-def check_side(context, g, side):
-    """Refuse an element from another ring context or from the other side of the duality."""
-    check_contexts(context, g.context)
-    if type(g) is not side:
-        raise ContextMismatchError(f"mixed sides: {side.__name__} and {type(g).__name__}")
+    Terms carry neither field nor side.  The class is tested first ("mixed
+    sides", also for an int), then the context, by identity first, against
+    ``context`` or the first operand's ("mixed fields", "mixed ring contexts").
+    """
+    for g in operands:
+        if type(g) is not side:
+            raise ContextMismatchError(f"mixed sides: {side.__name__} and {type(g).__name__}")
+        other = g.context
+        if context is None:
+            context = other
+        elif other is not context and other != context:
+            kind = "mixed fields" if other.char != context.char else "mixed ring contexts"
+            raise ContextMismatchError(f"{kind}: {context.decl()} and {other.decl()}")
+    return context
 
 
 def ring_context(variables, duals=None, char=0, mode="graded"):
@@ -445,13 +450,8 @@ class _SparsePoly:
 
     # -- arithmetic (module operations, both sides) -------------------------
 
-    def _check(self, other):
-        check_contexts(self.context, other.context)
-        if type(self) is not type(other):
-            raise ContextMismatchError("cannot mix ring and dual-module elements")
-
     def __add__(self, other):
-        self._check(other)
+        check_side(type(self), (other,), self.context)
         acc = dict(self.terms)
         for m, c in other.terms.items():
             s = acc.get(m)
@@ -516,11 +516,7 @@ class Polynomial(_SparsePoly):
     _names, _power = "var_names", "^{}"
 
     def __mul__(self, other):
-        if isinstance(other, DPPolynomial):
-            raise ContextMismatchError(
-                "no internal product on the dual side; use contract() or shift_mul()"
-            )
-        self._check(other)
+        check_side(Polynomial, (other,), self.context)
         _check_degree(self.degree() + other.degree())
         base, acc = self.context.base, {}
         for m1, c1 in self.terms.items():
@@ -563,9 +559,7 @@ def contract(h, F):
     dropped.  Composition agrees with the ring product: contracting by g*h
     equals contracting by h then by g.
     """
-    if not isinstance(h, Polynomial) or not isinstance(F, DPPolynomial):
-        raise ContextMismatchError("contract() takes a ring element and a dual element")
-    check_contexts(h.context, F.context)
+    check_side(Polynomial, (h,), check_side(DPPolynomial, (F,)))
     base, guard, acc = F.context.base, F.context.guard, {}
     for m, a in h.terms.items():
         m -= base
@@ -594,9 +588,7 @@ def pairing(f, F):
 
     On monomials it is the Kronecker delta: <z^M, Z^[L]> = 1 iff M == L.
     """
-    if not isinstance(f, Polynomial) or not isinstance(F, DPPolynomial):
-        raise ContextMismatchError("pairing() takes a ring element and a dual element")
-    check_contexts(f.context, F.context)
+    check_side(Polynomial, (f,), check_side(DPPolynomial, (F,)))
     return f.context.scalar(sum(a * F.terms[m] for m, a in f.terms.items() if m in F.terms))
 
 

@@ -12,6 +12,7 @@ from invsys import (
     ContextMismatchError,
     Ideal,
     PreconditionError,
+    SubspaceBasis,
     ann_cyclic,
     ann_module,
     family_from_ideal,
@@ -19,8 +20,10 @@ from invsys import (
     membership,
     minimal_generators,
     module_span,
+    pairing,
     perp_ideal,
     span_dim,
+    span_intersect,
     span_reduce,
 )
 from invsys import duality
@@ -578,16 +581,22 @@ def test_ideal_window_spans_refuse_generators_from_another_context():
     # built in the context argument, the Q[x,y,z] generator x*z+y read its
     # packed monomials as those of Q[x,y] and gave an empty window span, so
     # the two ideals compared unequal instead of being refused
+    # the dual X^[2]+Y was read as the ring element x^2+y: its window span
+    # was [x^2+y, x*y, y^2], and it compared unequal to (x+y) unrefused
     small, large = ctx_of("ring Q[x,y]"), ctx_of("ring Q[x,y,z]")
-    stranger, own = ring_poly(large, "x*z+y"), ring_poly(small, "x+y")
-    for refused in (
-        lambda: ideal_window_span([stranger], 2, small),
-        lambda: ideal_contains_mod([stranger], [own], 3, small),
-        lambda: ideals_equal_mod([stranger], [own], 3, small),
-        lambda: ideals_equal_mod([own], [stranger], 3, small),
+    own = ring_poly(small, "x+y")
+    for stranger, cause in (
+        (ring_poly(large, "x*z+y"), "mixed ring contexts"),
+        (dual(small, "X^[2]+Y"), "mixed sides: Polynomial and DPPolynomial"),
     ):
-        with pytest.raises(ContextMismatchError, match="mixed ring contexts"):
-            refused()
+        for refused in (
+            lambda: ideal_window_span([stranger], 2, small),
+            lambda: ideal_contains_mod([stranger], [own], 3, small),
+            lambda: ideals_equal_mod([stranger], [own], 3, small),
+            lambda: ideals_equal_mod([own], [stranger], 3, small),
+        ):
+            with pytest.raises(ContextMismatchError, match=cause):
+                refused()
 
 
 def test_ideal_refuses_generators_from_another_context():
@@ -630,6 +639,85 @@ def test_dual_entry_points_refuse_ring_elements(entry):
     for gens in ([f],) if entry == "ann_cyclic" else ([f], [F, f], [f, F]):
         with pytest.raises(ContextMismatchError, match="mixed sides: DPPolynomial and Polynomial"):
             call(gens)
+
+
+# -- one operand check at every boundary -------------------------------------
+
+
+def _boundary_entry_points():
+    """Each public entry point as (side of the probed slot, call with the probe), next to good operands of Q[x,y]."""
+    q = ctx_of("ring Q[x,y]")
+    f, F = ring_poly(q, "x+y"), dual(q, "X^[2]*Y+Y^[3]")
+
+    def builder(use):
+        def call(bad):
+            span = SpanBuilder()
+            span.insert(f)
+            return getattr(span, use)(bad)
+
+        return call
+
+    return {
+        "contract h": ("r", lambda b: contract(b, F)),
+        "contract F": ("dual", lambda b: contract(f, b)),
+        "pairing f": ("r", lambda b: pairing(b, F)),
+        "pairing F": ("dual", lambda b: pairing(f, b)),
+        "ring +": ("r", lambda b: f + b),
+        "dual +": ("dual", lambda b: F + b),
+        "ring -": ("r", lambda b: f - b),
+        "dual -": ("dual", lambda b: F - b),
+        "*": ("r", lambda b: f * b),
+        "Ideal": ("r", lambda b: Ideal([f, b], q)),
+        "module_span": ("dual", lambda b: module_span([F, b])),
+        "annihilator_window": ("dual", lambda b: annihilator_window([F, b], 3)),
+        "ann_module": ("dual", lambda b: ann_module([F, b])),
+        "ann_cyclic": ("dual", ann_cyclic),
+        "ideal_window_span": ("r", lambda b: ideal_window_span([f, b], 2, q)),
+        "ideals_equal_mod gens": ("r", lambda b: ideals_equal_mod([f, b], [f], 3, q)),
+        "ideals_equal_mod candidates": ("r", lambda b: ideals_equal_mod([f], [f, b], 3, q)),
+        "span_intersect": ("r", lambda b: span_intersect(span_reduce([f]), SubspaceBasis([b]))),
+        "span_reduce": ("r", lambda b: span_reduce([f, b])),
+        "SpanBuilder.insert": ("r", builder("insert")),
+        "SpanBuilder.reduce": ("r", builder("reduce")),
+        "SpanBuilder.contains": ("r", builder("contains")),
+    }
+
+
+def _bad_operand(kind, side):
+    """A bad operand for a slot of ``side`` ("r" or "dual") next to operands of Q[x,y], and the start of its refusal."""
+    if kind == "int":
+        return 3, "mixed sides"
+    decl, cause = {
+        "wrong side": ("Q[x,y]", "mixed sides"),
+        "another field": ("Fp(7)[x,y]", "mixed fields"),
+        "another ring": ("Q[x,y,z]", "mixed ring contexts"),
+    }[kind]
+    if kind == "wrong side":
+        side = "dual" if side == "r" else "r"
+    build, text = {"r": (ring_poly, "x^2+y"), "dual": (dual, "X^[2]+Y")}[side]
+    return build(ctx_of(f"ring {decl}"), text), cause
+
+
+BAD_OPERANDS = ["wrong side", "another field", "another ring", "int"]
+
+
+@pytest.mark.parametrize(
+    "entry, kind",
+    [
+        (entry, kind)
+        for entry in _boundary_entry_points()
+        for kind in BAD_OPERANDS
+        # a single operand meets no other field or ring
+        if entry != "ann_cyclic" or kind in ("wrong side", "int")
+    ],
+)
+def test_every_entry_point_refuses_every_bad_operand(entry, kind):
+    # one check (ring.check_side) at every boundary: the side first, so an
+    # int is "mixed sides" and no AttributeError, then the field and ring
+    side, call = _boundary_entry_points()[entry]
+    bad, cause = _bad_operand(kind, side)
+    with pytest.raises(ContextMismatchError, match=f"^{cause}"):
+        call(bad)
 
 
 def _compressed_hf(n, s):
@@ -849,9 +937,7 @@ def test_term_divisors_list_every_window_entry_of_the_surface_diagonal(surface_c
 
 def _stacked_window(gens, bound):
     """``annihilator_window`` with one contraction row block per generator, none dropped."""
-    ctx = gens[0].context
-    for g in gens:
-        check_side(ctx, g, DPPolynomial)
+    ctx = check_side(DPPolynomial, gens)
     refuse_column_range(ctx.n, 0, bound, "annihilator")
     pairs = _term_divisors(gens, bound)
     divisors = {u for *_, us in pairs for u in us}

@@ -253,8 +253,12 @@ def test_span_intersect_self_and_zero():
 def test_span_intersect_refuses_spans_from_different_sides():
     ctx = ctx_of("ring Q[x,y] dual [X,Y]")
     ring_side, dual_side = span_reduce([ring_poly(ctx, "x+y")]), span_reduce([dual(ctx, "X+Y")])
-    with pytest.raises(ValueError, match="cannot intersect spans from different sides"):
-        span_intersect(ring_side, dual_side)
+    for a, b, sides in (
+        (ring_side, dual_side, "Polynomial and DPPolynomial"),
+        (dual_side, ring_side, "DPPolynomial and Polynomial"),
+    ):
+        with pytest.raises(ContextMismatchError, match=f"^mixed sides: {sides}$"):
+            span_intersect(a, b)
 
 
 def test_span_intersect_dimension_formula_random():

@@ -393,6 +393,16 @@ def test_prime_field_element_hashes_like_the_int_it_equals():
     assert {a: "found"}[3] == "found"
 
 
+def test_prime_field_scalars_refuse_another_field():
+    # the same refusal, class and message, as RingContext.to_term and check_side
+    a, b = PrimeFieldElement(3, 7), PrimeFieldElement(3, 11)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(ContextMismatchError, match=r"^mixed fields: Fp\(7\) and Fp\(11\)$"):
+            op()
+    with pytest.raises(ContextMismatchError, match=r"^mixed fields: Fp\(11\) and Fp\(7\)$"):
+        b * a
+
+
 def test_prime_field_accepts_large_primes():
     assert ring_context("x", char=2**61 - 1).scalar(3) * 2 == 6
     assert ring_context("x", char=32003).char == 32003

@@ -20,7 +20,17 @@ LINALG_FRACTION_BOUNDARY = {"monic_row", "reduce", "_free_column_kernel", "solve
 FRACTION_MAKERS = {"ring.py": {"RingContext"}}
 # The field's term rule (ints mod p over Fp(p), Fractions over Q) lives in
 # RingContext; elsewhere only these top-level definitions read ``.char``.
-CHAR_READERS = {"ring.py": {"RingContext", "check_contexts"}, "groebner.py": {"_reduce"}}
+CHAR_READERS = {"ring.py": {"RingContext", "check_side"}, "groebner.py": {"_reduce"}}
+# Side and context are checked in one place, ``ring.check_side``: no module
+# tests an operand against a polynomial class by hand, and only these
+# top-level definitions of ring.py build the refusal messages; a field
+# mismatch is also refused where field scalars meet.
+SIDE_CLASSES = {"Polynomial", "DPPolynomial"}
+MISMATCH_BUILDERS = {
+    "mixed sides": {"check_side"},
+    "mixed ring contexts": {"check_side"},
+    "mixed fields": {"check_side", "RingContext", "PrimeFieldElement"},
+}
 
 
 def _unused_imports(tree):
@@ -86,6 +96,27 @@ def _char_reads(tree):
         for node in ast.walk(top)
         if isinstance(node, ast.Attribute) and node.attr == "char"
     )
+
+
+def _side_type_tests(tree):
+    """Line numbers of the calls ``isinstance(_, C)`` where C, or a member of a tuple C, is a polynomial class."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(k, "id", getattr(k, "attr", None)) in SIDE_CLASSES for k in kinds):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def _message_builders(tree, phrase):
+    """Names of the top-level definitions holding a string literal that contains ``phrase``, None for other statements."""
+    return {
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and phrase in node.value
+    }
 
 
 def _function_imports(tree):
@@ -230,3 +261,31 @@ def test_char_read_check_sees_the_enclosing_definition():
         "    return inner, char\n"
     )
     assert _char_reads(tree) == [(1, None), (4, "RingContext"), (7, "contract")]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_only_check_side_refuses_mixed_operands(module):
+    # each refusal of a site that checked side or context by hand was found
+    # one site at a time, so no hand-written check creeps back
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    assert _side_type_tests(tree) == []
+    for phrase, builders in MISMATCH_BUILDERS.items():
+        assert _message_builders(tree, phrase) == (builders if module == "ring.py" else set())
+
+
+def test_mixed_operand_checks_see_hand_written_tests_and_messages():
+    tree = ast.parse(
+        "def contract(h, F):\n"
+        "    if not isinstance(h, Polynomial) or not isinstance(F, ring.DPPolynomial):\n"
+        "        raise ContextMismatchError(f'mixed sides: {h}')\n"
+        "class SpanBuilder:\n"
+        "    def _adopt(self, poly):\n"
+        "        isinstance(poly, (int, DPPolynomial))\n"
+        "        isinstance(poly, SpanBuilder)\n"
+        "        kind = 'mixed fields' if a else 'mixed ring contexts'\n"
+        "note = 'mixed fields'\n"
+    )
+    assert _side_type_tests(tree) == [2, 2, 6]
+    assert _message_builders(tree, "mixed sides") == {"contract"}
+    assert _message_builders(tree, "mixed ring contexts") == {"SpanBuilder"}
+    assert _message_builders(tree, "mixed fields") == {"SpanBuilder", None}
