@@ -19,6 +19,7 @@ from .linalg import (
     SubspaceBasis,
     kernel_vectors,
     monomial_columns,
+    peel_units,
     refuse_column_range,
     refuse_negative_bound,
     refuse_oversized,
@@ -33,6 +34,7 @@ from .ring import (
     _staircase_step,
     check_side,
     contract_monomial,
+    linear_combination,
 )
 
 
@@ -353,11 +355,14 @@ def annihilator_window(gens, bound):
     divisors.  For homogeneous generators the matrix is block-diagonal by
     degree (a column of degree j reaches only rows of degree deg F - j), so
     the kernel is the union of the per-degree kernels.  Generators of
-    another ring context or side, a negative bound, windows of more than
-    ``MAX_ANN_COLUMNS`` monomials and degrees above the packing limit are
-    refused up front, in that order, before any generator is dropped.
+    another ring context or side, an empty list, a negative bound, windows
+    of more than ``MAX_ANN_COLUMNS`` monomials and degrees above the packing
+    limit are refused up front, in that order, before any generator is
+    dropped.
     """
     ctx = check_side(DPPolynomial, gens)
+    if ctx is None:
+        raise PreconditionError("annihilator window needs at least one generator")
     refuse_column_range(ctx.n, 0, bound, "annihilator")
     gens = _top_generators(gens)
     pairs = _term_divisors(gens, bound)
@@ -428,7 +433,8 @@ def _minimalize(vectors, bound, context, hull=None):
     of leads (products and kept generators left with one term) plus an
     echelon span of the rest.  A candidate reduced by the span and stripped
     is its remainder; made monic, a nonzero one is emitted as the same
-    combination of the window vectors at its leads.
+    combination of the window vectors at its leads, taken on their integer
+    forms (``linear_combination``).
 
     Without a hull a kept candidate brings its honest multiples that fit
     below the bound, so every emitted generator lies exactly in the span of
@@ -447,12 +453,7 @@ def _minimalize(vectors, bound, context, hull=None):
             for step in steps
             if len(w.terms) > 1 and (row := {p: c for m, c in w.terms.items() if (p := m + step) in at})
         ]
-        units, size = set(), None
-        while size != len(units):  # a row left with one lead joins the set and may strip others
-            size = len(units)
-            rows = [{m: c for m, c in row.items() if m not in units} for row in rows]
-            units.update(m for row in rows if len(row) == 1 for m in row)
-            rows = [row for row in rows if len(row) > 1]
+        units, rows = peel_units(rows)
         for row in rows:
             span.insert(Polynomial._of(context, row))
         pivots = {max(b.terms) for b in span.basis()}
@@ -469,7 +470,7 @@ def _minimalize(vectors, bound, context, hull=None):
             elif r.terms:
                 span.insert(r)
                 pivots.add(max(r.terms))
-                gens.append(sum((at[m].scale(c) for m, c in r.terms.items()), Polynomial.zero(context)))
+                gens.append(linear_combination(r.terms, at))
         return gens
     homogeneous = all(v.is_homogeneous() for _, v in candidates)
     for k, (_, v) in enumerate(candidates):

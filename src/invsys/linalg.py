@@ -11,9 +11,12 @@ sizes them); kernels and affine solutions come back keyed by them.
 Rows, kernel vectors and solutions hold what polynomial terms hold: ints in
 [1, p) over Fp(p), Fractions over Q, never zero.  Over Q the engine holds
 primitive int rows (as ``rref_rows`` returns them), eliminates fraction-free
-(Bareiss, Math. Comp. 22, 1968) and makes Fractions only at its boundary.
-``one`` (``RingContext.one``) names the field of an elimination; a
-``SpanBuilder`` takes the ring context and side of the first polynomial.
+(Bareiss, Math. Comp. 22, 1968) and makes Fractions only at its boundary; a
+``SpanBuilder`` takes a Q polynomial's integer form as its row.  A batch
+elimination (``rref_rows``) peels its unit rows first (``peel_units``), so
+only the rows left with two keys or more are eliminated.  ``one``
+(``RingContext.one``) names the field of an elimination; a ``SpanBuilder``
+takes the ring context and side of the first polynomial.
 
 Coordinate vectors indexed by monomials are just polynomials, so subspaces
 of a degree window are kept as lists of polynomials in reduced echelon form
@@ -27,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ring import PreconditionError, _check_degree, _packed_monomials, check_side
+from .ring import PreconditionError, _check_degree, _packed_monomials, check_side, linear_combination
 
 # ---------------------------------------------------------------------------
 # the echelon engine: sparse rows keyed by int columns or by monomials
@@ -47,14 +50,18 @@ class _Echelon:
     key is a unit pivot: it is stored as ``{key: 1}`` with no lead search,
     inverse or holders entry, and its back substitution deletes ``key`` from
     the rows holding it (over Q such a row is then divided by its content).
+    ``rref_rows`` peels the rows that start with one key, or are left with
+    one once such keys are stripped, before the engine sees any row.
 
     ``modulus`` is the field's characteristic (None in a ``SpanBuilder``
     that has seen no polynomial yet).  Over Fp(p) the rows hold ints in
     [1, p), reduced with ``% p`` and normalised by ``pow(lc, -1, p)``.  Over
     Q (0) a row is a primitive int row with a positive pivot entry L, which
-    stands for the monic row row / L; rows are cleared of denominators on
-    the way in, reduced by cross-multiplying, and made Fractions only on the
-    way out (``monic_row``, ``SpanBuilder.reduce``, kernels and solutions).
+    stands for the monic row row / L; rows of Fractions are cleared of
+    denominators on the way in (a ``SpanBuilder`` row is an integer form,
+    already int), reduced by cross-multiplying, and made Fractions only on
+    the way out (``monic_row``, kernels and solutions; ``SpanBuilder.reduce``
+    through the ring).
     """
 
     def __init__(self, lead, modulus):
@@ -89,15 +96,18 @@ class _Echelon:
                     del out[pc]  # factor * pv is a unit, so s is 0 only where pc was
         return out
 
-    def _reduce_integral(self, row):
-        """Over Q: (r, d), r an int row and r / d the remainder of a rational row.
+    def _reduce_integral(self, row, d=None):
+        """Over Q: (r, e), r an int row and r / e the remainder of a rational row, or given d of the int row row / d.
 
         Cleared of denominators, the row is scaled by the least m that makes
         each q_c = f_c * m / L_c integral (f_c its entry and L_c the pivot
         entry at pivot key c); then q_c times pivot row c is subtracted.
         """
-        d = math.lcm(*[v.denominator for v in row.values()])
-        out = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
+        if d is None:
+            d = math.lcm(*[v.denominator for v in row.values()])
+            out = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
+        else:
+            out = dict(row)
         pivots = self.pivots
         hits = [(c, f, prow) for c, f in out.items() if (prow := pivots.get(c))]
         m = math.lcm(*[lc // math.gcd(f, lc) for c, f, prow in hits if (lc := prow[c]) != 1])
@@ -200,12 +210,50 @@ class _Echelon:
         return new
 
 
+def peel_units(rows):
+    """The unit rows of sparse rows, peeled to a fixpoint: (units, rest).
+
+    A row with one key makes that key a unit: the RREF holds the unit vector
+    there.  Every unit is stripped from the other rows, which may leave new
+    one-key rows, until none is left (the singleton step of structured
+    Gaussian elimination, LaMacchia and Odlyzko, CRYPTO '90).  ``rest``
+    lists the remaining rows of two keys or more, none of them a unit, in
+    their order; a stripped row is a new dict and no input row is changed.
+    The RREF of the rows is the unit rows plus the RREF of ``rest``.
+    """
+    fresh, rest = set(), []
+    for row in rows:
+        if len(row) > 1:
+            rest.append(row)
+        else:
+            fresh.update(row)
+    units = set()
+    while fresh:
+        units |= fresh
+        stripped, fresh = fresh, set()
+        kept = []
+        for row in rest:
+            if not stripped.isdisjoint(row):
+                row = {c: v for c, v in row.items() if c not in stripped}
+                if len(row) < 2:
+                    fresh.update(row)
+                    continue
+            kept.append(row)
+        rest = kept
+    return units, rest
+
+
 def rref_rows(rows, one, lead=min):
     """Reduced row echelon form of sparse rows over the field of ``one``: Fp(one.p), or Q.
 
-    Returns (rows, pivot columns), the rows as ``_Echelon`` holds them.
+    Returns (rows, pivot columns), the rows as ``_Echelon`` holds them.  The
+    unit rows are peeled first (``peel_units``) and become pivots ``{key: 1}``
+    with no elimination; only the rest is inserted.  The RREF is unique, so
+    rows and pivots are those of inserting every row.
     """
+    units, rows = peel_units(rows)
     ech = _Echelon(lead, getattr(one, "p", 0))
+    ech.pivots = {key: {key: 1} for key in units}
     for row in rows:
         ech.insert_row(row)
     pivots = sorted(ech.pivots)
@@ -334,7 +382,9 @@ class SpanBuilder(_Echelon):
     resulting basis is canonical for the subspace: two spans are equal iff
     their bases coincide vector by vector.  The first polynomial it sees
     fixes its ring context and side; a polynomial from another context or
-    the other side is refused.
+    the other side is refused.  Over Q a polynomial's row is its integer
+    form (``integer_form``), so no denominator is cleared on the way in and
+    a remainder is made through the ring (``_of_sums``).
     """
 
     def __init__(self):
@@ -342,20 +392,26 @@ class SpanBuilder(_Echelon):
         self.context = self._side = None
 
     def _adopt(self, poly):
-        """poly's terms, refused (``check_side``) unless poly has the side and context the first one fixed."""
+        """poly's row, its terms over Fp(p) and the ints of its integer form over Q, refused (``check_side``)
+        unless poly has the side and context the first one fixed."""
         if type(poly) is not self._side or poly.context is not self.context:
             if self._side is None:
-                self.context, self.modulus, self._side = poly.context, poly.context.char, type(poly)
+                self.context = check_side(None, (poly,))
+                self.modulus, self._side = self.context.char, type(poly)
             check_side(self._side, (poly,), self.context)
-        return poly.terms
+        return poly.terms if self.modulus else poly.integer_form()[0]
+
+    def reduce_row(self, row):
+        """``_Echelon.reduce_row`` of a row from ``_adopt``: over Q an int row, with no denominator to clear."""
+        return super().reduce_row(row) if self.modulus else self._reduce_integral(row, 1)[0]
 
     def reduce(self, poly):
         """Remainder of poly after eliminating every basis leading monomial."""
-        terms = self._adopt(poly)
+        row = self._adopt(poly)
         if self.modulus:
-            return type(poly)._of(poly.context, self.reduce_row(terms))
-        out, d = self._reduce_integral(terms)
-        return type(poly)._of(poly.context, {m: Fraction(v, d) for m, v in out.items()})
+            return type(poly)._of(poly.context, self.reduce_row(row))
+        out, e = self._reduce_integral(row, poly.integer_form()[1])
+        return type(poly)._of_sums(poly.context, out, e)
 
     def insert(self, poly):
         """Add a vector to the span; returns True if it enlarged the span."""
@@ -416,7 +472,7 @@ def span_intersect(a, b):
     """
     if not a.vectors or not b.vectors:
         return SubspaceBasis([])
-    check_side(type(a.vectors[0]), [*a.vectors, *b.vectors])
+    check_side(None, [*a.vectors, *b.vectors])
     cols = list(a.vectors) + [-w for w in b.vectors]
     meet = vanishing_combinations(cols, lambda m: True, len(a.vectors))
     return span_reduce(meet)
@@ -437,11 +493,7 @@ def vanishing_combinations(vectors, selected, head):
                 rows.setdefault(m, {})[j] = c
     out = []
     for combo in kernel_vectors(list(rows.values()), range(len(vectors)), vectors[0].context.one):
-        acc = None
-        for j, c in combo.items():
-            if j < head:
-                piece = vectors[j].scale(c)
-                acc = piece if acc is None else acc + piece
-        if acc is not None and not acc.is_zero():
+        combo = {j: c for j, c in combo.items() if j < head}
+        if combo and (acc := linear_combination(combo, vectors)).terms:
             out.append(acc)
     return out

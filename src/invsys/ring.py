@@ -11,6 +11,13 @@ so each ring operation is one loop for both fields.  Exponent tuples appear
 only at the boundary: the parser, the printer, the constructor,
 ``monomial``, ``coeff`` and ``shift_mul``.
 
+A polynomial also has an integer form (ints, D), its terms as int sums over
+one int D: over Q the numerators over the lcm D of the denominators, over
+Fp(p) the terms themselves over 1.  It is computed on first use and kept
+with the polynomial, whose terms never change after construction.
+``contract`` and ``linear_combination`` multiply and add integer forms as
+ints, and make one Fraction per output term, through ``RingContext``.
+
 The dual side carries no internal product; R acts on it by contraction,
 which sends ``z^M . Z^[L]`` to ``Z^[L-M]`` (zero when any component of L-M is
 negative).  No binomial coefficients appear, so everything works verbatim
@@ -19,6 +26,7 @@ over a prime field as well as over the rationals.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,6 +307,33 @@ class RingContext:
             return {m: r for m, s in sums.items() if (r := s % p)}
         return {m: s for m, s in sums.items() if s}
 
+    def integer_form(self, terms):
+        """(ints, D) with ints / D the ``terms``: over Q their numerators over the lcm D of their denominators, over Fp(p) (terms, 1)."""
+        if self.char:
+            return terms, 1
+        d = math.lcm(*[c.denominator for c in terms.values()])
+        return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
+
+    def from_integer_form(self, sums, d):
+        """The terms of the int sums over a positive int d, zeros dropped, and their integer form.
+
+        Over Fp(p), where d is 1, the sums are reduced % p and are their own
+        form.  Over Q the sums and d are divided by their gcd, which leaves
+        the numerators over the lcm of the denominators, and each term is
+        one Fraction.
+        """
+        if self.char:
+            terms = self.normalize(sums)
+            return terms, (terms, 1)
+        ints = {m: s for m, s in sums.items() if s}
+        g = math.gcd(d, *ints.values())
+        if g != 1:
+            d //= g
+            ints = {m: s // g for m, s in ints.items()}
+        if d == 1:
+            return {m: Fraction(s) for m, s in ints.items()}, (ints, 1)
+        return {m: Fraction(s, d) for m, s in ints.items()}, (ints, d)
+
     def inverse(self, c):
         """The exact inverse of a nonzero term coefficient: an int in [1, p) over Fp(p), a Fraction over Q."""
         return pow(c, -1, self.char) if self.char else self.unit / c  # unit is Fraction(1) over Q
@@ -349,10 +384,16 @@ def check_side(side, operands, context=None):
     Terms carry neither field nor side.  The class is tested first ("mixed
     sides", also for an int), then the context, by identity first, against
     ``context`` or the first operand's ("mixed fields", "mixed ring contexts").
+    A ``side`` of None takes the first operand's class, which must be
+    ``Polynomial`` or ``DPPolynomial``.
     """
     for g in operands:
         if type(g) is not side:
-            raise ContextMismatchError(f"mixed sides: {side.__name__} and {type(g).__name__}")
+            if side is None and type(g) in (Polynomial, DPPolynomial):
+                side = type(g)
+            else:
+                name = "a polynomial" if side is None else side.__name__
+                raise ContextMismatchError(f"mixed sides: {name} and {type(g).__name__}")
         other = g.context
         if context is None:
             context = other
@@ -380,10 +421,12 @@ def ring_context(variables, duals=None, char=0, mode="graded"):
 class _SparsePoly:
     """Shared machinery for both sides; terms map packed monomials to coefficients.
 
-    A side prints with the context's names ``_names`` and exponent format ``_power``.
+    A side prints with the context's names ``_names`` and exponent format
+    ``_power``.  The slot ``_form`` keeps the integer form once it is known;
+    equality and printing read only the terms.
     """
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("context", "terms", "_form")
 
     def __init__(self, context, terms):
         """The element with ``terms``, a map from exponent tuples to field scalars or ints."""
@@ -401,6 +444,14 @@ class _SparsePoly:
         return p
 
     @classmethod
+    def _of_sums(cls, context, sums, d):
+        """The element whose terms are the int sums over a positive int d (``RingContext.from_integer_form``), its form kept."""
+        p = object.__new__(cls)
+        p.context = context
+        p.terms, p._form = context.from_integer_form(sums, d)
+        return p
+
+    @classmethod
     def zero(cls, context):
         return cls._of(context, {})
 
@@ -413,6 +464,14 @@ class _SparsePoly:
         return cls(context, {tuple(exps): context.unit if coeff is None else coeff})
 
     # -- basic queries -----------------------------------------------------
+
+    def integer_form(self):
+        """(ints, D) with ints / D the terms (``RingContext.integer_form``), computed on first use and kept."""
+        try:
+            return self._form
+        except AttributeError:
+            self._form = form = self.context.integer_form(self.terms)
+            return form
 
     def is_zero(self):
         return not self.terms
@@ -557,18 +616,43 @@ def contract(h, F):
 
     Bilinear in both arguments; terms where L-M has a negative component are
     dropped.  Composition agrees with the ring product: contracting by g*h
-    equals contracting by h then by g.
+    equals contracting by h then by g.  The products are taken on the
+    integer forms of h and F, as ints, and the result keeps its own.
     """
     check_side(Polynomial, (h,), check_side(DPPolynomial, (F,)))
+    (ints, dh), (fints, df) = h.integer_form(), F.integer_form()
     base, guard, acc = F.context.base, F.context.guard, {}
-    for m, a in h.terms.items():
+    for m, a in ints.items():
         m -= base
-        for l, b in F.terms.items():
+        for l, b in fints.items():
             d = l - m
             if not d & guard:
                 s = acc.get(d)
                 acc[d] = a * b if s is None else s + a * b
-    return DPPolynomial._of(F.context, F.context.normalize(acc))
+    return DPPolynomial._of_sums(F.context, acc, dh * df)
+
+
+def linear_combination(coeffs, vectors):
+    """The sum of c * vectors[j] over the items (j, c) of ``coeffs``, term coefficients, on integer forms.
+
+    ``coeffs`` is a non-empty dict whose keys index ``vectors``, elements of
+    one side and ring context.  With (w, D) the integer form of the
+    coefficients and (v_j, D_j) that of vectors[j], the sum is
+    sum_j w_j * (E / D_j) * v_j over D * E, E the lcm of the D_j: int
+    products only, then one Fraction per output term over Q.
+    """
+    first = vectors[next(iter(coeffs))]
+    ctx = first.context
+    weights, d = ctx.integer_form(coeffs)
+    forms = [(w, vectors[j].integer_form()) for j, w in weights.items()]
+    e = math.lcm(*[dj for _, (_, dj) in forms])
+    acc = {}
+    for w, (ints, dj) in forms:
+        w *= e // dj
+        for m, a in ints.items():
+            s = acc.get(m)
+            acc[m] = w * a if s is None else s + w * a
+    return type(first)._of_sums(ctx, acc, d * e)
 
 
 def contract_monomial(m, F):

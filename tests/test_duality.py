@@ -720,6 +720,29 @@ def test_every_entry_point_refuses_every_bad_operand(entry, kind):
         call(bad)
 
 
+def test_a_fresh_span_refuses_a_first_operand_that_is_no_polynomial():
+    # no side is fixed yet, so check_side takes either polynomial class and
+    # refuses the rest, where reading the operand's context raised AttributeError
+    q = ctx_of("ring Q[x,y]")
+    f = ring_poly(q, "x+y")
+    calls = [
+        lambda: span_reduce([3]),
+        lambda: span_intersect(SubspaceBasis([3]), span_reduce([f])),
+        lambda: span_intersect(SubspaceBasis([3, f]), span_reduce([f])),
+        *(lambda use=use: getattr(SpanBuilder(), use)(3) for use in ("insert", "reduce", "contains")),
+    ]
+    for call in calls:
+        with pytest.raises(ContextMismatchError, match="^mixed sides: a polynomial and int$"):
+            call()
+
+
+def test_annihilator_window_of_no_generator_is_refused_before_the_window_is_sized():
+    # an empty list has no ring context to size the window by, at any bound
+    for bound in (3, -1, 10**6):
+        with pytest.raises(PreconditionError, match="at least one generator"):
+            annihilator_window([], bound)
+
+
 def _compressed_hf(n, s):
     return [min(math.comb(n - 1 + i, i), math.comb(n - 1 + s - i, s - i)) for i in range(s + 1)]
 

@@ -491,6 +491,44 @@ def test_unit_pivots_match_scan_all_reference(field, keys):
         assert seen["redivided"] >= 5
 
 
+def _cascading_rows(rng, ctx, count, ncols):
+    """Engine rows over few columns: many one-key rows, and chains {k0}, {k0, k1}, {k1, k2}, ... shuffled in,
+    each of which the unit row of k0 strips down to one key after the other."""
+    rows = _unit_heavy_rows(rng, ctx, count, ncols)
+    chain = rng.sample(range(ncols), rng.randint(2, ncols))
+    rows.append({chain[0]: ctx.to_term(rng.choice([-2, 1, 3]))})
+    for a, b in zip(chain, chain[1:]):
+        rows.append({a: ctx.to_term(rng.choice([-1, 2])), b: ctx.to_term(rng.choice([1, -3]))})
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(7)", "Fp(32003)"])
+@pytest.mark.parametrize("lead", [min, max])
+def test_rref_rows_peeling_unit_rows_matches_one_by_one_insertion(field, lead):
+    # rref_rows takes the unit rows out to a fixpoint before any elimination;
+    # the RREF is unique, so its rows and pivots are those of inserting every
+    # row into the engine in turn
+    ctx = ctx_of(f"ring {field}[x,y]")
+    rng = rng_for(f"peel-units-{field}-{lead.__name__}")
+    cascaded = 0
+    for _ in range(40):
+        ncols = rng.randint(3, 12)
+        rows = _cascading_rows(rng, ctx, rng.randint(2, 18), ncols)
+        before = [dict(row) for row in rows]
+        engine = linalg._Echelon(lead, ctx.char)
+        for row in rows:
+            engine.insert_row(row)
+        pivots = sorted(engine.pivots)
+        assert rref_rows(rows, ctx.one, lead) == ([engine.pivots[c] for c in pivots], pivots)
+        assert rows == before
+        units, rest = linalg.peel_units(rows)
+        assert all(engine.pivots[key] == {key: 1} for key in units)
+        assert all(len(row) > 1 and units.isdisjoint(row) for row in rest)
+        cascaded += len(units - {key for row in rows if len(row) == 1 for key in row})
+    assert cascaded >= 40
+
+
 def test_unit_pivots_take_no_inverse(monkeypatch, surface_codim4):
     # only a pivot row of two or more terms is normalised by an inverse: 896 of
     # the diagonal span's 1216 pivots and every pivot of a monomial ideal's

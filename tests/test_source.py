@@ -21,6 +21,9 @@ FRACTION_MAKERS = {"ring.py": {"RingContext"}}
 # The field's term rule (ints mod p over Fp(p), Fractions over Q) lives in
 # RingContext; elsewhere only these top-level definitions read ``.char``.
 CHAR_READERS = {"ring.py": {"RingContext", "check_side"}, "groebner.py": {"_reduce"}}
+# A polynomial keeps its integer form in this slot once it is known; only
+# ring.py reads or writes it, so a kept form cannot drift from the terms.
+FORM_SLOT = "_form"
 # Side and context are checked in one place, ``ring.check_side``: no module
 # tests an operand against a polynomial class by hand, and only these
 # top-level definitions of ring.py build the refusal messages; a field
@@ -96,6 +99,11 @@ def _char_reads(tree):
         for node in ast.walk(top)
         if isinstance(node, ast.Attribute) and node.attr == "char"
     )
+
+
+def _attribute_uses(tree, name):
+    """Line numbers of every read or write of the attribute ``name``."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == name)
 
 
 def _side_type_tests(tree):
@@ -261,6 +269,24 @@ def test_char_read_check_sees_the_enclosing_definition():
         "    return inner, char\n"
     )
     assert _char_reads(tree) == [(1, None), (4, "RingContext"), (7, "contract")]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_only_the_ring_module_touches_the_kept_integer_form(module):
+    # elsewhere a form is read through ``integer_form()`` and made through
+    # ``_of_sums``, whose terms come from the same sums
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    uses = _attribute_uses(tree, FORM_SLOT)
+    assert bool(uses) if module == "ring.py" else uses == []
+
+
+def test_form_slot_check_sees_reads_and_writes():
+    tree = ast.parse(
+        "p._form = None\n"
+        "ints, d = poly._form\n"
+        "q.integer_form()\n"
+    )
+    assert _attribute_uses(tree, FORM_SLOT) == [1, 2]
 
 
 @pytest.mark.parametrize("module", ALL_MODULES)
