@@ -59,9 +59,9 @@ class _Echelon:
     Q (0) a row is a primitive int row with a positive pivot entry L, which
     stands for the monic row row / L; rows of Fractions are cleared of
     denominators on the way in (a ``SpanBuilder`` row is an integer form,
-    already int), reduced by cross-multiplying, and made Fractions only on
-    the way out (``monic_row``, kernels and solutions; ``SpanBuilder.reduce``
-    through the ring).
+    whose denominators are all 1), reduced by cross-multiplying, and made
+    Fractions only on the way out (``monic_row``, kernels and solutions;
+    ``SpanBuilder.reduce`` through the ring).
     """
 
     def __init__(self, lead, modulus):
@@ -96,18 +96,15 @@ class _Echelon:
                     del out[pc]  # factor * pv is a unit, so s is 0 only where pc was
         return out
 
-    def _reduce_integral(self, row, d=None):
-        """Over Q: (r, e), r an int row and r / e the remainder of a rational row, or given d of the int row row / d.
+    def _reduce_integral(self, row):
+        """Over Q: (r, d), r an int row and r / d the remainder of a rational row.
 
         Cleared of denominators, the row is scaled by the least m that makes
         each q_c = f_c * m / L_c integral (f_c its entry and L_c the pivot
         entry at pivot key c); then q_c times pivot row c is subtracted.
         """
-        if d is None:
-            d = math.lcm(*[v.denominator for v in row.values()])
-            out = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
-        else:
-            out = dict(row)
+        d = math.lcm(*[v.denominator for v in row.values()])
+        out = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
         pivots = self.pivots
         hits = [(c, f, prow) for c, f in out.items() if (prow := pivots.get(c))]
         m = math.lcm(*[lc // math.gcd(f, lc) for c, f, prow in hits if (lc := prow[c]) != 1])
@@ -383,8 +380,8 @@ class SpanBuilder(_Echelon):
     their bases coincide vector by vector.  The first polynomial it sees
     fixes its ring context and side; a polynomial from another context or
     the other side is refused.  Over Q a polynomial's row is its integer
-    form (``integer_form``), so no denominator is cleared on the way in and
-    a remainder is made through the ring (``_of_sums``).
+    form (``integer_form``), an int row, and a remainder is made through the
+    ring (``_of_sums``).
     """
 
     def __init__(self):
@@ -401,17 +398,13 @@ class SpanBuilder(_Echelon):
             check_side(self._side, (poly,), self.context)
         return poly.terms if self.modulus else poly.integer_form()[0]
 
-    def reduce_row(self, row):
-        """``_Echelon.reduce_row`` of a row from ``_adopt``: over Q an int row, with no denominator to clear."""
-        return super().reduce_row(row) if self.modulus else self._reduce_integral(row, 1)[0]
-
     def reduce(self, poly):
         """Remainder of poly after eliminating every basis leading monomial."""
         row = self._adopt(poly)
         if self.modulus:
             return type(poly)._of(poly.context, self.reduce_row(row))
-        out, e = self._reduce_integral(row, poly.integer_form()[1])
-        return type(poly)._of_sums(poly.context, out, e)
+        out, m = self._reduce_integral(row)
+        return type(poly)._of_sums(poly.context, out, poly.integer_form()[1] * m)
 
     def insert(self, poly):
         """Add a vector to the span; returns True if it enlarged the span."""

@@ -13,8 +13,8 @@ only at the boundary: the parser, the printer, the constructor,
 
 A polynomial also has an integer form (ints, D), its terms as int sums over
 one int D: over Q the numerators over the lcm D of the denominators, over
-Fp(p) the terms themselves over 1.  It is computed on first use and kept
-with the polynomial, whose terms never change after construction.
+Fp(p) the terms themselves over 1.  Over Q it is computed on first use and
+kept with the polynomial, whose terms never change after construction.
 ``contract`` and ``linear_combination`` multiply and add integer forms as
 ints, and make one Fraction per output term, through ``RingContext``.
 
@@ -314,6 +314,16 @@ class RingContext:
         d = math.lcm(*[c.denominator for c in terms.values()])
         return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
 
+    def kept_form(self, g):
+        """The integer form of the polynomial g: over Fp(p) (g.terms, 1); over Q computed on first use and kept in g."""
+        if self.char:
+            return g.terms, 1
+        try:
+            return g._form
+        except AttributeError:
+            g._form = form = self.integer_form(g.terms)
+            return form
+
     def from_integer_form(self, sums, d):
         """The terms of the int sums over a positive int d, zeros dropped, and their integer form.
 
@@ -330,8 +340,6 @@ class RingContext:
         if g != 1:
             d //= g
             ints = {m: s // g for m, s in ints.items()}
-        if d == 1:
-            return {m: Fraction(s) for m, s in ints.items()}, (ints, 1)
         return {m: Fraction(s, d) for m, s in ints.items()}, (ints, d)
 
     def inverse(self, c):
@@ -466,12 +474,8 @@ class _SparsePoly:
     # -- basic queries -----------------------------------------------------
 
     def integer_form(self):
-        """(ints, D) with ints / D the terms (``RingContext.integer_form``), computed on first use and kept."""
-        try:
-            return self._form
-        except AttributeError:
-            self._form = form = self.context.integer_form(self.terms)
-            return form
+        """(ints, D) with ints / D the terms (``RingContext.kept_form``): kept over Q, the terms over 1 over Fp."""
+        return self.context.kept_form(self)
 
     def is_zero(self):
         return not self.terms
@@ -636,13 +640,14 @@ def linear_combination(coeffs, vectors):
     """The sum of c * vectors[j] over the items (j, c) of ``coeffs``, term coefficients, on integer forms.
 
     ``coeffs`` is a non-empty dict whose keys index ``vectors``, elements of
-    one side and ring context.  With (w, D) the integer form of the
-    coefficients and (v_j, D_j) that of vectors[j], the sum is
-    sum_j w_j * (E / D_j) * v_j over D * E, E the lcm of the D_j: int
-    products only, then one Fraction per output term over Q.
+    one side and ring context (``check_side`` refuses the rest).  With
+    (w, D) the integer form of the coefficients and (v_j, D_j) that of
+    vectors[j], the sum is sum_j w_j * (E / D_j) * v_j over D * E, E the
+    lcm of the D_j: int products only, then one Fraction per output term
+    over Q.
     """
+    ctx = check_side(None, [vectors[j] for j in coeffs])
     first = vectors[next(iter(coeffs))]
-    ctx = first.context
     weights, d = ctx.integer_form(coeffs)
     forms = [(w, vectors[j].integer_form()) for j, w in weights.items()]
     e = math.lcm(*[dj for _, (_, dj) in forms])

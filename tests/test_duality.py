@@ -44,6 +44,7 @@ from invsys.ring import (
     check_side,
     contract,
     contract_monomial,
+    linear_combination,
     shift_mul,
 )
 
@@ -680,6 +681,7 @@ def _boundary_entry_points():
         "SpanBuilder.insert": ("r", builder("insert")),
         "SpanBuilder.reduce": ("r", builder("reduce")),
         "SpanBuilder.contains": ("r", builder("contains")),
+        "linear_combination": ("r", lambda b: linear_combination({0: q.unit, 1: q.unit}, [f, b])),
     }
 
 

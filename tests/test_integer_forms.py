@@ -1,7 +1,7 @@
 """Integer forms of Q polynomials against the Fraction arithmetic they replace.
 
-A polynomial keeps (ints, D), its terms as ints over one denominator, once
-it is known.  ``contract``, ``linear_combination`` (the minimal generators'
+A Q polynomial keeps (ints, D), its terms as ints over one denominator,
+once it is known; over Fp the form is the terms themselves over 1.  ``contract``, ``linear_combination`` (the minimal generators'
 emission) and ``SpanBuilder`` work on those forms; here each is compared
 with the same computation on Fractions, over Q with real denominators,
 graded and local, and every cached form is checked against its terms.
@@ -233,3 +233,18 @@ def test_equality_and_printing_ignore_the_kept_form():
         assert repr(fresh) == repr(kept) == str(kept)
     made = contract(Polynomial(ctx, {(1, 0): Fraction(1, 2)}), DPPolynomial(ctx, {(3, 1): Fraction(2, 3)}))
     assert made == DPPolynomial(ctx, {(2, 1): Fraction(1, 3)}) and repr(made) == "1/3*X^[2]*Y"
+
+
+def test_a_q_form_is_kept_and_an_fp_form_is_the_terms():
+    # over Q the lcm is taken once per polynomial; over Fp there is nothing
+    # to compute or keep, so a fresh Fp operand costs no miss
+    for field, expected_d in (("Q", 12), ("Fp(7)", 1)):
+        ctx = ctx_of(f"ring {field}[x,y] dual [X,Y]")
+        for cls in (Polynomial, DPPolynomial):
+            p = cls(ctx, {(2, 1): ctx.scalar(3, 4), (0, 3): ctx.scalar(-5, 6)})
+            form = p.integer_form()
+            assert form[1] == expected_d
+            if ctx.char:
+                assert form[0] is p.terms
+            else:
+                assert p.integer_form() is form
