@@ -17,6 +17,7 @@ from itertools import accumulate
 from .linalg import (
     SpanBuilder,
     SubspaceBasis,
+    kernel_forms,
     kernel_vectors,
     monomial_columns,
     peel_units,
@@ -276,19 +277,16 @@ class AnnihilatorWindow:
     """The joint annihilator of dual elements within R_{<=bound}, in two parts.
 
     ``divisors`` is the order ideal D of the window monomials that divide a
-    term of some generator.  By Macaulay duality every other window monomial
-    u kills every generator (u o F = 0), so it is a one-term kernel vector,
-    and none of them is built.  ``multi_term`` holds the rest of the kernel:
-    the canonical kernel of contraction over the columns in D, whose vectors
-    all have more than one term (a column in D is nonzero), by descending
-    leading monomial.  Together they are the reduced echelon kernel over the
-    whole window, vector for vector.
+    term of some generator.  Every other window monomial kills every
+    generator, a one-term kernel vector that is never built.
+    ``multi_term`` holds the rest of the kernel, the canonical kernel over
+    the columns in D, by descending leading monomial; together they are the
+    reduced echelon kernel over the whole window, vector for vector.
 
-    ``border`` lists the minimal one-term vectors: the monomials outside D
-    whose every quotient u/x_i lies in D.  Every monomial outside D is a
-    monomial multiple of one of them, and a window monomial m is a product
-    x_i * u of a one-term vector u exactly when some m/x_i lies outside D,
-    that is when m lies neither in D nor in the border.
+    ``border`` lists the minimal one-term vectors, the monomials outside D
+    whose every quotient u/x_i lies in D.  A window monomial is a product
+    x_i * u of a one-term vector u exactly when it lies neither in D nor in
+    the border.
     """
 
     context: object
@@ -310,7 +308,7 @@ class AnnihilatorWindow:
         Modulo m^{bound+1} they generate the same ideal as the whole kernel:
         every other kernel vector is a monomial multiple of a border monomial.
         """
-        return self.multi_term + [Polynomial._of(self.context, {u: self.context.unit}) for u in self.border]
+        return self.multi_term + [self.context.unit_monomial(u) for u in self.border]
 
 
 def _top_generators(gens):
@@ -346,19 +344,14 @@ def _top_generators(gens):
 def annihilator_window(gens, bound):
     """The joint annihilator of the given dual elements within R_{<=bound}.
 
-    Returns an ``AnnihilatorWindow``: the divisor set D and the multi-term
-    kernel vectors, eliminated over the columns in D only.  A generator that
-    another one reaches by a monomial contraction adds no rows: its divisors
-    and its rows, scalar multiples of the other's, are already there
-    (``_top_generators``).  The matrix is built from its nonzero entries, the
-    (term, divisor) pairs of ``_term_divisors``, and D is the set of those
-    divisors.  For homogeneous generators the matrix is block-diagonal by
-    degree (a column of degree j reaches only rows of degree deg F - j), so
-    the kernel is the union of the per-degree kernels.  Generators of
-    another ring context or side, an empty list, a negative bound, windows
-    of more than ``MAX_ANN_COLUMNS`` monomials and degrees above the packing
-    limit are refused up front, in that order, before any generator is
-    dropped.
+    Returns an ``AnnihilatorWindow``, eliminated over the columns in D only.
+    A generator that another reaches by a monomial contraction adds no rows
+    (``_top_generators``).  Each (term, divisor) pair of ``_term_divisors``
+    is an entry, the term's int in its generator's integer form, and the
+    vectors keep the integer forms of the kernel (``kernel_forms``).  Other
+    contexts or sides, no generator, a negative bound, more than
+    ``MAX_ANN_COLUMNS`` monomials and degrees above the packing limit are
+    refused up front, in that order.
     """
     ctx = check_side(DPPolynomial, gens)
     if ctx is None:
@@ -369,14 +362,16 @@ def annihilator_window(gens, bound):
     divisors = {u for *_, us in pairs for u in us}
     columns = sorted(divisors, reverse=True)
     position = {u: j for j, u in enumerate(columns)}
+    ints = [g.integer_form()[0] for g in gens]  # a row scaled by D_k has the same kernel
     rows = [{} for _ in gens]  # rows[k] maps L/u to row (k, L/u)
-    for k, l, a, us in pairs:
+    for k, l, _, us in pairs:
+        a = ints[k][l]
         l += ctx.base  # so that l - u packs L/u
         row_at = rows[k].setdefault
         for u in us:
             row_at(l - u, {})[position[u]] = a
-    kernel = kernel_vectors([row for by_quotient in rows for row in by_quotient.values()], columns, ctx.one)
-    return AnnihilatorWindow(ctx, bound, divisors, [Polynomial._of(ctx, v) for v in kernel])
+    kernel = kernel_forms([row for by_quotient in rows for row in by_quotient.values()], columns, ctx.one)
+    return AnnihilatorWindow(ctx, bound, divisors, [ctx.of_form(Polynomial, v, d) for v, d in kernel])
 
 
 def _monomial_multiple(m, terms, context, bound):
@@ -391,22 +386,20 @@ def _reduced_basis(vectors, divisors, ideal):
     """Reduced degrevlex Groebner basis of a homogeneous ideal read off its window kernel.
 
     Each kernel vector is homogeneous, monic at its leading monomial, a free
-    column, and elsewhere nonzero only at pivot columns, the standard
-    monomials of its degree.  So the leading monomials of each degree are
-    those of the leading-term ideal, and once the window reaches a degree
-    where every monomial lies in the ideal, the vectors led by a minimal
-    generator u of it -- no u/x_i is a leading monomial -- are exactly the
-    reduced basis, in ascending order.  ``vectors`` are the window's
-    multi-term vectors and border monomials: a one-term vector off the
-    border has a one-term quotient, and the quotients of the others lie in
-    the divisor set, so only multi-term leading monomials are looked up.
-    The staircase too: the ``divisors`` minus those leads are standard, and
-    a lead u has normal form u minus its vector.
+    column, and elsewhere nonzero only at the standard monomials of its
+    degree.  Once the window holds a degree inside the ideal, the vectors led
+    by a minimal generator u of the leading-term ideal (no u/x_i leads one)
+    are the reduced basis.  ``vectors`` are the multi-term vectors and the
+    border monomials, whose quotients by a variable lie in the divisor set,
+    so only multi-term leads are looked up.  The staircase: the ``divisors``
+    minus those leads are standard, and a lead u has normal form u minus its
+    vector, as an integer form: the vector's ints negated off u, over its D.
     """
     ctx = ideal.context
     base, xs = ctx.base, ctx.var_monomials
     lead = sorted(((v.leading_monomial(), v) for v in vectors), key=lambda pair: pair[0])
-    forms = {m: ctx.normalize({t: -c for t, c in v.terms.items() if t != m}) for m, v in lead if len(v.terms) > 1}
+    forms = {m: v.integer_form() for m, v in lead if len(v.terms) > 1}
+    forms = {m: (ctx.normalize({t: -a for t, a in ints.items() if t != m}), d) for m, (ints, d) in forms.items()}
     # m - x + base packs m / x; an x not dividing m sets a guard bit, which no monomial has
     kept = [v for m, v in lead if not any(m - x + base in forms for x in xs)]
     return GroebnerBasis(kept, ctx, ideal, (sorted(divisors.difference(forms)), forms))
@@ -415,62 +408,51 @@ def _reduced_basis(vectors, divisors, ideal):
 def _minimalize(vectors, bound, context, hull=None):
     """Minimal generators of the ideal spanned by vectors of R_{<=bound}.
 
-    Candidates are taken in increasing order (valuation), degrevlex breaking
-    ties, and kept when they are independent of the span built so far: by
-    Nakayama, g is a new generator iff g is not in m*I plus the kept ones.
+    Candidates come in increasing order (valuation, then degrevlex) and are
+    kept when not in m*I plus the kept ones (Nakayama).
 
-    A ``hull`` (an annihilator window's divisor set with its border) says
-    the vectors are a window kernel that, with the window monomials outside
-    the hull, spans all of I modulo m^{bound+1}: a graded annihilator at any
-    bound, whose products never cross degrees, or a local one whose bound
-    exceeds every dual generator degree, so m^{bound+1} lies in m*I.  Those
-    monomials, products x_i * u of one-term kernel vectors, lie in m*I.
-    Every other kernel vector is monic at its lead, a border monomial or a
-    free column, and elsewhere nonzero only at standard monomials, so the
-    coordinates at the leads in the hull map I modulo the monomials outside
-    it one-to-one.  There a product x_i * w keeps only its terms on a lead,
-    a candidate is the unit vector at its lead, and m*I is a set ``units``
-    of leads (products and kept generators left with one term) plus an
-    echelon span of the rest.  A candidate reduced by the span and stripped
-    is its remainder; made monic, a nonzero one is emitted as the same
-    combination of the window vectors at its leads, taken on their integer
-    forms (``linear_combination``).
+    A ``hull`` (a window's divisor set with its border) says the vectors are
+    a window kernel that, with the window monomials outside the hull, spans
+    I modulo m^{bound+1}: a graded annihilator, or a local one whose bound
+    exceeds every dual generator degree.  Those monomials lie in m*I, and
+    the other vectors, monic at their leads and elsewhere nonzero only at
+    standard monomials, map I modulo them one-to-one onto coordinates at the
+    leads.  There a product x_i * w is the int row of w's integer form
+    shifted onto the leads, a candidate is the unit vector at its lead, and
+    m*I is a set ``units`` of leads plus an echelon span of int rows.  A
+    nonzero remainder, stripped of the units, is emitted as the combination
+    of the vectors at its leads over its lead entry (``linear_combination``).
 
     Without a hull a kept candidate brings its honest multiples that fit
-    below the bound, so every emitted generator lies exactly in the span of
-    the vectors; the list is minimal with respect to those multiples.  When
-    every candidate is homogeneous the span is graded, and the multiples go
-    only into degrees that a later candidate has.
+    below the bound, only into degrees a later candidate has when all are
+    homogeneous; the list is minimal with respect to those multiples.
     """
     candidates = sorted(((v.leading_monomial(), v) for v in vectors), key=lambda p: (p[1].order(), -p[0]))
-    span, gens = SpanBuilder(), []
+    span, gens = SpanBuilder(context), []
     if hull is not None:
         at = {lm: v for lm, v in candidates if lm in hull}
         steps = [x - context.base for x in context.var_monomials]  # m + step packs m * x
-        rows = [  # the products of a one-term w lie outside the hull
-            row
-            for _, w in candidates
-            for step in steps
-            if len(w.terms) > 1 and (row := {p: c for m, c in w.terms.items() if (p := m + step) in at})
-        ]
+        rows = []
+        for _, w in candidates:
+            if len(w.terms) > 1:  # the products of a one-term w lie outside the hull
+                ints = w.integer_form()[0]
+                rows += [row for step in steps if (row := {p: a for m, a in ints.items() if (p := m + step) in at})]
         units, rows = peel_units(rows)
         for row in rows:
-            span.insert(Polynomial._of(context, row))
-        pivots = {max(b.terms) for b in span.basis()}
+            span.insert_ints(row)
+        leads = span.leads()
         for lm, _ in candidates:
             if lm not in at or lm in units:
                 continue  # in the span of the monomials outside the hull or of the set
-            r = {lm: context.unit}
-            if lm in pivots:  # else the unit vector is its own remainder
-                r = {m: c for m, c in span.reduce(Polynomial._of(context, r)).terms.items() if m not in units}
-            r = Polynomial._of(context, r).monic()
-            if len(r.terms) == 1:
-                units.update(r.terms)
-                gens.append(at[max(r.terms)])
-            elif r.terms:
-                span.insert(r)
-                pivots.add(max(r.terms))
-                gens.append(linear_combination(r.terms, at))
+            r = {lm: 1}
+            if lm in leads:  # else the unit vector is its own remainder
+                r = {m: c for m, c in span.reduce_ints(r).items() if m not in units}
+            if len(r) == 1:
+                units.update(r)
+                gens.append(at[max(r)])
+            elif r:
+                span.insert_ints(r)
+                gens.append(linear_combination((r, r[max(r)]), at))
         return gens
     homogeneous = all(v.is_homogeneous() for _, v in candidates)
     for k, (_, v) in enumerate(candidates):
@@ -519,25 +501,15 @@ def ann_cyclic(F, gen_bound=None):
 def ann_module(gens, degree_bound=None):
     """Bounded part of the joint annihilator of several dual elements.
 
-    The joint annihilator is the intersection of the per-generator
-    annihilators; it is computed here as one stacked contraction kernel over
-    the window R_{<=bound} (``annihilator_window``, which refuses windows of
-    more than ``MAX_ANN_COLUMNS`` monomials and eliminates only over the
-    monomials that divide a generator term).  ``_minimalize`` reads the
-    generators off the kernel: graded mode at every bound, and local mode
-    once the bound exceeds every generator degree, start its span from m*Ann
-    cut at the bound and take as candidates only the multi-term vectors and
-    the border monomials; a local bound at or below the top degree offers
-    every kernel vector with its honest multiples.  In graded mode, when the
-    bound exceeds the degree of every generator (the default), the window
-    holds the whole ideal through a degree it contains entirely, so the
-    returned ideal arrives with its reduced Groebner basis (``cached_gb``)
-    read off the kernel, with the staircase that ``groebner.socle_dim``
-    reads, and neither ``groebner.buchberger`` nor the border walk does
-    work on it.  It also arrives with its Hilbert data (``cached_hilbert``):
-    by Macaulay duality the quotient is Artinian of socle degree top, and
-    its Hilbert function in degree d counts the standard monomials of
-    degree d, the divisor monomials that lead no multi-term vector.
+    One stacked contraction kernel over the window R_{<=bound}
+    (``annihilator_window``), minimalized with the window's hull in graded
+    mode and once a local bound exceeds every generator degree, and with
+    every kernel vector and its honest multiples below that.  In graded mode
+    at a bound above every generator degree (the default) the ideal arrives
+    with its reduced Groebner basis (``cached_gb``), the staircase that
+    ``groebner.socle_dim`` reads, and its Hilbert data (``cached_hilbert``,
+    the standard monomials counted by degree), so neither
+    ``groebner.buchberger`` nor the border walk does work on it.
     """
     ctx = check_side(DPPolynomial, gens)
     gens = [g for g in gens if not g.is_zero()]
@@ -552,7 +524,7 @@ def ann_module(gens, degree_bound=None):
         ideal = Ideal(_minimalize(vectors, bound, ctx, window.divisors.union(window.border)), ctx)
     else:
         one_term = [
-            Polynomial._of(ctx, {m: ctx.unit})
+            ctx.unit_monomial(m)
             for m in _packed_monomials(ctx.n, 0, bound)
             if m not in window.divisors
         ]

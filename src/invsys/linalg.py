@@ -1,27 +1,21 @@
 """Exact linear algebra over the coefficient field.
 
-One echelon engine maintains a reduced row echelon form of sparse rows
-(dicts mapping a key to a scalar); everything is exact, so there are no pivot
-thresholds of any kind.  Keys are either int columns, leftmost pivot first
-for reduced echelon forms and affine solving, rightmost first for kernels,
-or monomials, degrevlex-largest pivot first.  The columns of a contraction
-system are the monomials of a degree range (``monomial_columns``, which
-sizes them); kernels and affine solutions come back keyed by them.
+One echelon engine keeps a reduced row echelon form of sparse rows (dicts
+from a key to a scalar), exactly.  Keys are int columns, leftmost pivot
+first for reduced echelon forms and affine solving, rightmost first for
+kernels, or monomials, degrevlex-largest pivot first.  The columns of a
+contraction system are the monomials of a degree range (``monomial_columns``).
 
-Rows, kernel vectors and solutions hold what polynomial terms hold: ints in
-[1, p) over Fp(p), Fractions over Q, never zero.  Over Q the engine holds
-primitive int rows (as ``rref_rows`` returns them), eliminates fraction-free
-(Bareiss, Math. Comp. 22, 1968) and makes Fractions only at its boundary; a
-``SpanBuilder`` takes a Q polynomial's integer form as its row.  A batch
-elimination (``rref_rows``) peels its unit rows first (``peel_units``), so
-only the rows left with two keys or more are eliminated.  ``one``
-(``RingContext.one``) names the field of an elimination; a ``SpanBuilder``
-takes the ring context and side of the first polynomial.
+Over Fp(p) rows hold ints in [1, p).  Over Q the engine holds primitive int
+rows and eliminates fraction-free (Bareiss, Math. Comp. 22, 1968): int rows,
+the ints of integer forms, go in as they are and Fraction rows are cleared
+once.  Kernels come out as integer forms (``kernel_forms``) or as terms, and
+solutions as terms.  ``rref_rows`` peels unit rows first (``peel_units``).
+``one`` (``RingContext.one``) names the field of an elimination.
 
-Coordinate vectors indexed by monomials are just polynomials, so subspaces
-of a degree window are kept as lists of polynomials in reduced echelon form
-with respect to the canonical (degrevlex descending) monomial order: monic
-vectors, pairwise distinct leading monomials, mutually reduced.
+Subspaces of a degree window are lists of polynomials in reduced echelon
+form for the degrevlex descending order: monic vectors with pairwise
+distinct leading monomials, mutually reduced (``SpanBuilder``).
 """
 
 from __future__ import annotations
@@ -42,26 +36,20 @@ class _Echelon:
     ``lead`` picks the pivot key among a row's keys: ``min`` or ``max`` for
     int columns, ``max`` (the degrevlex largest) for packed monomials.  Rows
     carry no zero entries.  ``holders`` maps each non-pivot column to the
-    set of pivot keys whose row is nonzero there, so back substitution visits
-    only those rows; a pivot column needs no entry, since RREF leaves it in
-    its own row only.
+    pivot keys whose row is nonzero there, so back substitution visits only
+    those rows.  A remainder with one key is a unit pivot ``{key: 1}``: no
+    lead search, inverse or holders entry, and its back substitution deletes
+    ``key`` from the rows holding it (over Q each then divided by its content).
 
-    Most rows of contraction systems are monomials, so a remainder with one
-    key is a unit pivot: it is stored as ``{key: 1}`` with no lead search,
-    inverse or holders entry, and its back substitution deletes ``key`` from
-    the rows holding it (over Q such a row is then divided by its content).
-    ``rref_rows`` peels the rows that start with one key, or are left with
-    one once such keys are stripped, before the engine sees any row.
-
-    ``modulus`` is the field's characteristic (None in a ``SpanBuilder``
-    that has seen no polynomial yet).  Over Fp(p) the rows hold ints in
-    [1, p), reduced with ``% p`` and normalised by ``pow(lc, -1, p)``.  Over
-    Q (0) a row is a primitive int row with a positive pivot entry L, which
-    stands for the monic row row / L; rows of Fractions are cleared of
-    denominators on the way in (a ``SpanBuilder`` row is an integer form,
-    whose denominators are all 1), reduced by cross-multiplying, and made
-    Fractions only on the way out (``monic_row``, kernels and solutions;
-    ``SpanBuilder.reduce`` through the ring).
+    ``modulus`` is the characteristic (None in a ``SpanBuilder`` with no
+    context yet).  Over Fp(p) rows hold ints in [1, p), normalised by
+    ``pow(lc, -1, p)``.  Over Q a row is a primitive int row with a positive
+    pivot entry L, standing for row / L.  Int rows go in as they are: the
+    window's contraction rows (a generator's integer form), the socle rows
+    of ``groebner.socle_dim`` and every ``SpanBuilder`` row.  Fraction rows
+    (``perp_ideal``, ``solve_lift``, ``vanishing_combinations``) are cleared
+    of denominators on the way in.  Fractions are made only on the way out
+    (``monic_row``, ``kernel_vectors``, ``solve_affine``).
     """
 
     def __init__(self, lead, modulus):
@@ -99,12 +87,18 @@ class _Echelon:
     def _reduce_integral(self, row):
         """Over Q: (r, d), r an int row and r / d the remainder of a rational row.
 
-        Cleared of denominators, the row is scaled by the least m that makes
-        each q_c = f_c * m / L_c integral (f_c its entry and L_c the pivot
-        entry at pivot key c); then q_c times pivot row c is subtracted.
+        A row holding a Fraction, which ``math.gcd`` refuses, is first
+        cleared of denominators.  The row is scaled by the least m that makes
+        each q_c = f_c * m / L_c integral (f_c its entry, L_c the pivot entry
+        at pivot key c); then q_c times pivot row c is subtracted.
         """
-        d = math.lcm(*[v.denominator for v in row.values()])
-        out = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
+        try:
+            math.gcd(*row.values())
+        except TypeError:
+            d = math.lcm(*[v.denominator for v in row.values()])
+            out = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
+        else:
+            d, out = 1, dict(row)
         pivots = self.pivots
         hits = [(c, f, prow) for c, f in out.items() if (prow := pivots.get(c))]
         m = math.lcm(*[lc // math.gcd(f, lc) for c, f, prow in hits if (lc := prow[c]) != 1])
@@ -210,12 +204,10 @@ class _Echelon:
 def peel_units(rows):
     """The unit rows of sparse rows, peeled to a fixpoint: (units, rest).
 
-    A row with one key makes that key a unit: the RREF holds the unit vector
-    there.  Every unit is stripped from the other rows, which may leave new
-    one-key rows, until none is left (the singleton step of structured
-    Gaussian elimination, LaMacchia and Odlyzko, CRYPTO '90).  ``rest``
-    lists the remaining rows of two keys or more, none of them a unit, in
-    their order; a stripped row is a new dict and no input row is changed.
+    A row with one key makes that key a unit, which is stripped from the
+    other rows until no one-key row is left (the singleton step of
+    structured Gaussian elimination, LaMacchia and Odlyzko, CRYPTO '90).
+    ``rest`` lists the remaining rows in order, stripped ones as new dicts.
     The RREF of the rows is the unit rows plus the RREF of ``rest``.
     """
     fresh, rest = set(), []
@@ -261,15 +253,27 @@ def rank_of(rows, one):
     return len(rref_rows(rows, one)[1])
 
 
-def _free_column_kernel(reduced, pivots, columns, one):
-    """Null-space basis of the engine's RREF rows, one vector per free column, keyed by ``columns``."""
+def _free_column_forms(reduced, pivots, columns, one):
+    """Null-space basis of the engine's RREF rows, one integer form (ints, D) per free column, keyed by ``columns``.
+
+    Free column c gives 1 at c and -v / L at the pivot column of each row
+    holding v at c, L its pivot entry: ints p - v over 1 over Fp(p), where L
+    is 1; over Q, D at c and -v * D / L, D the lcm of the L, content kept.
+    """
     p, pivot_set = getattr(one, "p", 0), set(pivots)
-    kernel = {c: {columns[c]: 1 if p else one} for c in range(len(columns)) if c not in pivot_set}
+    kernel = {c: {columns[c]: 1} for c in range(len(columns)) if c not in pivot_set}
     for lead, prow in zip(pivots, reduced):
         for c, v in prow.items():
             if c in kernel:
-                kernel[c][columns[lead]] = p - v if p else Fraction(-v, prow[lead])
-    return list(kernel.values())
+                kernel[c][columns[lead]] = p - v
+    lcs = {columns[lead]: lc for lead, prow in zip(pivots, reduced) if (lc := prow[lead]) != 1}  # none over Fp(p)
+    forms = [(vector, math.lcm(*[lcs[m] for m in vector if m in lcs]) if lcs else 1) for vector in kernel.values()]
+    return [(ints if d == 1 else {m: a * (d // lcs.get(m, 1)) for m, a in ints.items()}, d) for ints, d in forms]
+
+
+def _free_column_kernel(forms, one):
+    """Integer forms as vectors of terms: Fractions over Q."""
+    return [ints if getattr(one, "p", 0) else {m: Fraction(s, d) for m, s in ints.items()} for ints, d in forms]
 
 
 def kernel_vectors(rows, columns, one):
@@ -280,8 +284,12 @@ def kernel_vectors(rows, columns, one):
     column c, 1 at c, nonzero elsewhere only at pivot columns right of c.
     ``one`` names the field.
     """
-    reduced, pivots = rref_rows(rows, one, lead=max)
-    return _free_column_kernel(reduced, pivots, columns, one)
+    return _free_column_kernel(kernel_forms(rows, columns, one), one)
+
+
+def kernel_forms(rows, columns, one):
+    """The basis of ``kernel_vectors`` as integer forms (ints, D), for ``RingContext.of_form``."""
+    return _free_column_forms(*rref_rows(rows, one, lead=max), columns, one)
 
 
 def solve_affine(rows, rhs, columns, one):
@@ -307,7 +315,7 @@ def solve_affine(rows, rhs, columns, one):
         b = prow.get(ncols)
         if b:
             particular[columns[lead]] = b if p else Fraction(b, prow[lead])
-    return particular, _free_column_kernel(reduced, pivots, columns, one)
+    return particular, _free_column_kernel(_free_column_forms(reduced, pivots, columns, one), one)
 
 
 # ---------------------------------------------------------------------------
@@ -375,28 +383,40 @@ def monomial_columns(n, low, high, what, scope="up to", variables=None):
 class SpanBuilder(_Echelon):
     """Incremental reduced basis of a span of polynomials.
 
-    Keeps one monic vector per leading monomial, fully inter-reduced, so the
-    resulting basis is canonical for the subspace: two spans are equal iff
-    their bases coincide vector by vector.  The first polynomial it sees
-    fixes its ring context and side; a polynomial from another context or
-    the other side is refused.  Over Q a polynomial's row is its integer
-    form (``integer_form``), an int row, and a remainder is made through the
-    ring (``_of_sums``).
+    One monic vector per leading monomial, fully inter-reduced, so the basis
+    is canonical: two spans are equal iff their bases coincide.  The first
+    polynomial, or a ``context`` given up front, fixes the ring context, and
+    the first polynomial the side; other ones are refused.  A polynomial's
+    row is the ints of its integer form (its terms over Fp), and a remainder
+    is made through the ring (``_of_sums``).  Given a context, it also takes
+    such int rows themselves (``insert_ints``, ``reduce_ints``).
     """
 
-    def __init__(self):
-        super().__init__(max, None)
-        self.context = self._side = None
+    def __init__(self, context=None):
+        super().__init__(max, context and context.char)
+        self.context, self._side = context, None
 
     def _adopt(self, poly):
         """poly's row, its terms over Fp(p) and the ints of its integer form over Q, refused (``check_side``)
         unless poly has the side and context the first one fixed."""
         if type(poly) is not self._side or poly.context is not self.context:
             if self._side is None:
-                self.context = check_side(None, (poly,))
+                self.context = check_side(None, (poly,), self.context)
                 self.modulus, self._side = self.context.char, type(poly)
             check_side(self._side, (poly,), self.context)
         return poly.terms if self.modulus else poly.integer_form()[0]
+
+    def insert_ints(self, row):
+        """Add the int row of an integer form; returns True if it enlarged the span."""
+        return self.insert_row(row) is not None
+
+    def reduce_ints(self, row):
+        """A nonzero int multiple of the remainder of the int row of an integer form (over Fp(p) the remainder)."""
+        return self.reduce_row(row)
+
+    def leads(self):
+        """The leading monomials of the basis vectors, a live view."""
+        return self.pivots.keys()
 
     def reduce(self, poly):
         """Remainder of poly after eliminating every basis leading monomial."""
@@ -485,8 +505,8 @@ def vanishing_combinations(vectors, selected, head):
             if selected(m):
                 rows.setdefault(m, {})[j] = c
     out = []
-    for combo in kernel_vectors(list(rows.values()), range(len(vectors)), vectors[0].context.one):
+    for combo, d in kernel_forms(list(rows.values()), range(len(vectors)), vectors[0].context.one):
         combo = {j: c for j, c in combo.items() if j < head}
-        if combo and (acc := linear_combination(combo, vectors)).terms:
+        if combo and (acc := linear_combination((combo, d), vectors)).terms:
             out.append(acc)
     return out

@@ -1,27 +1,19 @@
 """Ring contexts and sparse polynomials for the ring/dual-module pair.
 
-Two kinds of elements share one sparse representation: elements of the
-polynomial (or power-series) ring R in the lowercase variables, and elements
-of its graded dual, the divided-power module, written in the uppercase dual
-variables with bracketed exponents (``X^[3]``).  A polynomial is a map from
-packed monomials, one int per exponent vector (see ``RingContext``), to
-nonzero coefficients: Fractions over Q, ints in [1, p) over Fp(p), never
-field scalars.  ``RingContext.normalize`` and ``inverse`` keep that rule,
-so each ring operation is one loop for both fields.  Exponent tuples appear
-only at the boundary: the parser, the printer, the constructor,
-``monomial``, ``coeff`` and ``shift_mul``.
+One sparse representation serves the polynomial (or power-series) ring R in
+the lowercase variables and its dual, the divided-power module in the
+uppercase variables (``X^[3]``): a map from packed monomials (see
+``RingContext``) to nonzero terms, Fractions over Q and ints in [1, p) over
+Fp(p).  ``RingContext`` keeps that rule, so each operation is one loop for
+both fields; exponent tuples appear only at the boundary.
 
-A polynomial also has an integer form (ints, D), its terms as int sums over
-one int D: over Q the numerators over the lcm D of the denominators, over
-Fp(p) the terms themselves over 1.  Over Q it is computed on first use and
-kept with the polynomial, whose terms never change after construction.
-``contract`` and ``linear_combination`` multiply and add integer forms as
-ints, and make one Fraction per output term, through ``RingContext``.
+A polynomial also has an integer form (ints, D), its terms as ints over one
+int D: over Q the numerators over the lcm D of the denominators, kept with
+the polynomial, whose terms never change; over Fp(p) the terms over 1.
 
-The dual side carries no internal product; R acts on it by contraction,
-which sends ``z^M . Z^[L]`` to ``Z^[L-M]`` (zero when any component of L-M is
-negative).  No binomial coefficients appear, so everything works verbatim
-over a prime field as well as over the rationals.
+R acts on the dual by contraction, ``z^M . Z^[L] = Z^[L-M]`` (zero when a
+component of L-M is negative): no binomial coefficients, so it works
+verbatim over a prime field as well as over the rationals.
 """
 
 from __future__ import annotations
@@ -325,22 +317,38 @@ class RingContext:
             return form
 
     def from_integer_form(self, sums, d):
-        """The terms of the int sums over a positive int d, zeros dropped, and their integer form.
-
-        Over Fp(p), where d is 1, the sums are reduced % p and are their own
-        form.  Over Q the sums and d are divided by their gcd, which leaves
-        the numerators over the lcm of the denominators, and each term is
-        one Fraction.
-        """
+        """The terms of the int sums over a nonzero int d, zeros dropped, and their integer form: over Fp(p)
+        the sums times the inverse of d, reduced % p; over Q ``_canonical``, one Fraction per term."""
         if self.char:
+            if d != 1:
+                k = pow(d, -1, self.char)
+                sums = {m: s * k for m, s in sums.items()}
             terms = self.normalize(sums)
             return terms, (terms, 1)
-        ints = {m: s for m, s in sums.items() if s}
-        g = math.gcd(d, *ints.values())
-        if g != 1:
-            d //= g
-            ints = {m: s // g for m, s in ints.items()}
-        return {m: Fraction(s, d) for m, s in ints.items()}, (ints, d)
+        ints, d = _canonical({m: s for m, s in sums.items() if s}, d)
+        unit = self.unit  # the term 1, shared
+        return {m: unit if s == d else Fraction(s, d) for m, s in ints.items()}, (ints, d)
+
+    def of_form(self, cls, ints, d):
+        """cls's element of an integer form (ints, d) of nonzero ints, kept; over Fp(p) the ints are its terms."""
+        return cls._of(self, ints) if self.char else cls._of_sums(self, ints, d)
+
+    def contraction_image(self, F, m, terms):
+        """The dual element m o F with ``terms``, F's term at l moved to l - m (m less ``base``), as ``_of``
+        builds it; over Q it keeps its form, F's ints on those terms over F's D, made canonical."""
+        image = object.__new__(DPPolynomial)
+        image.context, image.terms = self, terms
+        if not self.char:
+            ints, d = self.kept_form(F)
+            image._form = _canonical({k: ints[k + m] for k in terms}, d)
+        return image
+
+    def unit_monomial(self, m):
+        """The ring element m, a packed monomial with coefficient 1; over Q its form ({m: 1}, 1) kept."""
+        p = Polynomial._of(self, {m: self.unit})
+        if not self.char:
+            p._form = ({m: 1}, 1)
+        return p
 
     def inverse(self, c):
         """The exact inverse of a nonzero term coefficient: an int in [1, p) over Fp(p), a Fraction over Q."""
@@ -375,7 +383,7 @@ class RingContext:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def variable(self, i):
-        return Polynomial._of(self, {self.var_monomials[i]: self.unit})
+        return self.unit_monomial(self.var_monomials[i])
 
     def decl(self):
         """Canonical ring declaration string."""
@@ -384,6 +392,12 @@ class RingContext:
             f"ring {fld}[{','.join(self.var_names)}]"
             f" dual [{','.join(self.dual_names)}] mode {self.mode}"
         )
+
+
+def _canonical(ints, d):
+    """Nonzero ints over a nonzero int d, divided by their gcd signed as d: the numerators over the lcm of the denominators."""
+    g = math.gcd(d, *ints.values()) * (1 if d > 0 else -1)
+    return (ints, d) if g == 1 else ({m: s // g for m, s in ints.items()}, d // g)
 
 
 def check_side(side, operands, context=None):
@@ -453,7 +467,7 @@ class _SparsePoly:
 
     @classmethod
     def _of_sums(cls, context, sums, d):
-        """The element whose terms are the int sums over a positive int d (``RingContext.from_integer_form``), its form kept."""
+        """The element whose terms are the int sums over a nonzero int d (``RingContext.from_integer_form``), its form kept."""
         p = object.__new__(cls)
         p.context = context
         p.terms, p._form = context.from_integer_form(sums, d)
@@ -637,18 +651,16 @@ def contract(h, F):
 
 
 def linear_combination(coeffs, vectors):
-    """The sum of c * vectors[j] over the items (j, c) of ``coeffs``, term coefficients, on integer forms.
+    """The sum of (w_j / d) * vectors[j] for an integer form (weights, d) of coefficients, on integer forms.
 
-    ``coeffs`` is a non-empty dict whose keys index ``vectors``, elements of
-    one side and ring context (``check_side`` refuses the rest).  With
-    (w, D) the integer form of the coefficients and (v_j, D_j) that of
-    vectors[j], the sum is sum_j w_j * (E / D_j) * v_j over D * E, E the
-    lcm of the D_j: int products only, then one Fraction per output term
-    over Q.
+    ``weights`` is a non-empty dict of ints keyed by positions in
+    ``vectors``, elements of one side and ring context (``check_side``).
+    With (v_j, D_j) the form of vectors[j] and E the lcm of the D_j, the
+    sum is sum_j w_j * (E / D_j) * v_j over d * E: int products only.
     """
-    ctx = check_side(None, [vectors[j] for j in coeffs])
-    first = vectors[next(iter(coeffs))]
-    weights, d = ctx.integer_form(coeffs)
+    weights, d = coeffs
+    ctx = check_side(None, [vectors[j] for j in weights])
+    first = vectors[next(iter(weights))]
     forms = [(w, vectors[j].integer_form()) for j, w in weights.items()]
     e = math.lcm(*[dj for _, (_, dj) in forms])
     acc = {}
@@ -661,7 +673,7 @@ def linear_combination(coeffs, vectors):
 
 
 def contract_monomial(m, F):
-    """Contraction of F by the single packed monomial m (fast path)."""
+    """Contraction of F by the single packed monomial m (fast path), its form kept (``RingContext.contraction_image``)."""
     m -= F.context.base
     guard = F.context.guard
     acc = {}
@@ -669,7 +681,7 @@ def contract_monomial(m, F):
         d = l - m
         if not d & guard:
             acc[d] = b
-    return DPPolynomial._of(F.context, acc)
+    return F.context.contraction_image(F, m, acc)
 
 
 def pairing(f, F):

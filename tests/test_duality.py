@@ -681,7 +681,7 @@ def _boundary_entry_points():
         "SpanBuilder.insert": ("r", builder("insert")),
         "SpanBuilder.reduce": ("r", builder("reduce")),
         "SpanBuilder.contains": ("r", builder("contains")),
-        "linear_combination": ("r", lambda b: linear_combination({0: q.unit, 1: q.unit}, [f, b])),
+        "linear_combination": ("r", lambda b: linear_combination(({0: 1, 1: 1}, 1), [f, b])),
     }
 
 
@@ -1066,12 +1066,12 @@ def test_surface_diagonal_window_stacks_the_top_entry_alone(monkeypatch, surface
     diagonal = surface_codim4["diagonal"]
     assert duality._top_generators(diagonal) == [diagonal[-1]]
     sizes = []
-    kernel = duality.kernel_vectors
+    kernel = duality.kernel_forms
 
     def counting(rows, columns, one):
         sizes.append((len(rows), len(columns)))
         return kernel(rows, columns, one)
 
-    monkeypatch.setattr(duality, "kernel_vectors", counting)
+    monkeypatch.setattr(duality, "kernel_forms", counting)
     ann_module(diagonal, degree_bound=5)
     assert sizes == [(479, 245)]

@@ -10,22 +10,28 @@ graded and local, and every cached form is checked against its terms.
 from fractions import Fraction
 
 import pytest
-from conftest import ctx_of, ideal_of, rng_for
+from conftest import ctx_of, ideal_of, rng_for, window_kernel
+
+from test_groebner import _reference_socle_dim
+from test_minimalize import _minimalize_all_products
 
 from invsys import (
     DPPolynomial,
+    Ideal,
     Polynomial,
+    ann_cyclic,
     ann_module,
     check_family,
     contract,
     family_from_ideal,
     gorenstein_check,
     module_span,
+    socle_dim,
     span_intersect,
     span_reduce,
 )
 from invsys import duality, linalg, ring
-from invsys.ring import linear_combination
+from invsys.ring import contract_monomial, linear_combination
 
 P = 32003
 FIELDS = ["Q", f"Fp({P})"]
@@ -70,9 +76,11 @@ def _fraction_contract(h, F):
 
 
 def _fraction_combination(coeffs, vectors):
-    """sum c * vectors[j] through ``scale`` and ``+``, the emission before integer forms."""
-    first = vectors[next(iter(coeffs))]
-    return sum((vectors[j].scale(c) for j, c in coeffs.items()), type(first).zero(first.context))
+    """sum (w / d) * vectors[j] for coeffs = (weights, d) through ``scale`` and ``+``, the emission before integer forms."""
+    weights, d = coeffs
+    first = vectors[next(iter(weights))]
+    ctx = first.context
+    return sum((vectors[j].scale(ctx.scalar(w, d)) for j, w in weights.items()), type(first).zero(ctx))
 
 
 def _assert_form_is_the_terms(p):
@@ -112,16 +120,19 @@ def test_linear_combination_matches_scale_and_add(field, mode):
         for cls in (Polynomial, DPPolynomial):
             for _ in range(30):
                 vectors = [_poly(rng, ctx, cls, mode) for _ in range(rng.randint(1, 5))]
-                coeffs = {j: ctx.to_term(_coefficient(rng, ctx)) for j in range(len(vectors)) if rng.random() < 0.8}
-                if not coeffs:
+                weights = {j: rng.choice([-1, 1]) * rng.randint(1, 40) for j in range(len(vectors)) if rng.random() < 0.8}
+                if not weights:
                     continue
-                out = linear_combination(coeffs, vectors)
-                assert type(out) is cls and out == _fraction_combination(coeffs, vectors)
+                d = rng.choice([-1, 1]) * rng.randint(1, 12)
+                if ctx.char and d % ctx.char == 0:
+                    continue
+                out = linear_combination((weights, d), vectors)
+                assert type(out) is cls and out == _fraction_combination((weights, d), vectors)
                 if out.terms:
                     _assert_form_is_the_terms(out)
                 # cancelling to zero
-                j = next(iter(coeffs))
-                assert linear_combination({0: ctx.unit, 1: ctx.to_term(-1)}, [vectors[j], vectors[j]]).is_zero()
+                j = next(iter(weights))
+                assert linear_combination(({0: 1, 1: -1}, d), [vectors[j], vectors[j]]).is_zero()
 
 
 def _seeded_modules(field, mode, count):
@@ -248,3 +259,96 @@ def test_a_q_form_is_kept_and_an_fp_form_is_the_terms():
                 assert form[0] is p.terms
             else:
                 assert p.integer_form() is form
+
+
+# -- the graded annihilator on integer rows, window to socle ---------------------------------
+
+
+def _fraction_window(gens, bound):
+    """The multi-term window vectors as before integer rows: Fraction rows, ``kernel_vectors``, ``_of``."""
+    ctx = gens[0].context
+    gens = duality._top_generators(gens)
+    pairs = duality._term_divisors(gens, bound)
+    columns = sorted({u for *_, us in pairs for u in us}, reverse=True)
+    position = {u: j for j, u in enumerate(columns)}
+    rows = {}
+    for k, l, a, us in pairs:
+        for u in us:
+            rows.setdefault((k, l - u + ctx.base), {})[position[u]] = a
+    return [Polynomial._of(ctx, v) for v in linalg.kernel_vectors(list(rows.values()), columns, ctx.one)]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(7)", f"Fp({P})"])
+@pytest.mark.parametrize("mode", MODES)
+def test_annihilators_on_integer_rows_match_the_fraction_references(field, mode):
+    # the window kernel leaves the engine as integer forms, the minimalizer
+    # spans int rows and the socle ranks int rows; each stage equals its
+    # Fraction reference: the window vector for vector, the generators those
+    # of spanning every product, the socle the rank of the honest normal forms
+    rng = rng_for(f"integer-rows-{field}-{mode}")
+    socles = []
+    for ctx in _contexts(field, mode):
+        for k in range(6):
+            shape = "graded" if k % 3 == 2 else mode  # a homogeneous pair in local mode too: its border is walked
+            gens = [_poly(rng, ctx, DPPolynomial, shape, 5) for _ in range(1 + (k % 3 == 2))]
+            top = int(max(g.degree() for g in gens))
+            for bound in (top, top + 1):
+                window = duality.annihilator_window(gens, bound)
+                assert [v.terms for v in window.multi_term] == [v.terms for v in _fraction_window(gens, bound)]
+                for v in window.multi_term:
+                    _assert_form_is_the_terms(v)
+            ideal = ann_cyclic(gens[0]) if len(gens) == 1 else ann_module(gens)
+            reference = _minimalize_all_products(window_kernel(gens, top + 1), top + 1, ctx, True)
+            assert [g.terms for g in ideal.gens] == sorted((g.terms for g in reference), key=max)
+            if mode == "graded":  # the staircase read off the window, then the walked one
+                socles.append(socle_dim(ideal))
+                assert socles[-1] == _reference_socle_dim(ideal) == socle_dim(Ideal(list(ideal.gens), ctx))
+            elif all(g.is_homogeneous() for g in gens):  # a local context attaches no basis: walked
+                socles.append(socle_dim(ideal))
+                assert socles[-1] == _reference_socle_dim(ideal)
+    assert max(socles) >= 2
+
+
+def test_a_graded_q_annihilator_and_its_certificate_compute_one_integer_form(monkeypatch):
+    # the window, the minimalizer, the reduced basis and the socle read the
+    # forms the engine hands out; only F's own form is computed from terms
+    computed = []
+    integer_form = ring.RingContext.integer_form
+
+    def recording(self, terms):
+        computed.append(terms)
+        return integer_form(self, terms)
+
+    monkeypatch.setattr(ring.RingContext, "integer_form", recording)
+    rng = rng_for("one-integer-form")
+    jobs = 0
+    for ctx in _contexts("Q", "graded") + [ctx_of("ring Q[x,y,z,t,u,v] mode graded")]:
+        for _ in range(4):
+            F = _poly(rng, ctx, DPPolynomial, "graded", 4, 6)
+            if F.degree() < 2:
+                continue
+            computed.clear()
+            report = gorenstein_check(ann_cyclic(F), 0, [])
+            assert report.is_gorenstein and computed == [F.terms]
+            jobs += 1
+    assert jobs >= 10
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_contract_monomial_keeps_the_integer_form_of_its_image(field, monkeypatch):
+    # F's ints on the surviving terms over F's D, made canonical, with no lcm taken again
+    rng = rng_for(f"contract-monomial-form-{field}")
+    computed = []
+    integer_form = ring.RingContext.integer_form
+    monkeypatch.setattr(ring.RingContext, "integer_form", lambda self, terms: computed.append(terms) or integer_form(self, terms))
+    for ctx in _contexts(field, "local"):
+        for _ in range(20):
+            F = _poly(rng, ctx, DPPolynomial, "local", 5)
+            F.integer_form()
+            for u in {u for *_, us in duality._term_divisors([F], 5) for u in us}:
+                computed.clear()
+                image = contract_monomial(u, F)
+                image.integer_form()
+                assert computed == []
+                assert image == _fraction_contract(Polynomial._of(ctx, {u: ctx.unit}), F)
+                _assert_form_is_the_terms(image)

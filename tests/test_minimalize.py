@@ -121,15 +121,20 @@ def test_projected_span_stays_within_the_generator_count(inserted):
 
 @pytest.fixture
 def inserted(monkeypatch):
-    """Every vector passed to ``SpanBuilder.insert`` while the test runs."""
+    """The terms of every vector passed to ``SpanBuilder.insert``, and every int row passed to ``insert_ints``, while the test runs."""
     seen = []
-    insert = SpanBuilder.insert
+    insert, insert_ints = SpanBuilder.insert, SpanBuilder.insert_ints
 
     def recording_insert(self, poly):
-        seen.append(poly)
+        seen.append(poly.terms)
         return insert(self, poly)
 
+    def recording_insert_ints(self, row):
+        seen.append(row)
+        return insert_ints(self, row)
+
     monkeypatch.setattr(SpanBuilder, "insert", recording_insert)
+    monkeypatch.setattr(SpanBuilder, "insert_ints", recording_insert_ints)
     return seen
 
 
@@ -137,11 +142,11 @@ def test_no_one_term_vector_enters_the_span(surface_codim4, inserted):
     # almost every window vector of Ann(H) is a monomial; their products are
     # held as a monomial set, never as rows of the echelon engine
     assert ann_cyclic(surface_codim4["H"]).gens
-    assert [str(p) for p in inserted if len(p.terms) == 1] == []
+    assert [row for row in inserted if len(row) == 1] == []
     # a seeded form whose projected span is not empty: rows enter it, none with one term
     F = _form(rng_for("projected-span"), ctx_of("ring Q[x,y,z] dual [X,Y,Z] mode graded"), True)
     assert ann_cyclic(F).gens
-    assert inserted and [str(p) for p in inserted if len(p.terms) == 1] == []
+    assert inserted and [row for row in inserted if len(row) == 1] == []
 
 
 def test_no_one_term_vector_off_the_border_is_built(surface_codim4, monkeypatch):
@@ -173,7 +178,7 @@ def test_multiples_go_only_into_degrees_a_later_candidate_has(inserted):
     ideal = ideal_of(ctx_of("ring Q[x,y,z,t,u,v]"), "x, y^8")
     assert [str(g) for g in minimal_generators(ideal)] == ["x", "y^8"]
     multiples = inserted[2:]  # after the candidates' own span
-    assert len(multiples) == 792 and {int(p.degree()) for p in multiples} == {8}
+    assert len(multiples) == 792 and {max(row) >> ideal.context.shift for row in multiples} == {8}
 
 
 # SHA-256 of the reprs of ``ann_module`` generators and attached Groebner
