@@ -277,16 +277,18 @@ class AnnihilatorWindow:
     """The joint annihilator of dual elements within R_{<=bound}, in two parts.
 
     ``divisors`` is the order ideal D of the window monomials that divide a
-    term of some generator.  Every other window monomial kills every
-    generator, a one-term kernel vector that is never built.
-    ``multi_term`` holds the rest of the kernel, the canonical kernel over
-    the columns in D, by descending leading monomial; together they are the
-    reduced echelon kernel over the whole window, vector for vector.
+    term of some generator.  By Macaulay duality every other window monomial
+    u kills every generator (u o F = 0), a one-term kernel vector never
+    built.  ``multi_term`` holds the rest, the canonical kernel over the
+    columns in D, all of more than one term (a column in D is nonzero), by
+    descending lead; together they are the reduced echelon kernel over the
+    whole window, vector for vector.
 
     ``border`` lists the minimal one-term vectors, the monomials outside D
-    whose every quotient u/x_i lies in D.  A window monomial is a product
-    x_i * u of a one-term vector u exactly when it lies neither in D nor in
-    the border.
+    whose every quotient u/x_i lies in D; every monomial outside D is a
+    multiple of one.  A window monomial m is a product x_i * u of a one-term
+    vector exactly when some m/x_i lies outside D, that is when m lies
+    neither in D nor in the border.
     """
 
     context: object
@@ -308,7 +310,7 @@ class AnnihilatorWindow:
         Modulo m^{bound+1} they generate the same ideal as the whole kernel:
         every other kernel vector is a monomial multiple of a border monomial.
         """
-        return self.multi_term + [self.context.unit_monomial(u) for u in self.border]
+        return self.multi_term + [self.context.of_form(Polynomial, {u: 1}, 1) for u in self.border]
 
 
 def _top_generators(gens):
@@ -345,13 +347,15 @@ def annihilator_window(gens, bound):
     """The joint annihilator of the given dual elements within R_{<=bound}.
 
     Returns an ``AnnihilatorWindow``, eliminated over the columns in D only.
-    A generator that another reaches by a monomial contraction adds no rows
+    A generator that another reaches by a monomial contraction adds no rows:
+    its divisors and rows, multiples of the other's, are already there
     (``_top_generators``).  Each (term, divisor) pair of ``_term_divisors``
-    is an entry, the term's int in its generator's integer form, and the
-    vectors keep the integer forms of the kernel (``kernel_forms``).  Other
-    contexts or sides, no generator, a negative bound, more than
-    ``MAX_ANN_COLUMNS`` monomials and degrees above the packing limit are
-    refused up front, in that order.
+    is an entry, the term's int in its generator's integer form (a row
+    scaled by D has the same kernel), and the vectors keep the kernel's
+    integer forms (``kernel_forms``).  Other contexts or sides, no
+    generator, a negative bound, more than ``MAX_ANN_COLUMNS`` monomials and
+    degrees above the packing limit are refused up front, in that order,
+    before any generator is dropped.
     """
     ctx = check_side(DPPolynomial, gens)
     if ctx is None:
@@ -386,20 +390,22 @@ def _reduced_basis(vectors, divisors, ideal):
     """Reduced degrevlex Groebner basis of a homogeneous ideal read off its window kernel.
 
     Each kernel vector is homogeneous, monic at its leading monomial, a free
-    column, and elsewhere nonzero only at the standard monomials of its
-    degree.  Once the window holds a degree inside the ideal, the vectors led
-    by a minimal generator u of the leading-term ideal (no u/x_i leads one)
-    are the reduced basis.  ``vectors`` are the multi-term vectors and the
-    border monomials, whose quotients by a variable lie in the divisor set,
-    so only multi-term leads are looked up.  The staircase: the ``divisors``
-    minus those leads are standard, and a lead u has normal form u minus its
-    vector, as an integer form: the vector's ints negated off u, over its D.
+    column, and elsewhere nonzero only at pivot columns, the standard
+    monomials of its degree.  So the leading monomials of each degree are
+    those of the leading-term ideal, and once the window reaches a degree
+    where every monomial lies in the ideal, the vectors led by a minimal
+    generator u of it -- no u/x_i is a leading monomial -- are exactly the
+    reduced basis, in ascending order.  ``vectors`` are the window's
+    multi-term vectors and border monomials: a one-term vector off the
+    border has a one-term quotient, and the quotients of the others lie in
+    the divisor set, so only multi-term leading monomials are looked up.
+    The staircase too: the ``divisors`` minus those leads are standard, and
+    a lead u has normal form u minus its vector.
     """
     ctx = ideal.context
     base, xs = ctx.base, ctx.var_monomials
     lead = sorted(((v.leading_monomial(), v) for v in vectors), key=lambda pair: pair[0])
-    forms = {m: v.integer_form() for m, v in lead if len(v.terms) > 1}
-    forms = {m: (ctx.normalize({t: -a for t, a in ints.items() if t != m}), d) for m, (ints, d) in forms.items()}
+    forms = {m: ctx.normalize({t: -c for t, c in v.terms.items() if t != m}) for m, v in lead if len(v.terms) > 1}
     # m - x + base packs m / x; an x not dividing m sets a guard bit, which no monomial has
     kept = [v for m, v in lead if not any(m - x + base in forms for x in xs)]
     return GroebnerBasis(kept, ctx, ideal, (sorted(divisors.difference(forms)), forms))
@@ -408,23 +414,24 @@ def _reduced_basis(vectors, divisors, ideal):
 def _minimalize(vectors, bound, context, hull=None):
     """Minimal generators of the ideal spanned by vectors of R_{<=bound}.
 
-    Candidates come in increasing order (valuation, then degrevlex) and are
-    kept when not in m*I plus the kept ones (Nakayama).
+    Candidates come in increasing order (valuation, then degrevlex); by
+    Nakayama, g is a new generator iff g is not in m*I plus the kept ones.
 
     A ``hull`` (a window's divisor set with its border) says the vectors are
     a window kernel that, with the window monomials outside the hull, spans
-    I modulo m^{bound+1}: a graded annihilator, or a local one whose bound
-    exceeds every dual generator degree.  Those monomials lie in m*I, and
-    the other vectors, monic at their leads and elsewhere nonzero only at
-    standard monomials, map I modulo them one-to-one onto coordinates at the
-    leads.  There a product x_i * w is the int row of w's integer form
+    I modulo m^{bound+1}: a graded annihilator, whose products never cross
+    degrees, or a local one whose bound exceeds every dual generator degree,
+    so m^{bound+1} lies in m*I.  Those monomials lie in m*I, and the other
+    vectors, monic at their leads and elsewhere nonzero only at standard
+    monomials, map I modulo them one-to-one onto coordinates at the leads.  There a product x_i * w is the int row of w's integer form
     shifted onto the leads, a candidate is the unit vector at its lead, and
     m*I is a set ``units`` of leads plus an echelon span of int rows.  A
     nonzero remainder, stripped of the units, is emitted as the combination
     of the vectors at its leads over its lead entry (``linear_combination``).
 
     Without a hull a kept candidate brings its honest multiples that fit
-    below the bound, only into degrees a later candidate has when all are
+    below the bound, so every emitted generator lies in the span of the
+    vectors, only into degrees a later candidate has when all are
     homogeneous; the list is minimal with respect to those multiples.
     """
     candidates = sorted(((v.leading_monomial(), v) for v in vectors), key=lambda p: (p[1].order(), -p[0]))
@@ -501,15 +508,17 @@ def ann_cyclic(F, gen_bound=None):
 def ann_module(gens, degree_bound=None):
     """Bounded part of the joint annihilator of several dual elements.
 
-    One stacked contraction kernel over the window R_{<=bound}
-    (``annihilator_window``), minimalized with the window's hull in graded
-    mode and once a local bound exceeds every generator degree, and with
-    every kernel vector and its honest multiples below that.  In graded mode
-    at a bound above every generator degree (the default) the ideal arrives
-    with its reduced Groebner basis (``cached_gb``), the staircase that
-    ``groebner.socle_dim`` reads, and its Hilbert data (``cached_hilbert``,
-    the standard monomials counted by degree), so neither
-    ``groebner.buchberger`` nor the border walk does work on it.
+    The intersection of the per-generator annihilators, as one stacked
+    contraction kernel over the window R_{<=bound} (``annihilator_window``),
+    minimalized with the window's hull in graded mode and once a local bound
+    exceeds every generator degree, else with every kernel vector and its
+    honest multiples.  In graded mode at a bound above every generator degree
+    (the default) the window holds the ideal through a degree it contains
+    entirely, so the ideal arrives with its reduced Groebner basis
+    (``cached_gb``), the staircase ``socle_dim`` reads, and its Hilbert data
+    (``cached_hilbert``: by Macaulay duality R/I is Artinian of socle degree
+    top, its Hilbert function the divisor monomials leading no multi-term
+    vector, by degree); no Buchberger run or border walk works on it.
     """
     ctx = check_side(DPPolynomial, gens)
     gens = [g for g in gens if not g.is_zero()]
@@ -523,11 +532,7 @@ def ann_module(gens, degree_bound=None):
         vectors = window.generating_vectors()
         ideal = Ideal(_minimalize(vectors, bound, ctx, window.divisors.union(window.border)), ctx)
     else:
-        one_term = [
-            ctx.unit_monomial(m)
-            for m in _packed_monomials(ctx.n, 0, bound)
-            if m not in window.divisors
-        ]
+        one_term = [ctx.of_form(Polynomial, {m: 1}, 1) for m in _packed_monomials(ctx.n, 0, bound) if m not in window.divisors]
         ideal = Ideal(_minimalize(window.multi_term + one_term, bound, ctx), ctx)
     if graded and bound > top:
         ideal.cached_gb = _reduced_basis(vectors, window.divisors, ideal)

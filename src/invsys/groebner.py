@@ -5,13 +5,15 @@ reduced bases under degrevlex, normal forms, Hilbert series by the monomial
 inclusion-exclusion recursion, Krull dimension, multiplicities, regular
 sequence tests, and standard monomials and socle dimensions read off a
 walk over the border of the standard monomials or off an annihilator
-window.  Local ideals are deliberately not handled here; the duality layer
-treats them by degree truncation.
+window.  Every socle element is led by a corner, a standard monomial with
+no standard successor x_i*m; the rows of the other standard monomials are
+unit-triangular at relabelled keys, so the socle ranks only the corner rows
+and the rows they reach.  Local ideals are deliberately not handled here;
+the duality layer treats them by degree truncation.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import accumulate
 
 from .duality import GroebnerBasis, HilbertData, Ideal
@@ -293,11 +295,12 @@ def _border_walk(gb):
     has NF(u) = u - g; else, when u/y is in the border, NF(u) is the sum of
     c*NF(y*t) over the terms c*t of NF(u/y), each y*t a candidate below u;
     else u is standard.  Returns the ascending standard monomials and a dict
-    from each border monomial to the integer form (ints, D) of its normal form.
+    from each border monomial to its normal form as {monomial: coefficient}.
 
     A basis that ``ann_module`` read off a window carries the pair as its
-    ``staircase``, not walked: its dict holds the non-standard monomials of
-    the window's divisor set; any other non-standard monomial has NF 0.
+    ``staircase``, not walked: the dict holds the normal forms of the
+    non-standard monomials of the window's divisor set, and any other
+    non-standard monomial has normal form 0.
     """
     if gb.staircase is not None:
         return gb.staircase
@@ -335,7 +338,7 @@ def _border_walk(gb):
                     s = nf.get(v)
                     nf[v] = c * e if s is None else s + c * e
             border[u] = ctx.normalize(nf)
-    return std, {u: ctx.integer_form(nf) for u, nf in border.items()}
+    return std, border
 
 
 def standard_monomials(gb):
@@ -349,18 +352,21 @@ def standard_monomials(gb):
 def socle_dim(ideal):
     """Dimension of the socle (0 : m) / I of an Artinian quotient; 0 for the unit ideal.
 
-    The kernel of joint multiplication by the variables, ranked transposed
-    off ``_border_walk``: the row of a standard monomial m holds NF(x_i*m) at
-    key (position of t, i) for each term t, an int row (each form's ints
-    times E / D, E the lcm of the D).  A corner is a standard m with no
-    standard successor x_i*m; any other row is nonzero at the key of its
-    first one, where only rows m' > m are nonzero (NF(x_i*m') has no term
-    above x_i*m').  That key is relabelled -1 - (position of m), below every
-    other key, so ``rank_of`` pivots there and every socle element is led
-    by a corner.  Only the corner rows and the rows they reach through
-    relabelled keys are built; the socle dimension is their number less
-    their rank (zero rows skipped).  A quotient whose cached multiplicity
-    exceeds ``MAX_ANN_COLUMNS`` is refused before the walk.
+    The kernel of joint multiplication by all the variables, read off
+    ``_border_walk`` without a normal form and ranked transposed: the row of
+    a standard monomial m holds NF(x_i*m) at key (position of t, i) for each
+    term t.  A corner is a standard m with no standard successor x_i*m.  The
+    row of any other m holds 1 at the key (x_i*m, i) of its first one, and a
+    row m' nonzero there has m' > m, as NF(x_i*m') has no term above x_i*m'.
+    That key is relabelled -1 - (position of m), below every other key, so
+    ``rank_of`` pivots on it: these rows are independent, unit-triangular
+    there, and every socle element is led by a corner.  Only the corner rows
+    and the rows they reach through relabelled keys, transitively, are
+    built, and the socle dimension is their number less their rank (zero
+    rows skipped).  The refusal counts the standard monomials, the
+    multiplicity, as "multiplication columns" though they index the rows: a
+    quotient whose cached Hilbert data put it above ``MAX_ANN_COLUMNS`` is
+    refused before the walk.
     """
     gb = buchberger(ideal)
     ctx = ideal.context
@@ -382,13 +388,11 @@ def socle_dim(ideal):
     while todo:
         j = todo.pop()
         row = rows[j] = {}
-        # the forms of the nonzero NF(x_i*m): a standard u is its own, and one off the border dict is 0
-        nfs = [(i, forms.get(u, ({u: 1}, 1))) for i, x in enumerate(xs) if (u := std[j] + x - base) in forms or u in pos]
-        e = math.lcm(*[d for _, (_, d) in nfs])
-        for i, (ints, d) in nfs:
-            for t, c in ints.items():
+        for i, x in enumerate(xs):
+            u = std[j] + x - base
+            for t, c in forms.get(u, {u: ctx.unit} if u in pos else {}).items():
                 key = pos[t] * n + i
-                row[relabel.get(key, key)] = c * (e // d)
+                row[relabel.get(key, key)] = c
         for k in row:
             if k < 0 and -1 - k not in rows:
                 rows[-1 - k] = None

@@ -1,21 +1,23 @@
 """Exact linear algebra over the coefficient field.
 
 One echelon engine keeps a reduced row echelon form of sparse rows (dicts
-from a key to a scalar), exactly.  Keys are int columns, leftmost pivot
-first for reduced echelon forms and affine solving, rightmost first for
-kernels, or monomials, degrevlex-largest pivot first.  The columns of a
-contraction system are the monomials of a degree range (``monomial_columns``).
+from a key to a scalar); everything is exact, so there are no pivot
+thresholds.  Keys are int columns, leftmost pivot first for reduced echelon
+forms and affine solving, rightmost first for kernels, or monomials,
+degrevlex-largest first.  The columns of a contraction system are the
+monomials of a degree range (``monomial_columns``, which sizes them).
 
-Over Fp(p) rows hold ints in [1, p).  Over Q the engine holds primitive int
-rows and eliminates fraction-free (Bareiss, Math. Comp. 22, 1968): int rows,
-the ints of integer forms, go in as they are and Fraction rows are cleared
-once.  Kernels come out as integer forms (``kernel_forms``) or as terms, and
-solutions as terms.  ``rref_rows`` peels unit rows first (``peel_units``).
-``one`` (``RingContext.one``) names the field of an elimination.
+Rows, kernel vectors and solutions hold what polynomial terms hold, never
+zero: ints in [1, p) over Fp(p), Fractions or the ints of integer forms over
+Q.  Over Q the engine holds primitive int rows and eliminates fraction-free
+(Bareiss, Math. Comp. 22, 1968), clearing a Fraction row once; it makes
+Fractions only at its boundary, and ``kernel_forms`` none.  ``rref_rows``
+peels unit rows first (``peel_units``), so only rows of two keys or more
+are eliminated.  ``one`` (``RingContext.one``) names the field.
 
-Subspaces of a degree window are lists of polynomials in reduced echelon
-form for the degrevlex descending order: monic vectors with pairwise
-distinct leading monomials, mutually reduced (``SpanBuilder``).
+Coordinate vectors indexed by monomials are just polynomials, so subspaces
+of a degree window are lists of monic polynomials in reduced echelon form
+for the degrevlex descending order (``SpanBuilder``).
 """
 
 from __future__ import annotations
@@ -37,19 +39,21 @@ class _Echelon:
     int columns, ``max`` (the degrevlex largest) for packed monomials.  Rows
     carry no zero entries.  ``holders`` maps each non-pivot column to the
     pivot keys whose row is nonzero there, so back substitution visits only
-    those rows.  A remainder with one key is a unit pivot ``{key: 1}``: no
-    lead search, inverse or holders entry, and its back substitution deletes
-    ``key`` from the rows holding it (over Q each then divided by its content).
+    those rows; a pivot column needs no entry, as RREF leaves it in its own
+    row only.  Most rows of contraction systems are monomials, so a remainder
+    with one key is a unit pivot ``{key: 1}``: no lead search, inverse or
+    holders entry, and its back substitution deletes ``key`` from the rows
+    holding it (over Q each then divided by its content).
 
     ``modulus`` is the characteristic (None in a ``SpanBuilder`` with no
     context yet).  Over Fp(p) rows hold ints in [1, p), normalised by
     ``pow(lc, -1, p)``.  Over Q a row is a primitive int row with a positive
-    pivot entry L, standing for row / L.  Int rows go in as they are: the
-    window's contraction rows (a generator's integer form), the socle rows
-    of ``groebner.socle_dim`` and every ``SpanBuilder`` row.  Fraction rows
-    (``perp_ideal``, ``solve_lift``, ``vanishing_combinations``) are cleared
-    of denominators on the way in.  Fractions are made only on the way out
-    (``monic_row``, ``kernel_vectors``, ``solve_affine``).
+    pivot entry L, standing for the monic row row / L.  Int rows go in as
+    they are (the window's contraction rows, every ``SpanBuilder`` row);
+    Fraction rows (``perp_ideal``, ``solve_lift``, ``vanishing_combinations``,
+    ``groebner.socle_dim``) are cleared by the lcm of their denominators,
+    which leaves an int row as it is.  Fractions are made only on the way
+    out (``monic_row``, ``kernel_vectors``, ``solve_affine``).
     """
 
     def __init__(self, lead, modulus):
@@ -87,18 +91,12 @@ class _Echelon:
     def _reduce_integral(self, row):
         """Over Q: (r, d), r an int row and r / d the remainder of a rational row.
 
-        A row holding a Fraction, which ``math.gcd`` refuses, is first
-        cleared of denominators.  The row is scaled by the least m that makes
-        each q_c = f_c * m / L_c integral (f_c its entry, L_c the pivot entry
-        at pivot key c); then q_c times pivot row c is subtracted.
+        Cleared of denominators (an int's is 1), the row is scaled by the least
+        m that makes each q_c = f_c * m / L_c integral (f_c its entry and L_c
+        the pivot entry at pivot key c); then q_c times pivot row c is subtracted.
         """
-        try:
-            math.gcd(*row.values())
-        except TypeError:
-            d = math.lcm(*[v.denominator for v in row.values()])
-            out = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
-        else:
-            d, out = 1, dict(row)
+        d = math.lcm(*[v.denominator for v in row.values()])
+        out = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
         pivots = self.pivots
         hits = [(c, f, prow) for c, f in out.items() if (prow := pivots.get(c))]
         m = math.lcm(*[lc // math.gcd(f, lc) for c, f, prow in hits if (lc := prow[c]) != 1])
@@ -204,11 +202,12 @@ class _Echelon:
 def peel_units(rows):
     """The unit rows of sparse rows, peeled to a fixpoint: (units, rest).
 
-    A row with one key makes that key a unit, which is stripped from the
-    other rows until no one-key row is left (the singleton step of
-    structured Gaussian elimination, LaMacchia and Odlyzko, CRYPTO '90).
-    ``rest`` lists the remaining rows in order, stripped ones as new dicts.
-    The RREF of the rows is the unit rows plus the RREF of ``rest``.
+    A row with one key makes that key a unit, the RREF's unit vector there,
+    stripped from the other rows until no one-key row is left (the singleton
+    step of structured Gaussian elimination, LaMacchia and Odlyzko, CRYPTO
+    '90).  ``rest`` lists the other rows in order, stripped ones as new
+    dicts: no input row is changed.  The RREF of the rows is the unit rows
+    plus the RREF of ``rest``.
     """
     fresh, rest = set(), []
     for row in rows:
@@ -385,11 +384,10 @@ class SpanBuilder(_Echelon):
 
     One monic vector per leading monomial, fully inter-reduced, so the basis
     is canonical: two spans are equal iff their bases coincide.  The first
-    polynomial, or a ``context`` given up front, fixes the ring context, and
-    the first polynomial the side; other ones are refused.  A polynomial's
-    row is the ints of its integer form (its terms over Fp), and a remainder
-    is made through the ring (``_of_sums``).  Given a context, it also takes
-    such int rows themselves (``insert_ints``, ``reduce_ints``).
+    polynomial, or a ``context`` given up front, fixes the context, and the
+    first polynomial the side; other ones are refused.  A row is the ints of
+    a polynomial's integer form, or one given (``insert_ints``,
+    ``reduce_ints``); a remainder is made through the ring (``_of_sums``).
     """
 
     def __init__(self, context=None):
@@ -406,13 +404,8 @@ class SpanBuilder(_Echelon):
             check_side(self._side, (poly,), self.context)
         return poly.terms if self.modulus else poly.integer_form()[0]
 
-    def insert_ints(self, row):
-        """Add the int row of an integer form; returns True if it enlarged the span."""
-        return self.insert_row(row) is not None
-
-    def reduce_ints(self, row):
-        """A nonzero int multiple of the remainder of the int row of an integer form (over Fp(p) the remainder)."""
-        return self.reduce_row(row)
+    # the int row of an integer form, inserted; and a nonzero int multiple of its remainder (over Fp(p) the remainder)
+    insert_ints, reduce_ints = _Echelon.insert_row, _Echelon.reduce_row
 
     def leads(self):
         """The leading monomials of the basis vectors, a live view."""

@@ -4,16 +4,20 @@ One sparse representation serves the polynomial (or power-series) ring R in
 the lowercase variables and its dual, the divided-power module in the
 uppercase variables (``X^[3]``): a map from packed monomials (see
 ``RingContext``) to nonzero terms, Fractions over Q and ints in [1, p) over
-Fp(p).  ``RingContext`` keeps that rule, so each operation is one loop for
-both fields; exponent tuples appear only at the boundary.
+Fp(p), never field scalars.  ``RingContext.normalize`` and ``inverse`` keep
+that rule, so each operation is one loop for both fields; exponent tuples
+appear only at the boundary (parser, printer, constructor, ``monomial``,
+``coeff``, ``shift_mul``).
 
 A polynomial also has an integer form (ints, D), its terms as ints over one
-int D: over Q the numerators over the lcm D of the denominators, kept with
-the polynomial, whose terms never change; over Fp(p) the terms over 1.
+int D: over Q the numerators over the lcm D of the denominators, computed
+on first use and kept with the polynomial, whose terms never change; over
+Fp(p) the terms over 1.  ``contract`` and ``linear_combination`` work on
+these ints and make one Fraction per output term.
 
-R acts on the dual by contraction, ``z^M . Z^[L] = Z^[L-M]`` (zero when a
-component of L-M is negative): no binomial coefficients, so it works
-verbatim over a prime field as well as over the rationals.
+R acts on the dual, which has no internal product, by contraction
+``z^M . Z^[L] = Z^[L-M]`` (zero when a component of L-M is negative): no
+binomial coefficients, so it works verbatim over Fp(p) as over Q.
 """
 
 from __future__ import annotations
@@ -318,7 +322,8 @@ class RingContext:
 
     def from_integer_form(self, sums, d):
         """The terms of the int sums over a nonzero int d, zeros dropped, and their integer form: over Fp(p)
-        the sums times the inverse of d, reduced % p; over Q ``_canonical``, one Fraction per term."""
+        the sums times the inverse of d, reduced % p; over Q the sums and d divided by their gcd signed as d
+        (``_canonical``), which leaves the numerators over the lcm of the denominators, one Fraction per term."""
         if self.char:
             if d != 1:
                 k = pow(d, -1, self.char)
@@ -342,13 +347,6 @@ class RingContext:
             ints, d = self.kept_form(F)
             image._form = _canonical({k: ints[k + m] for k in terms}, d)
         return image
-
-    def unit_monomial(self, m):
-        """The ring element m, a packed monomial with coefficient 1; over Q its form ({m: 1}, 1) kept."""
-        p = Polynomial._of(self, {m: self.unit})
-        if not self.char:
-            p._form = ({m: 1}, 1)
-        return p
 
     def inverse(self, c):
         """The exact inverse of a nonzero term coefficient: an int in [1, p) over Fp(p), a Fraction over Q."""
@@ -383,7 +381,7 @@ class RingContext:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def variable(self, i):
-        return self.unit_monomial(self.var_monomials[i])
+        return self.of_form(Polynomial, {self.var_monomials[i]: 1}, 1)
 
     def decl(self):
         """Canonical ring declaration string."""

@@ -281,10 +281,10 @@ def _fraction_window(gens, bound):
 @pytest.mark.parametrize("field", ["Q", "Fp(7)", f"Fp({P})"])
 @pytest.mark.parametrize("mode", MODES)
 def test_annihilators_on_integer_rows_match_the_fraction_references(field, mode):
-    # the window kernel leaves the engine as integer forms, the minimalizer
-    # spans int rows and the socle ranks int rows; each stage equals its
-    # Fraction reference: the window vector for vector, the generators those
-    # of spanning every product, the socle the rank of the honest normal forms
+    # the window kernel leaves the engine as integer forms and the minimalizer
+    # spans int rows; each stage equals its Fraction reference: the window
+    # vector for vector, the generators those of spanning every product, and
+    # the socle read off that basis the rank of the honest normal forms
     rng = rng_for(f"integer-rows-{field}-{mode}")
     socles = []
     for ctx in _contexts(field, mode):
@@ -310,8 +310,8 @@ def test_annihilators_on_integer_rows_match_the_fraction_references(field, mode)
 
 
 def test_a_graded_q_annihilator_and_its_certificate_compute_one_integer_form(monkeypatch):
-    # the window, the minimalizer, the reduced basis and the socle read the
-    # forms the engine hands out; only F's own form is computed from terms
+    # the window and the minimalizer read the forms the engine hands out, and
+    # the reduced basis and the socle read terms; only F's own form is computed
     computed = []
     integer_form = ring.RingContext.integer_form
 
