@@ -310,7 +310,7 @@ class AnnihilatorWindow:
         Modulo m^{bound+1} they generate the same ideal as the whole kernel:
         every other kernel vector is a monomial multiple of a border monomial.
         """
-        return self.multi_term + [self.context.of_form(Polynomial, {u: 1}, 1) for u in self.border]
+        return self.multi_term + [self.context.unit_monomial(u) for u in self.border]
 
 
 def _top_generators(gens):
@@ -439,20 +439,16 @@ def _minimalize(vectors, bound, context, hull=None):
     if hull is not None:
         at = {lm: v for lm, v in candidates if lm in hull}
         steps = [x - context.base for x in context.var_monomials]  # m + step packs m * x
-        rows = []
-        for _, w in candidates:
-            if len(w.terms) > 1:  # the products of a one-term w lie outside the hull
-                ints = w.integer_form()[0]
-                rows += [row for step in steps if (row := {p: a for m, a in ints.items() if (p := m + step) in at})]
+        forms = [w.integer_form()[0] for _, w in candidates if len(w.terms) > 1]  # a one-term w's products lie outside the hull
+        rows = [row for ints in forms for step in steps if (row := {p: a for m, a in ints.items() if (p := m + step) in at})]
         units, rows = peel_units(rows)
         for row in rows:
             span.insert_ints(row)
-        leads = span.leads()
         for lm, _ in candidates:
             if lm not in at or lm in units:
                 continue  # in the span of the monomials outside the hull or of the set
             r = {lm: 1}
-            if lm in leads:  # else the unit vector is its own remainder
+            if lm in span.leads():  # else the unit vector is its own remainder
                 r = {m: c for m, c in span.reduce_ints(r).items() if m not in units}
             if len(r) == 1:
                 units.update(r)
@@ -532,7 +528,7 @@ def ann_module(gens, degree_bound=None):
         vectors = window.generating_vectors()
         ideal = Ideal(_minimalize(vectors, bound, ctx, window.divisors.union(window.border)), ctx)
     else:
-        one_term = [ctx.of_form(Polynomial, {m: 1}, 1) for m in _packed_monomials(ctx.n, 0, bound) if m not in window.divisors]
+        one_term = [ctx.unit_monomial(m) for m in _packed_monomials(ctx.n, 0, bound) if m not in window.divisors]
         ideal = Ideal(_minimalize(window.multi_term + one_term, bound, ctx), ctx)
     if graded and bound > top:
         ideal.cached_gb = _reduced_basis(vectors, window.divisors, ideal)

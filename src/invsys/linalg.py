@@ -91,12 +91,15 @@ class _Echelon:
     def _reduce_integral(self, row):
         """Over Q: (r, d), r an int row and r / d the remainder of a rational row.
 
-        Cleared of denominators (an int's is 1), the row is scaled by the least
-        m that makes each q_c = f_c * m / L_c integral (f_c its entry and L_c
-        the pivot entry at pivot key c); then q_c times pivot row c is subtracted.
+        A Fraction row is cleared of denominators, an int row (an integer form's; terms never mix the two
+        types) taken as it is.  The row is scaled by the least m making each q_c = f_c * m / L_c integral
+        (f_c its entry, L_c the pivot entry at pivot key c); then q_c times pivot row c is subtracted.
         """
-        d = math.lcm(*[v.denominator for v in row.values()])
-        out = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
+        if type(next(iter(row.values()), 0)) is int:  # an empty row too
+            d, out = 1, dict(row)
+        else:
+            d = math.lcm(*[v.denominator for v in row.values()])
+            out = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
         pivots = self.pivots
         hits = [(c, f, prow) for c, f in out.items() if (prow := pivots.get(c))]
         m = math.lcm(*[lc // math.gcd(f, lc) for c, f, prow in hits if (lc := prow[c]) != 1])
@@ -253,12 +256,9 @@ def rank_of(rows, one):
 
 
 def _free_column_forms(reduced, pivots, columns, one):
-    """Null-space basis of the engine's RREF rows, one integer form (ints, D) per free column, keyed by ``columns``.
-
-    Free column c gives 1 at c and -v / L at the pivot column of each row
-    holding v at c, L its pivot entry: ints p - v over 1 over Fp(p), where L
-    is 1; over Q, D at c and -v * D / L, D the lcm of the L, content kept.
-    """
+    """Null-space basis of the engine's RREF rows, one integer form (ints, D) per free column c, keyed by ``columns``:
+    1 at c and -v / L at the pivot column of each row holding v at c, L its pivot entry (1 over Fp(p), where the
+    ints are p - v over 1), over Q D at c and -v * D / L, D the lcm of the L, content kept."""
     p, pivot_set = getattr(one, "p", 0), set(pivots)
     kernel = {c: {columns[c]: 1} for c in range(len(columns)) if c not in pivot_set}
     for lead, prow in zip(pivots, reduced):
@@ -386,8 +386,7 @@ class SpanBuilder(_Echelon):
     is canonical: two spans are equal iff their bases coincide.  The first
     polynomial, or a ``context`` given up front, fixes the context, and the
     first polynomial the side; other ones are refused.  A row is the ints of
-    a polynomial's integer form, or one given (``insert_ints``,
-    ``reduce_ints``); a remainder is made through the ring (``_of_sums``).
+    a polynomial's integer form, or given (``insert_ints``, ``reduce_ints``).
     """
 
     def __init__(self, context=None):

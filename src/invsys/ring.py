@@ -10,10 +10,8 @@ appear only at the boundary (parser, printer, constructor, ``monomial``,
 ``coeff``, ``shift_mul``).
 
 A polynomial also has an integer form (ints, D), its terms as ints over one
-int D: over Q the numerators over the lcm D of the denominators, computed
-on first use and kept with the polynomial, whose terms never change; over
-Fp(p) the terms over 1.  ``contract`` and ``linear_combination`` work on
-these ints and make one Fraction per output term.
+int D: over Q the numerators over their lcm D of denominators, computed on
+first use and kept, as terms never change; over Fp(p) the terms over 1.
 
 R acts on the dual, which has no internal product, by contraction
 ``z^M . Z^[L] = Z^[L-M]`` (zero when a component of L-M is negative): no
@@ -338,6 +336,13 @@ class RingContext:
         """cls's element of an integer form (ints, d) of nonzero ints, kept; over Fp(p) the ints are its terms."""
         return cls._of(self, ints) if self.char else cls._of_sums(self, ints, d)
 
+    def unit_monomial(self, m):
+        """The ring element m, a packed monomial with coefficient 1; over Q its form ({m: 1}, 1) kept."""
+        p = Polynomial._of(self, {m: self.unit})
+        if not self.char:
+            p._form = ({m: 1}, 1)
+        return p
+
     def contraction_image(self, F, m, terms):
         """The dual element m o F with ``terms``, F's term at l moved to l - m (m less ``base``), as ``_of``
         builds it; over Q it keeps its form, F's ints on those terms over F's D, made canonical."""
@@ -381,7 +386,7 @@ class RingContext:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def variable(self, i):
-        return self.of_form(Polynomial, {self.var_monomials[i]: 1}, 1)
+        return self.unit_monomial(self.var_monomials[i])
 
     def decl(self):
         """Canonical ring declaration string."""
