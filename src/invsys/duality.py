@@ -70,7 +70,7 @@ class GroebnerBasis:
     ``groebner.buchberger`` returns it reduced, monic and sorted by ascending
     leading monomial; while it runs, it grows an unreduced one element by
     element with ``add``.  ``ann_module`` attaches the same reduced basis to
-    the graded annihilators it reads off their kernels, with the pair that
+    the graded annihilators it reads off their kernels, with the triple that
     ``groebner._border_walk`` returns as ``staircase``.  ``reducers`` holds
     the (leading monomial, element) pairs that ``normal_form`` divides by,
     computed once per element.
@@ -278,11 +278,10 @@ class AnnihilatorWindow:
 
     ``divisors`` is the order ideal D of the window monomials that divide a
     term of some generator.  By Macaulay duality every other window monomial
-    u kills every generator (u o F = 0), a one-term kernel vector never
+    u kills every generator (u o F = 0): a one-term kernel vector, never
     built.  ``multi_term`` holds the rest, the canonical kernel over the
-    columns in D, all of more than one term (a column in D is nonzero), by
-    descending lead; together they are the reduced echelon kernel over the
-    whole window, vector for vector.
+    columns in D, each of more than one term (a column in D is nonzero), by
+    descending lead: with them, the reduced echelon kernel of the window.
 
     ``border`` lists the minimal one-term vectors, the monomials outside D
     whose every quotient u/x_i lies in D; every monomial outside D is a
@@ -398,17 +397,19 @@ def _reduced_basis(vectors, divisors, ideal):
     reduced basis, in ascending order.  ``vectors`` are the window's
     multi-term vectors and border monomials: a one-term vector off the
     border has a one-term quotient, and the quotients of the others lie in
-    the divisor set, so only multi-term leading monomials are looked up.
-    The staircase too: the ``divisors`` minus those leads are standard, and
-    a lead u has normal form u minus its vector.
+    the divisor set, so only multi-term leads are looked up.  The staircase
+    too: the ``divisors`` minus those leads are standard, and a lead u has
+    normal form u minus its vector, as ints over the lcm of denominators.
     """
     ctx = ideal.context
     base, xs = ctx.base, ctx.var_monomials
     lead = sorted(((v.leading_monomial(), v) for v in vectors), key=lambda pair: pair[0])
-    forms = {m: ctx.normalize({t: -c for t, c in v.terms.items() if t != m}) for m, v in lead if len(v.terms) > 1}
+    forms = {m: v.integer_form() for m, v in lead if len(v.terms) > 1}
+    e = math.lcm(*[d for _, d in forms.values()])
+    forms = {m: ctx.normalize({t: -a * (e // d) for t, a in ints.items() if t != m}) for m, (ints, d) in forms.items()}
     # m - x + base packs m / x; an x not dividing m sets a guard bit, which no monomial has
     kept = [v for m, v in lead if not any(m - x + base in forms for x in xs)]
-    return GroebnerBasis(kept, ctx, ideal, (sorted(divisors.difference(forms)), forms))
+    return GroebnerBasis(kept, ctx, ideal, (sorted(divisors.difference(forms)), forms, e))
 
 
 def _minimalize(vectors, bound, context, hull=None):

@@ -6,14 +6,14 @@ inclusion-exclusion recursion, Krull dimension, multiplicities, regular
 sequence tests, and standard monomials and socle dimensions read off a
 walk over the border of the standard monomials or off an annihilator
 window.  Every socle element is led by a corner, a standard monomial with
-no standard successor x_i*m; the rows of the other standard monomials are
-unit-triangular at relabelled keys, so the socle ranks only the corner rows
-and the rows they reach.  Local ideals are deliberately not handled here;
-the duality layer treats them by degree truncation.
+no standard successor x_i*m; the other rows are triangular at relabelled
+keys, so the socle ranks only the corner rows and the rows they reach.
+Local ideals are not handled here; the duality layer truncates them.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 
 from .duality import GroebnerBasis, HilbertData, Ideal
@@ -294,20 +294,18 @@ def _border_walk(gb):
     order, a candidate u that leads an element g of the reduced monic basis
     has NF(u) = u - g; else, when u/y is in the border, NF(u) is the sum of
     c*NF(y*t) over the terms c*t of NF(u/y), each y*t a candidate below u;
-    else u is standard.  Returns the ascending standard monomials and a dict
-    from each border monomial to its normal form as {monomial: coefficient}.
-
-    A basis that ``ann_module`` read off a window carries the pair as its
-    ``staircase``, not walked: the dict holds the normal forms of the
-    non-standard monomials of the window's divisor set, and any other
-    non-standard monomial has normal form 0.
+    else u is standard.  Returns the ascending standard monomials, a dict from
+    each border monomial u to int sums s_u, and an int E > 0 such that NF(u)
+    is s_u / E.  A basis that ``ann_module`` read off a window carries this
+    triple as its ``staircase``, not walked: the dict holds the non-standard
+    monomials of the window's divisor set, and any other has normal form 0.
     """
     if gb.staircase is not None:
         return gb.staircase
     ctx = gb.context
     lead = dict(gb.reducers)
     if ctx.base in lead:
-        return [], {}
+        return [], {}, 1
     supports = [[i for i, e in enumerate(ctx.unpack(m)) if e] for m in lead]
     if len({s[0] for s in supports if len(s) == 1}) < ctx.n:  # a pure power of each variable
         raise PreconditionError("quotient is not Artinian")
@@ -338,7 +336,8 @@ def _border_walk(gb):
                     s = nf.get(v)
                     nf[v] = c * e if s is None else s + c * e
             border[u] = ctx.normalize(nf)
-    return std, border
+    e = math.lcm(*[c.denominator for nf in border.values() for c in nf.values()])
+    return std, {u: {t: c.numerator * (e // c.denominator) for t, c in nf.items()} for u, nf in border.items()}, e
 
 
 def standard_monomials(gb):
@@ -354,13 +353,13 @@ def socle_dim(ideal):
 
     The kernel of joint multiplication by all the variables, read off
     ``_border_walk`` without a normal form and ranked transposed: the row of
-    a standard monomial m holds NF(x_i*m) at key (position of t, i) for each
-    term t.  A corner is a standard m with no standard successor x_i*m.  The
-    row of any other m holds 1 at the key (x_i*m, i) of its first one, and a
-    row m' nonzero there has m' > m, as NF(x_i*m') has no term above x_i*m'.
-    That key is relabelled -1 - (position of m), below every other key, so
-    ``rank_of`` pivots on it: these rows are independent, unit-triangular
-    there, and every socle element is led by a corner.  Only the corner rows
+    a standard monomial m holds E * NF(x_i*m), ints, at key (position of t,
+    i) for each term t.  A corner is a standard m with no standard successor
+    x_i*m.  The row of any other m holds E at the key (x_i*m, i) of its first
+    one, and a row m' nonzero there has m' > m, as NF(x_i*m') has no term
+    above x_i*m'.  That key is relabelled -1 - (position of m), below every
+    other key, so ``rank_of`` pivots on it: these rows are independent,
+    triangular there, and every socle element is led by a corner.  Only the corner rows
     and the rows they reach through relabelled keys, transitively, are
     built, and the socle dimension is their number less their rank (zero
     rows skipped).  The refusal counts the standard monomials, the
@@ -373,7 +372,7 @@ def socle_dim(ideal):
     data = hilbert_data(ideal)
     if data.dimension == 0:
         refuse_oversized(data.multiplicity, "socle of the Artinian quotient", "multiplication")
-    std, forms = _border_walk(gb)
+    std, forms, e = _border_walk(gb)
     n, base, xs = ctx.n, ctx.base, ctx.var_monomials
     pos = {m: j for j, m in enumerate(std)}
     relabel, todo = {}, []
@@ -390,7 +389,7 @@ def socle_dim(ideal):
         row = rows[j] = {}
         for i, x in enumerate(xs):
             u = std[j] + x - base
-            for t, c in forms.get(u, {u: ctx.unit} if u in pos else {}).items():
+            for t, c in forms.get(u, {u: e} if u in pos else {}).items():
                 key = pos[t] * n + i
                 row[relabel.get(key, key)] = c
         for k in row:

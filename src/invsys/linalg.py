@@ -39,11 +39,11 @@ class _Echelon:
     int columns, ``max`` (the degrevlex largest) for packed monomials.  Rows
     carry no zero entries.  ``holders`` maps each non-pivot column to the
     pivot keys whose row is nonzero there, so back substitution visits only
-    those rows; a pivot column needs no entry, as RREF leaves it in its own
-    row only.  Most rows of contraction systems are monomials, so a remainder
-    with one key is a unit pivot ``{key: 1}``: no lead search, inverse or
-    holders entry, and its back substitution deletes ``key`` from the rows
-    holding it (over Q each then divided by its content).
+    those rows; a pivot column needs none, as RREF leaves it in its own row
+    only.  Most contraction rows are monomials, so a remainder with one key
+    is a unit pivot ``{key: 1}``: no lead search, inverse or holders entry;
+    its back substitution deletes ``key`` from the rows holding it (over Q
+    each then divided by its content).
 
     ``modulus`` is the characteristic (None in a ``SpanBuilder`` with no
     context yet).  Over Fp(p) rows hold ints in [1, p), normalised by

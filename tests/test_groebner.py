@@ -406,11 +406,12 @@ def _agrees_with_references(ideal):
     """Compare the border walk with the references; returns the socle dimension."""
     gb = buchberger(ideal)
     ctx = ideal.context
-    std, border = groebner._border_walk(gb)
+    std, border, e = groebner._border_walk(gb)
     assert std == _reference_standard_monomials(gb)
     assert standard_monomials(gb) == std
-    for u, nf in border.items():  # each border normal form is the honest one
-        assert normal_form(Polynomial._of(ctx, {u: ctx.unit}), gb).terms == nf
+    for u, nf in border.items():  # each border normal form is the honest one, as int sums over e
+        assert all(type(c) is int for c in nf.values())
+        assert normal_form(Polynomial._of(ctx, {u: ctx.unit}), gb).terms == ctx.from_integer_form(nf, e)[0]
     socle = socle_dim(ideal)
     assert socle == _reference_socle_dim(ideal)
     return socle
@@ -558,7 +559,8 @@ def test_socle_elements_are_led_by_corners(field):
 )
 def test_socle_ranks_only_the_corner_rows_and_the_rows_they_reach(monkeypatch, decl, form, counts):
     # (nonzero corner rows, rows they reach, standard monomials with a nonzero
-    # row): a return to the whole matrix ranks the last number of rows
+    # row): a return to the whole matrix ranks the last number of rows; the
+    # ranked rows are the reference rows times the staircase's denominator e
     passed = []
 
     def recording(rows, one):
@@ -569,7 +571,8 @@ def test_socle_ranks_only_the_corner_rows_and_the_rows_they_reach(monkeypatch, d
     ideal = ann_cyclic(dual(ctx_of(decl), form))
     assert socle_dim(ideal) == 1
     _, corner_rows, reached_rows, nonzero = _lemma_rows(ideal)
-    assert passed == [sorted(sorted(row.items()) for row in corner_rows + reached_rows)]
+    e = groebner._border_walk(buchberger(ideal))[2]
+    assert passed == [sorted(sorted((k, c * e) for k, c in row.items()) for row in corner_rows + reached_rows)]
     assert len(passed[0]) < nonzero
     assert (len(corner_rows), len(reached_rows), nonzero) == counts
 
