@@ -49,10 +49,10 @@ class _Echelon:
     context yet).  Over Fp(p) rows hold ints in [1, p), normalised by
     ``pow(lc, -1, p)``.  Over Q a row is a primitive int row with a positive
     pivot entry L, standing for the monic row row / L.  Int rows go in as
-    they are (the window's contraction rows, every ``SpanBuilder`` row);
-    Fraction rows (``perp_ideal``, ``solve_lift``, ``vanishing_combinations``,
-    ``groebner.socle_dim``) are cleared by the lcm of their denominators,
-    which leaves an int row as it is.  Fractions are made only on the way
+    they are (the window's contraction rows, the socle rows of
+    ``groebner.socle_dim``, every ``SpanBuilder`` row); Fraction rows
+    (``perp_ideal``, ``solve_lift``, ``vanishing_combinations``) are cleared
+    by the lcm of their denominators.  Fractions are made only on the way
     out (``monic_row``, ``kernel_vectors``, ``solve_affine``).
     """
 
